@@ -2,21 +2,21 @@
 
 Build and validate bounded lattices, attach verified multiplications,
 construct zero-divisor graphs in the order and multiplicative senses,
-compute exact chromatic and clique numbers with witnesses, enumerate the
-prime structure, and report per-instance verdicts on whether the two graph
-invariants agree.
+compute exact chromatic and clique numbers with witnesses, derive the
+prime structure in closed form, and report per-instance verdicts on whether
+the two graph invariants agree.
 """
-from .errors import (AxiomViolation, CapExceeded, ImproperIdeal,
+from .errors import (AxiomViolation, ImproperIdeal,
                      IncompleteTable, InvalidModulus, LatticeError,
                      LatticeFileError, NoBoundedStructure, NoPrimesFound,
                      NotALattice, NotAnIdeal, NotAPartialOrder, NotReduced,
                      SelfCheckError, SolverTimeout, TooLarge)
 from .fileio import load_lattice_file, parse_lattice_data
 from .fixtures import FIXTURE_NAMES, fig2_lattice, fig3_lattice, fig3_table, fixture
-from .lattice import (DOWN_SET_CAP, ElementSubset, Lattice, build_lattice,
-                      distributivity_witness, enumerate_down_sets,
-                      is_distributive, is_modular, is_zero_distributive,
-                      modularity_witness, principal_down_set, principal_up_set,
+from .lattice import (ElementSubset, Lattice, build_lattice,
+                      distributivity_witness, is_distributive, is_modular,
+                      is_zero_distributive, modularity_witness,
+                      principal_down_set, principal_up_set,
                       zero_distributivity_witness)
 from .multiplication import (MultLattice, annihilator_star,
                              attach_multiplication, is_nilpotent,

@@ -26,10 +26,6 @@ class NoBoundedStructure(LatticeError):
     """The order has no global minimum or no global maximum."""
 
 
-class CapExceeded(LatticeError):
-    """An exhaustive enumeration would exceed its configured cap."""
-
-
 class AxiomViolation(LatticeError):
     """A multiplication axiom fails; carries the axiom id and a witness."""
 

@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, NoBoundedStructure, NotALattice, NotAPartialOrder
-
-#: Default ceiling for exhaustive down-set enumeration.
-DOWN_SET_CAP = 1 << 20
+from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -89,18 +86,6 @@ class Lattice:
     def coatoms(self) -> list[int]:
         t = self.top
         return [x for x in range(self.n) if x != t and self.up[x] == (1 << t | 1 << x)]
-
-    def covers(self) -> list[tuple[int, int]]:
-        """All cover pairs (x, y) with x covered by y, ascending."""
-        out = []
-        for x in range(self.n):
-            for y in _bits(self.up[x]):
-                if y == x:
-                    continue
-                between = self.up[x] & self.down[y] & ~(1 << x) & ~(1 << y)
-                if between == 0:
-                    out.append((x, y))
-        return out
 
     def assert_valid(self) -> None:
         """Exhaustively re-check every lattice invariant.
@@ -313,8 +298,9 @@ class ElementSubset:
     """A subset of lattice elements with lazily computed structure flags.
 
     The membership is a bitmask over element indices.  ``is_minimal`` is not
-    intrinsic: enumeration routines set it on the subsets they certify as
-    inclusion-minimal among prime down-sets.
+    intrinsic: the prime-structure routines set it on the subsets they
+    certify as inclusion-minimal prime semi-ideals or ideals.  Tuples are
+    built from lists so they are allocated at their exact size.
     """
 
     def __init__(self, lattice: Lattice, members: int | Iterable[int], *,
@@ -333,11 +319,12 @@ class ElementSubset:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return tuple([*_bits(self.mask)])
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.lattice.names[i] for i in _bits(self.mask))
+        names = self.lattice.names
+        return tuple([names[i] for i in _bits(self.mask)])
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
@@ -418,31 +405,3 @@ def principal_down_set(lat: Lattice, a: int) -> ElementSubset:
 def principal_up_set(lat: Lattice, a: int) -> ElementSubset:
     """The principal up-set of ``a``: every element >= a."""
     return ElementSubset(lat, lat.up[a])
-
-
-def enumerate_down_sets(lat: Lattice, cap: int = DOWN_SET_CAP) -> list[ElementSubset]:
-    """All down-sets of the lattice order, sorted by member bitmask.
-
-    Includes the empty set and the whole lattice.  Raises CapExceeded as soon
-    as the family would grow past ``cap`` (the signal that an instance is too
-    large for exhaustive semi-ideal analysis).
-    """
-    n = lat.n
-    strict_down = [lat.down[x] & ~(1 << x) for x in range(n)]
-    found = {0}
-    frontier = [0]
-    while frontier:
-        d = frontier.pop()
-        for x in range(n):
-            if d >> x & 1:
-                continue
-            if strict_down[x] & ~d:
-                continue
-            nd = d | 1 << x
-            if nd not in found:
-                found.add(nd)
-                if len(found) > cap:
-                    raise CapExceeded(
-                        f"down-set family exceeds cap of {cap} sets")
-                frontier.append(nd)
-    return [ElementSubset(lat, m) for m in sorted(found)]

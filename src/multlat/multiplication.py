@@ -105,6 +105,7 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             raise IncompleteTable("table mode requires a multiplication table")
         if len(table) != n:
             raise IncompleteTable(f"table has {len(table)} rows, expected {n}")
+        index = {name: k for k, name in enumerate(lat.names)}
         rows = []
         for i, row in enumerate(table):
             if len(row) != n:
@@ -113,8 +114,8 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             out = []
             for j, name in enumerate(row):
                 try:
-                    out.append(lat.index(name))
-                except KeyError:
+                    out.append(index[name])
+                except (KeyError, TypeError):  # TypeError: unhashable entry
                     raise IncompleteTable(
                         f"table entry ({i},{j}) names unknown element {name!r}") from None
             rows.append(tuple(out))

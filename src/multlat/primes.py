@@ -1,9 +1,13 @@
 """Prime semi-ideals, prime ideals, and the theorem/lemma checking suite.
 
-Semi-ideal enumeration is deliberately exhaustive over down-sets (cap
-guarded): these objects are defined by quantified conditions and desk-scale
-instances permit brute force, so this layer doubles as the oracle for the
-counting theorems.
+The prime structure has a closed form.  In a finite lattice the complement
+of a prime semi-ideal is a filter, and every filter is principal, so the
+prime semi-ideals are exactly the complements of the principal filters up(f)
+for f != 0; the minimal ones are the complements of up(a) for the atoms a.
+A finite down-set is an ideal exactly when it holds its own join, that is
+when it is a principal down-set, so the prime ideals are the candidates that
+equal some down(m).  Everything here is read off the ``up``/``down``
+bitmasks in O(n^2) time, with no enumeration of down-sets.
 
 The lemma suite re-checks, instance by instance, the statements that the
 reduced theory guarantees.  A failing check on a reduced lattice is an
@@ -14,78 +18,79 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded
-from .lattice import (DOWN_SET_CAP, ElementSubset, Lattice, enumerate_down_sets,
-                      zero_distributivity_witness)
+from .lattice import ElementSubset, Lattice, zero_distributivity_witness
 from .multiplication import (MultLattice, annihilator_map, is_prime_element,
                              is_reduced, maximal_annihilator_elements,
                              minimal_prime_elements)
 
 
-def prime_semi_ideals(lat: Lattice, cap: int = DOWN_SET_CAP) -> list[ElementSubset]:
-    """All prime semi-ideals (non-empty proper prime down-sets), by bitmask."""
-    return [d for d in enumerate_down_sets(lat, cap) if d.is_prime]
+def _candidate_masks(lat: Lattice) -> list[int]:
+    """Masks of every prime semi-ideal, the complement of up(f) for each
+    f != 0, ascending."""
+    full = (1 << lat.n) - 1
+    return sorted(full & ~lat.up[f] for f in range(lat.n) if f != lat.bottom)
 
 
-def minimal_prime_semi_ideals(lat: Lattice, cap: int = DOWN_SET_CAP
-                              ) -> list[ElementSubset]:
-    """Inclusion-minimal prime semi-ideals, sorted by member bitmask."""
-    primes = prime_semi_ideals(lat, cap)
-    out = []
-    for d in primes:
-        if not any(o.mask != d.mask and o.mask & ~d.mask == 0 for o in primes):
-            out.append(ElementSubset(lat, d.mask, is_minimal=True))
-    return out
+def _minimal_masks(masks: list[int]) -> list[int]:
+    """The inclusion-minimal masks, in their given order."""
+    return [m for m in masks
+            if not any(o != m and o & ~m == 0 for o in masks)]
 
 
-def minimal_prime_ideals(lat: Lattice, cap: int = DOWN_SET_CAP
-                         ) -> list[ElementSubset]:
-    """Inclusion-minimal prime ideals, sorted by member bitmask."""
-    primes = [d for d in prime_semi_ideals(lat, cap) if d.is_ideal]
-    out = []
-    for d in primes:
-        if not any(o.mask != d.mask and o.mask & ~d.mask == 0 for o in primes):
-            out.append(ElementSubset(lat, d.mask, is_minimal=True))
-    return out
+def _minimal_subsets(lat: Lattice, masks: list[int]) -> list[ElementSubset]:
+    return [ElementSubset(lat, m, is_minimal=True) for m in masks]
+
+
+def prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
+    """All prime semi-ideals (non-empty proper prime down-sets), sorted by
+    member bitmask."""
+    return [ElementSubset(lat, m) for m in _candidate_masks(lat)]
+
+
+def minimal_prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
+    """Inclusion-minimal prime semi-ideals, sorted by member bitmask: the
+    complements of up(a) for the atoms a."""
+    full = (1 << lat.n) - 1
+    return _minimal_subsets(lat, sorted(full & ~lat.up[a] for a in lat.atoms()))
+
+
+def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
+    """Inclusion-minimal prime ideals, sorted by member bitmask.
+
+    The prime ideals are the join-closed prime semi-ideals.  A finite
+    down-set is join-closed exactly when it holds its own join, that is when
+    it is a principal down-set down(m).
+    """
+    principal = set(lat.down)
+    ideals = [m for m in _candidate_masks(lat) if m in principal]
+    return _minimal_subsets(lat, _minimal_masks(ideals))
 
 
 @dataclass
 class PrimeStructure:
     """Everything the counting theorems talk about, for one instance.
 
-    The semi-ideal and ideal lists are None when the down-set family
-    exceeded the enumeration cap (element-level analysis still applies).
+    The semi-ideal and ideal lists hold the inclusion-minimal prime
+    semi-ideals and prime ideals, sorted by member bitmask; the element lists
+    hold indices in ascending order.
     """
 
-    minimal_prime_semi_ideals: list[ElementSubset] | None
-    minimal_prime_ideals: list[ElementSubset] | None
+    minimal_prime_semi_ideals: list[ElementSubset]
+    minimal_prime_ideals: list[ElementSubset]
     minimal_prime_elements: list[int]
     maximal_annihilators: list[int]
-    cap_exceeded: bool = False
+
+    #: Always False: the closed form has no enumeration cap to exceed.  Kept
+    #: because the benchmark's tracer (bench/spans.py) reads it.
+    cap_exceeded = False
 
 
-def prime_structure(ml: MultLattice, cap: int = DOWN_SET_CAP) -> PrimeStructure:
-    """Compute the full prime structure of a multiplicative lattice.
-
-    Down-sets are enumerated once and reused for both the semi-ideal and the
-    ideal lists.
-    """
+def prime_structure(ml: MultLattice) -> PrimeStructure:
+    """Compute the full prime structure of a multiplicative lattice."""
     lat = ml.lattice
-    try:
-        primes = prime_semi_ideals(lat, cap)
-        semi = [ElementSubset(lat, d.mask, is_minimal=True) for d in primes
-                if not any(o.mask != d.mask and o.mask & ~d.mask == 0 for o in primes)]
-        ideals_all = [d for d in primes if d.is_ideal]
-        ideals = [ElementSubset(lat, d.mask, is_minimal=True) for d in ideals_all
-                  if not any(o.mask != d.mask and o.mask & ~d.mask == 0
-                             for o in ideals_all)]
-        cap_hit = False
-    except CapExceeded:
-        semi = None
-        ideals = None
-        cap_hit = True
-    return PrimeStructure(semi, ideals, minimal_prime_elements(ml),
-                          maximal_annihilator_elements(ml), cap_hit)
+    return PrimeStructure(minimal_prime_semi_ideals(lat), minimal_prime_ideals(lat),
+                          minimal_prime_elements(ml),
+                          maximal_annihilator_elements(ml))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ class LemmaReport:
         return {"checks": [c.to_dict() for c in self.checks]}
 
 
-def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
+def check_lemma_suite(ml: MultLattice,
                       structure: PrimeStructure | None = None) -> LemmaReport:
     """Run every instance-checkable statement of the reduced theory.
 
@@ -147,7 +152,7 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
     names = lat.names
     reduced = is_reduced(ml)
     if structure is None:
-        structure = prime_structure(ml, cap)
+        structure = prime_structure(ml)
     report = LemmaReport()
 
     # Reduced lattices are 0-distributive.
@@ -158,7 +163,7 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
         else:
             report.add("reduced_implies_zero_distributive", "fail",
                        "reduced lattice is not 0-distributive",
-                       tuple(names[w] for w in zd_witness))
+                       tuple([names[w] for w in zd_witness]))
     else:
         report.add("reduced_implies_zero_distributive", "skip",
                    "hypothesis unmet (not reduced); base lattice is "
@@ -169,12 +174,9 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
     if not reduced:
         report.add("minimal_prime_semi_ideals_are_ideals", "skip",
                    "hypothesis unmet (not reduced)")
-    elif structure.cap_exceeded:
-        report.add("minimal_prime_semi_ideals_are_ideals", "skip",
-                   "down-set enumeration exceeded its cap")
     else:
-        semi = structure.minimal_prime_semi_ideals or []
-        ideals = structure.minimal_prime_ideals or []
+        semi = structure.minimal_prime_semi_ideals
+        ideals = structure.minimal_prime_ideals
         bad = [d for d in semi if not d.is_ideal]
         if bad:
             report.add("minimal_prime_semi_ideals_are_ideals", "fail",
@@ -227,7 +229,7 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
             report.add("distinct_prime_annihilators_multiply_to_zero", "fail",
                        "elements with distinct prime annihilators have a "
                        "nonzero product",
-                       tuple(names[w] for w in violation))
+                       tuple([names[w] for w in violation]))
         else:
             report.add("distinct_prime_annihilators_multiply_to_zero", "pass")
 
@@ -256,7 +258,7 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
         else:
             report.add("finitely_many_maximal_annihilators", "fail",
                        "witnesses of maximal annihilators are not a clique",
-                       tuple(names[w] for w in witnesses))
+                       tuple([names[w] for w in witnesses]))
 
     # With a nonzero zero divisor, the maximal annihilators are minimal prime
     # elements and meet to 0.
@@ -280,7 +282,7 @@ def check_lemma_suite(ml: MultLattice, cap: int = DOWN_SET_CAP,
         else:
             report.add("zero_is_meet_of_minimal_primes", "fail",
                        "maximal annihilators do not meet to 0 as minimal primes",
-                       tuple(names[m] for m in maxann))
+                       tuple([names[m] for m in maxann]))
         star_values = set(stars)
         missing = [p for p in structure.minimal_prime_elements
                    if p not in star_values]

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import SelfCheckError, SolverTimeout
-from .lattice import DOWN_SET_CAP, is_zero_distributive, modularity_witness
+from .lattice import is_zero_distributive, modularity_witness
 from .multiplication import MultLattice, is_reduced, nilpotency_witness
 from .primes import LemmaReport, check_lemma_suite, prime_structure
 from .solvers import DEFAULT_SOLVER_BUDGET, chromatic_number, clique_number
@@ -78,8 +78,7 @@ class BeckReport:
 
 
 def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
-            solver_budget: float | None = DEFAULT_SOLVER_BUDGET,
-            down_set_cap: int = DOWN_SET_CAP) -> BeckReport:
+            solver_budget: float | None = DEFAULT_SOLVER_BUDGET) -> BeckReport:
     """Analyze the multiplicative-sense zero-divisor graph of one instance.
 
     Builds the graph at ``element`` (default: bottom), computes exact chi and
@@ -99,7 +98,7 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     clique_names = coloring_names = None
     try:
         omega, clique = clique_number(graph, solver_budget)
-        chi, coloring = chromatic_number(graph, solver_budget)
+        chi, coloring = chromatic_number(graph, solver_budget, lower=omega)
         clique_names = [lat.names[v] for v in clique.vertices]
         coloring_names = {lat.names[v]: c for v, c in coloring.assignment.items()}
         if omega > chi:
@@ -119,17 +118,13 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
         keys = ("bottom", "low", "high", "side", "top")
         n5_dict = {k: lat.names[v] for k, v in zip(keys, n5)}
 
-    structure = prime_structure(ml, down_set_cap)
-    lemma_report = check_lemma_suite(ml, down_set_cap, structure)
+    structure = prime_structure(ml)
+    lemma_report = check_lemma_suite(ml, structure)
 
     counts = {
         "minimal_prime_elements": len(structure.minimal_prime_elements),
-        "minimal_prime_semi_ideals":
-            None if structure.minimal_prime_semi_ideals is None
-            else len(structure.minimal_prime_semi_ideals),
-        "minimal_prime_ideals":
-            None if structure.minimal_prime_ideals is None
-            else len(structure.minimal_prime_ideals),
+        "minimal_prime_semi_ideals": len(structure.minimal_prime_semi_ideals),
+        "minimal_prime_ideals": len(structure.minimal_prime_ideals),
         "maximal_annihilators": len(structure.maximal_annihilators),
     }
 

@@ -84,7 +84,7 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
     divs = divisors_of(n)
-    names = tuple(f"({d})" for d in divs)
+    names = tuple([f"({d})" for d in divs])
     pairs = [(f"({d1})", f"({d2})")
              for d1 in divs for d2 in divs if d1 % d2 == 0]
     lat = build_lattice(names, pairs, "leq")
@@ -105,8 +105,7 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     return ZnIdealLattice(n, tuple(divs), ml)
 
 
-def analyze_ring(n: int, solver_budget: float | None = None,
-                 down_set_cap: int | None = None):
+def analyze_ring(n: int, solver_budget: float | None = None):
     """Full analysis of the annihilating-ideal graph of Z_n.
 
     Returns the standard report for the zero-divisor graph of Id(Z_n) at the
@@ -119,6 +118,4 @@ def analyze_ring(n: int, solver_budget: float | None = None,
     kwargs = {}
     if solver_budget is not None:
         kwargs["solver_budget"] = solver_budget
-    if down_set_cap is not None:
-        kwargs["down_set_cap"] = down_set_cap
     return analyze(zn.embedded, instance_id=f"ring:{n}", **kwargs)

@@ -213,19 +213,22 @@ def _k_colorable(g: ZdGraph, k: int, deadline: _Deadline) -> dict[int, int] | No
 
 
 def chromatic_number(g: ZdGraph,
-                     budget: float | None = DEFAULT_SOLVER_BUDGET
-                     ) -> tuple[int, Coloring]:
+                     budget: float | None = DEFAULT_SOLVER_BUDGET,
+                     lower: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness coloring.
 
     Optimality is proved by sandwiching: the clique number is a lower bound,
     a greedy largest-degree-first coloring an upper bound, and each k in
-    between is settled by an exhaustive k-colorability search.  Returns
+    between is settled by an exhaustive k-colorability search.  A caller
+    that has already solved the clique number passes it as ``lower``; the
+    clique is solved here only when ``lower`` is None.  Returns
     (0, empty coloring) for the empty graph.
     """
     if g.n_vertices == 0:
         return 0, Coloring({}, 0)
     deadline = _Deadline(budget)
-    lower, _ = clique_number(g, budget)
+    if lower is None:
+        lower, _ = clique_number(g, budget)
     greedy = greedy_coloring(g)
     upper = greedy.color_count
     witness = greedy

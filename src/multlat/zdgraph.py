@@ -59,7 +59,8 @@ class ZdGraph:
         return out
 
     def vertex_names(self) -> tuple[str, ...]:
-        return tuple(self.lattice.names[v] for v in self.vertices)
+        names = self.lattice.names
+        return tuple([names[v] for v in self.vertices])
 
     def edge_names(self) -> list[tuple[str, str]]:
         names = self.vertex_names()

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (CapExceeded, ElementSubset, NoBoundedStructure,
-                     NotALattice, NotAPartialOrder, build_lattice,
-                     distributivity_witness, enumerate_down_sets,
+from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
+                     NotAPartialOrder, build_lattice, distributivity_witness,
                      fig2_lattice, fig3_lattice, is_distributive, is_modular,
                      is_zero_distributive, modularity_witness,
                      principal_down_set, principal_up_set,
                      zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
-from helpers import assert_is_n5
+from helpers import assert_is_n5, enumerate_down_sets
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
@@ -219,12 +218,6 @@ def test_down_sets_are_down_closed_and_lattice():
             assert m1 | m2 in masks
             assert m1 & m2 in masks
     assert [d.mask for d in fams] == sorted(d.mask for d in fams)
-
-
-def test_down_set_cap():
-    lat = boolean_lattice(4)
-    with pytest.raises(CapExceeded):
-        enumerate_down_sets(lat, cap=10)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,10 @@ def test_incomplete_tables_are_rejected():
         attach_multiplication(lat, "table", [["c0"], ["c0", "c1"]])
     with pytest.raises(IncompleteTable):
         attach_multiplication(lat, "table", [["c0", "c0"], ["c0", "nope"]])
+    # A JSON list where a name belongs gets the unknown-element message.
+    with pytest.raises(IncompleteTable,
+                       match=r"table entry \(1,1\) names unknown element \['c1'\]"):
+        attach_multiplication(lat, "table", [["c0", "c0"], ["c0", ["c1"]]])
 
 
 def test_non_commutative_table_is_rejected():

@@ -1,17 +1,26 @@
-"""Prime semi-ideal/ideal enumeration and the lemma suite."""
+"""Closed-form prime semi-ideals and ideals, and the lemma suite."""
 from __future__ import annotations
 
-import pytest
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (CapExceeded, attach_multiplication, check_lemma_suite,
-                     fig2_lattice, fixture, is_reduced, minimal_prime_elements,
-                     minimal_prime_ideals, minimal_prime_semi_ideals,
-                     mult_zero_divisor_graph, prime_structure)
+from multlat import (analyze, attach_multiplication, check_lemma_suite,
+                     fig2_lattice, fig3_lattice, fixture, is_distributive,
+                     is_reduced,
+                     minimal_prime_elements, minimal_prime_ideals,
+                     minimal_prime_semi_ideals, mult_zero_divisor_graph,
+                     prime_structure)
 from multlat.primes import prime_semi_ideals
-from multlat.rings import ideal_lattice_zn
-from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
+from multlat.rings import ideal_lattice_zn, is_squarefree
+from multlat.search import (boolean_lattice, chain_lattice, generate,
+                            random_poset_down_set_lattice)
+
+from helpers import oracle_prime_masks, random_closure_lattice
+
+# Seed base of the random lattices in the acceptance battery.
+RANDOM_SUITE_BASE_SEED = 20_240_817
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +101,55 @@ def test_minimal_prime_semi_ideal_count_equals_atom_count():
         assert len(minimal_prime_semi_ideals(lat)) == len(lat.atoms())
 
 
-def test_cap_exceeded_propagates():
-    lat = boolean_lattice(4)
-    with pytest.raises(CapExceeded):
-        minimal_prime_semi_ideals(lat, cap=5)
-    structure = prime_structure(attach_multiplication(lat, "meet"), cap=5)
-    assert structure.cap_exceeded
-    assert structure.minimal_prime_semi_ideals is None
-    assert structure.minimal_prime_ideals is None
-    assert len(structure.minimal_prime_elements) == 4
+def _oracle_lattices():
+    """The acceptance battery's lattices, the fixtures, chains, Id(Z_n) for
+    n < 200 and seeded random lattices, distributive or not."""
+    for k in range(6):
+        yield boolean_lattice(k)
+    for k in range(1, 7):
+        yield chain_lattice(k)
+    yield fig2_lattice()
+    yield fig3_lattice()
+    for n in range(2, 1001):
+        if n < 200 or is_squarefree(n):
+            yield ideal_lattice_zn(n).lattice
+    for i in range(100):
+        yield random_poset_down_set_lattice(RANDOM_SUITE_BASE_SEED + i, 24)
+    rng = random.Random(0)
+    for _ in range(150):
+        yield random_closure_lattice(rng, 5, rng.randint(2, 10))
+
+
+def test_closed_form_matches_down_set_oracle():
+    """Every prime list from the closed form equals the one found by checking
+    the definitions on every down-set, mask for mask and in order."""
+    checked = distinct_counts = 0
+    for lat in _oracle_lattices():
+        semi, minimal_semi, minimal_ideals = oracle_prime_masks(lat)
+        assert [d.mask for d in prime_semi_ideals(lat)] == semi
+        assert [d.mask for d in minimal_prime_semi_ideals(lat)] == minimal_semi
+        assert [d.mask for d in minimal_prime_ideals(lat)] == minimal_ideals
+        if is_distributive(lat):
+            structure = prime_structure(attach_multiplication(lat, "meet"))
+            assert [d.mask for d in structure.minimal_prime_semi_ideals] == minimal_semi
+            assert [d.mask for d in structure.minimal_prime_ideals] == minimal_ideals
+        checked += 1
+        distinct_counts += len(minimal_semi) != len(minimal_ideals)
+    assert checked > 900
+    # The non-distributive lattices reach the case where the two differ.
+    assert distinct_counts > 0
+
+
+def test_analyze_counts_on_formerly_capped_instances():
+    """boolean:6 and divisor:27720 used to exceed the down-set enumeration;
+    their minimal prime semi-ideal and ideal counts are now integers."""
+    for spec, expected in (("boolean:6", 6), ("divisor:27720", 5)):
+        [(instance_id, ml)] = generate(spec)
+        report = analyze(ml, instance_id=instance_id)
+        assert report.counts["minimal_prime_semi_ideals"] == expected, spec
+        assert report.counts["minimal_prime_ideals"] == expected, spec
+        if report.reduced:
+            assert report.lemmas["minimal_prime_semi_ideals_are_ideals"] == "pass"
 
 
 def test_reduced_semi_ideals_coincide_with_ideals():

@@ -136,8 +136,8 @@ def test_reduced_violation_is_fatal(monkeypatch):
     must abort with SelfCheckError instead of emitting a finding."""
     real = multlat.report.chromatic_number
 
-    def broken(graph, budget=None):
-        chi, coloring = real(graph, budget)
+    def broken(graph, budget=None, lower=None):
+        chi, coloring = real(graph, budget, lower)
         return chi + 1, coloring
 
     monkeypatch.setattr(multlat.report, "chromatic_number", broken)

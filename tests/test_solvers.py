@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (NotReduced, SolverTimeout, TooLarge, attach_multiplication,
-                     beck_coloring, brute_force_chromatic, brute_force_clique,
+import multlat.report
+import multlat.solvers
+from multlat import (NotReduced, SolverTimeout, TooLarge, analyze,
+                     attach_multiplication, beck_coloring,
+                     brute_force_chromatic, brute_force_clique,
                      chromatic_number, clique_number, fixture, is_reduced,
                      mult_zero_divisor_graph)
 from multlat.solvers import greedy_coloring, is_proper
@@ -116,6 +119,31 @@ def test_determinism():
         assert chromatic_number(h)[1].assignment == \
             chromatic_number(h)[1].assignment
         assert clique_number(h)[1].vertices == clique_number(h)[1].vertices
+
+
+def test_chromatic_with_a_known_clique_bound():
+    """Passing the clique number as the lower bound changes nothing."""
+    rng = random.Random(17)
+    for g in [fig3_graph()] + [random_graph(rng, 11, 0.5) for _ in range(10)]:
+        omega, _ = clique_number(g)
+        chi, coloring = chromatic_number(g, lower=omega)
+        assert (chi, coloring.assignment) == \
+            (chromatic_number(g)[0], chromatic_number(g)[1].assignment)
+
+
+def test_analyze_solves_the_clique_once(monkeypatch):
+    calls = []
+    real = multlat.solvers.clique_number
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multlat.report, "clique_number", counted)
+    monkeypatch.setattr(multlat.solvers, "clique_number", counted)
+    report = analyze(fixture("fig3"))
+    assert (report.chi, report.omega) == (4, 3)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

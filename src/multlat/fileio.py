@@ -16,6 +16,7 @@ errors from the core modules (CLI exit 2).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any
 
 from .errors import LatticeFileError
@@ -43,6 +44,10 @@ def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
     if (not isinstance(elements, list) or not elements
             or not all(isinstance(e, str) for e in elements)):
         raise LatticeFileError('"elements" must be a non-empty list of strings')
+    declared = set(elements)
+    if len(declared) != len(elements):
+        dup = next(e for e, count in Counter(elements).items() if count > 1)
+        raise LatticeFileError(f"element name {dup!r} is declared more than once")
 
     order = data["order"]
     if not isinstance(order, dict):
@@ -57,8 +62,8 @@ def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
             and all(isinstance(x, str) for x in p) for p in pairs):
         raise LatticeFileError('"pairs" must be a list of [name, name] pairs')
     for a, b in pairs:
-        if a not in elements or b not in elements:
-            bad = a if a not in elements else b
+        if a not in declared or b not in declared:
+            bad = a if a not in declared else b
             raise LatticeFileError(f"order pair references undeclared element {bad!r}")
 
     lat = build_lattice(elements, [tuple(p) for p in pairs], kind)
@@ -91,6 +96,10 @@ def load_lattice_file(path: str) -> tuple[Lattice, MultLattice | None]:
             data = json.load(fh)
     except OSError as exc:
         raise LatticeFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise LatticeFileError(f"{path} is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal too long to
+        # convert; RecursionError: nesting deeper than the decoder can follow.
         raise LatticeFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_lattice_data(data)

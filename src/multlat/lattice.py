@@ -6,9 +6,16 @@ bitmasks (``up[i]`` is the set of elements above ``i``), and meet/join are
 precomputed n-by-n index tables so that everything downstream is a table
 lookup.  All objects here are immutable after construction and safe to share.
 
+The tables are built by lookup, not by search: the lower bounds
+``down[i] & down[j]`` of a pair have a greatest element exactly when they
+equal some ``down[m]``, and then m is the meet, so each meet is one dict
+lookup keyed by the down-mask and each join one lookup keyed by the up-mask.
+The build is O(n^2) table entries after the order closure.
+
 The toolkit targets lattices of up to ~64 elements; Python's unbounded ints
-make the bitmask representation work beyond that, but the exhaustive
-predicates are cubic and sized for desk-scale instances.
+make the bitmask representation work beyond that, but the structural
+predicates (distributivity, modularity) are cubic and sized for desk-scale
+instances.
 """
 from __future__ import annotations
 
@@ -86,6 +93,19 @@ class Lattice:
     def coatoms(self) -> list[int]:
         t = self.top
         return [x for x in range(self.n) if x != t and self.up[x] == (1 << t | 1 << x)]
+
+    def join_irreducibles(self) -> list[int]:
+        """Elements x != 0 that are not the join of the elements strictly
+        below them, ascending by index.
+
+        Every element is the join of the join-irreducibles below it (0 is the
+        empty join), which is what lets a join-preserving map be checked on
+        them alone.  In a finite lattice these are exactly the elements with
+        a single lower cover.
+        """
+        b = self.bottom
+        return [x for x in range(self.n)
+                if x != b and self.join_all(_bits(self.down[x] & ~(1 << x))) != x]
 
     def assert_valid(self) -> None:
         """Exhaustively re-check every lattice invariant.
@@ -193,30 +213,26 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
         raise NoBoundedStructure("order has no global maximum element")
     bottom, top = bottoms[0], tops[0]
 
+    # A lower-bound set has a greatest element m exactly when it is down[m]
+    # (dually for upper bounds), so a missing key means no meet (join).
+    by_down = {d: m for m, d in enumerate(down)}
+    by_up = {u: m for m, u in enumerate(up)}
     meet_rows: list[tuple[int, ...]] = []
     join_rows: list[tuple[int, ...]] = []
     for i in range(n):
-        mrow = [0] * n
-        jrow = [0] * n
-        for j in range(n):
-            low = down[i] & down[j]
-            for m in _bits(low):
-                if low & ~down[m] == 0:
-                    mrow[j] = m
-                    break
-            else:
-                raise NotALattice(
-                    f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
-                    pair=(names[i], names[j]))
-            high = up[i] & up[j]
-            for m in _bits(high):
-                if high & ~up[m] == 0:
-                    jrow[j] = m
-                    break
-            else:
-                raise NotALattice(
-                    f"elements {names[i]!r} and {names[j]!r} have no least upper bound",
-                    pair=(names[i], names[j]))
+        di, ui = down[i], up[i]
+        mrow = [by_down.get(di & d) for d in down]
+        jrow = [by_up.get(ui & u) for u in up]
+        if None in mrow or None in jrow:
+            for j in range(n):
+                if mrow[j] is None:
+                    raise NotALattice(
+                        f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
+                        pair=(names[i], names[j]))
+                if jrow[j] is None:
+                    raise NotALattice(
+                        f"elements {names[i]!r} and {names[j]!r} have no least upper bound",
+                        pair=(names[i], names[j]))
         meet_rows.append(tuple(mrow))
         join_rows.append(tuple(jrow))
 

@@ -189,6 +189,10 @@ def check_lemma_suite(ml: MultLattice,
             report.add("minimal_prime_semi_ideals_are_ideals", "pass")
 
     stars = annihilator_map(ml)
+    # Primality of each distinct annihilator, decided once for the two
+    # checks below that need it; both apply to reduced lattices only.
+    star_is_prime = ({s: is_prime_element(ml, s) for s in set(stars)}
+                     if reduced else {})
     has_zero_divisor = any(
         ml.product[a][b] == lat.bottom
         for a in range(ml.n) if a != lat.bottom
@@ -200,7 +204,7 @@ def check_lemma_suite(ml: MultLattice,
                    "hypothesis unmet (not reduced)")
     else:
         bad_m = [m for m in structure.maximal_annihilators
-                 if not is_prime_element(ml, m)]
+                 if not star_is_prime[m]]
         if bad_m:
             report.add("maximal_annihilators_are_prime", "fail",
                        "a maximal annihilator element is not prime",
@@ -216,10 +220,10 @@ def check_lemma_suite(ml: MultLattice,
     else:
         violation = None
         for x in range(ml.n):
-            if not is_prime_element(ml, stars[x]):
+            if not star_is_prime[stars[x]]:
                 continue
             for y in range(x + 1, ml.n):
-                if (stars[y] != stars[x] and is_prime_element(ml, stars[y])
+                if (stars[y] != stars[x] and star_is_prime[stars[y]]
                         and ml.product[x][y] != lat.bottom):
                     violation = (x, y)
                     break

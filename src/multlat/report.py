@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
-from .multiplication import MultLattice, is_reduced, nilpotency_witness
+from .multiplication import MultLattice, nilpotency_witness
 from .primes import LemmaReport, check_lemma_suite, prime_structure
 from .solvers import DEFAULT_SOLVER_BUDGET, chromatic_number, clique_number
 from .zdgraph import mult_zero_divisor_graph
@@ -107,8 +107,8 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     except SolverTimeout:
         timed_out = True
 
-    reduced = is_reduced(ml)
     nilp = nilpotency_witness(ml)
+    reduced = nilp is None
     nilp_dict = None
     if nilp is not None:
         nilp_dict = {"element": lat.names[nilp[0]], "exponent": nilp[1]}

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from multlat import ElementSubset, Lattice, ZdGraph, build_lattice
+from multlat import ElementSubset, Lattice, NotALattice, ZdGraph, build_lattice
 from multlat.search import chain_lattice
 
 
@@ -100,3 +100,113 @@ def random_closure_lattice(rng: random.Random, k: int, m: int) -> Lattice:
     pairs = [(f"s{a}", f"s{b}") for a in members for b in members
              if a != b and a & ~b == 0]
     return build_lattice(names, pairs, "leq")
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive oracles for the lattice build and the multiplication axioms
+
+
+def _mask_bits(mask: int):
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def bit_scan_meet_join(names, up, down):
+    """(meet rows, join rows) found by scanning each pair's common lower and
+    upper bounds for a greatest and least one, as lattice construction did
+    before it switched to down-mask lookups.  Raises NotALattice for the
+    first pair in row order that lacks a meet, checked before its join."""
+    n = len(names)
+    meet_rows, join_rows = [], []
+    for i in range(n):
+        mrow, jrow = [0] * n, [0] * n
+        for j in range(n):
+            low = down[i] & down[j]
+            for m in _mask_bits(low):
+                if low & ~down[m] == 0:
+                    mrow[j] = m
+                    break
+            else:
+                raise NotALattice(
+                    f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
+                    pair=(names[i], names[j]))
+            high = up[i] & up[j]
+            for m in _mask_bits(high):
+                if high & ~up[m] == 0:
+                    jrow[j] = m
+                    break
+            else:
+                raise NotALattice(
+                    f"elements {names[i]!r} and {names[j]!r} have no least upper bound",
+                    pair=(names[i], names[j]))
+        meet_rows.append(tuple(mrow))
+        join_rows.append(tuple(jrow))
+    return tuple(meet_rows), tuple(join_rows)
+
+
+def cover_closure(n: int, pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """(up, down) masks of the reflexive-transitive closure of index pairs
+    (a, b) meaning a <= b, by Warshall's algorithm."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return up, down
+
+
+def exhaustive_axiom_violation(lat: Lattice, product) -> tuple[str, tuple[int, ...]] | None:
+    """The first (axiom, witness) found by checking M1-M5 on every pair and
+    every triple, or None when all hold.  O(n^3): the reference that the
+    join-irreducible check in multlat.multiplication is compared against."""
+    n, bot, top, join = lat.n, lat.bottom, lat.top, lat.join
+    for a in range(n):
+        if product[a][top] != a:
+            return "M5", (a,)
+        if product[a][bot] != bot:
+            return "M3", (a, bot)
+        for b in range(a, n):
+            if product[a][b] != product[b][a]:
+                return "M1", (a, b)
+            if not lat.leq(product[a][b], lat.meet[a][b]):
+                return "M4", (a, b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if product[product[a][b]][c] != product[a][product[b][c]]:
+                    return "M2", (a, b, c)
+                if product[a][join[b][c]] != join[product[a][b]][product[a][c]]:
+                    return "M3", (a, b, c)
+    return None
+
+
+def axiom_holds_at(lat: Lattice, product, axiom: str, witness: tuple[int, ...]) -> bool:
+    """Evaluate the named axiom at one witness."""
+    P, join = product, lat.join
+    if axiom == "M1":
+        a, b = witness
+        return P[a][b] == P[b][a]
+    if axiom == "M2":
+        a, b, c = witness
+        return P[P[a][b]][c] == P[a][P[b][c]]
+    if axiom == "M3" and len(witness) == 2:
+        return P[witness[0]][lat.bottom] == lat.bottom
+    if axiom == "M3":
+        a, b, c = witness
+        return P[a][join[b][c]] == join[P[a][b]][P[a][c]]
+    if axiom == "M4":
+        a, b = witness
+        return lat.leq(P[a][b], lat.meet[a][b])
+    if axiom == "M5":
+        (a,) = witness
+        return P[a][lat.top] == a
+    raise ValueError(f"unknown axiom {axiom!r}")
+
+
+def trivial_product(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    """x.1 = 1.x = x and every other product 0, admissible or not."""
+    t, b = lat.top, lat.bottom
+    return tuple(tuple(y if x == t else x if y == t else b for y in range(lat.n))
+                 for x in range(lat.n))

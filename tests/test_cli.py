@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: exit codes, report shape, and determinism."""
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multlat.cli import main
 
@@ -67,6 +73,81 @@ def test_validate_malformed_json(tmp_path, capsys):
 def test_validate_missing_file(tmp_path, capsys):
     code, _, _ = run_cli(["validate", str(tmp_path / "nope.json")], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"elements": ["0", "0", "1"],
+                "order": {"kind": "covers", "pairs": [["0", "1"]]}}).encode(),
+    b"\xff\xfe{}",
+    b"[" * 100000,
+    b'{"elements": ' + b"1" * 5000 + b"}",
+], ids=["duplicate-names", "not-utf8", "deep-nesting", "long-integer"])
+def test_validate_unreadable_documents_exit_3(tmp_path, capsys, content):
+    path = tmp_path / "lattice.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "parse"
+    assert len(err.splitlines()) == 1
+
+
+NAMES = st.sampled_from(["0", "a", "b", "c", "1"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def lattice_documents(draw):
+    """Lattice files that are well formed in most fields and arbitrary JSON
+    in some, so that every branch of the schema check is reached."""
+    # One time in eight, a part is arbitrary JSON instead of well formed.
+    def rarely():
+        return draw(st.sampled_from([False] * 7 + [True]))
+
+    def field(good):
+        return draw(JSON_VALUES if rarely() else good)
+
+    elements = field(st.lists(NAMES, min_size=1, max_size=5, unique=not rarely()))
+    pool = elements if isinstance(elements, list) and elements else ["0"]
+    name = NAMES if rarely() else st.sampled_from(pool)
+    pairs = draw(st.lists(st.lists(name, min_size=2, max_size=2), max_size=6))
+    if draw(st.booleans()):  # first name below and last above all others
+        pairs += [[pool[0], x] for x in pool[1:]] + [[x, pool[-1]] for x in pool[:-1]]
+    order = field(st.fixed_dictionaries({
+        "kind": st.sampled_from(["covers", "covers", "leq", "lt"]),
+        "pairs": st.just(pairs)}))
+    size = len(pool)
+    table = st.lists(st.lists(name, min_size=size, max_size=size),
+                     min_size=size, max_size=size)
+    mult = field(st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["meet", "trivial", "lcm"])}),
+        st.fixed_dictionaries({"kind": st.just("table"), "table": table})))
+    doc = {"elements": elements, "order": order}
+    if draw(st.booleans()):
+        doc["multiplication"] = mult
+    if rarely():
+        doc[draw(st.sampled_from(["elements", "extra"]))] = draw(JSON_VALUES)
+    return field(st.just(doc))
+
+
+@given(lattice_documents())
+def test_validate_fuzz_ends_in_a_documented_exit_code(doc):
+    """Any JSON document ends in exit 0, 2 or 3 with one JSON object on
+    stdout; an uncaught exception fails the test as it would show a
+    traceback at the command line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["validate", path])
+    assert code in (0, 2, 3)
+    assert json.loads(out.getvalue())["valid"] is (code == 0)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lattice construction, validation, predicates, and down-set machinery."""
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,14 +16,23 @@ from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
                      zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
-from helpers import assert_is_n5, enumerate_down_sets
+from helpers import (assert_is_n5, bit_scan_meet_join, cover_closure,
+                     enumerate_down_sets, random_closure_lattice)
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
 
 
+PENTAGON = (["0", "a", "b", "c", "1"],
+            [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
 def diamond_lattice():
     return build_lattice(*DIAMOND, "covers")
+
+
+def pentagon_lattice():
+    return build_lattice(*PENTAGON, "covers")
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +96,23 @@ def test_non_lattice_pair_is_named():
                       [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
                        ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")], "covers")
     assert exc.value.pair == ("a", "b")
+
+
+def test_pair_without_meet_or_join_reports_the_meet():
+    # a and b have lower bounds 0, e, f and upper bounds c, d, 1; listed
+    # first, they are the first failing pair in row order.
+    names = ["a", "b", "0", "e", "f", "c", "d", "1"]
+    covers = [("0", "e"), ("0", "f"), ("e", "a"), ("e", "b"), ("f", "a"),
+              ("f", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+              ("c", "1"), ("d", "1")]
+    with pytest.raises(NotALattice, match="no greatest lower bound") as exc:
+        build_lattice(names, covers, "covers")
+    assert exc.value.pair == ("a", "b")
+    index = {nm: i for i, nm in enumerate(names)}
+    up, down = cover_closure(len(names), [(index[x], index[y]) for x, y in covers])
+    with pytest.raises(NotALattice) as ref:
+        bit_scan_meet_join(names, up, down)
+    assert str(ref.value) == str(exc.value)
 
 
 def test_bad_arguments():
@@ -236,17 +263,73 @@ def test_random_distributive_lattice_invariants(seed):
 @given(st.integers(2, 7), st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                                   max_size=12))
 def test_random_cover_relations(n, raw_pairs):
-    """Random DAG covers either build a valid lattice or raise a typed error."""
+    """Random DAG covers either build a valid lattice or raise a typed error;
+    the meet and join tables, or the pair named by NotALattice, match the
+    bit-scan oracle on the closed order."""
     names = [f"v{i}" for i in range(n)]
-    pairs = [(f"v{a}", f"v{b}") for a, b in raw_pairs if a < b < n]
+    index_pairs = [(a, b) for a, b in raw_pairs if a < b < n]
+    pairs = [(f"v{a}", f"v{b}") for a, b in index_pairs]
     try:
         lat = build_lattice(names, pairs, "covers")
-    except (NotAPartialOrder, NoBoundedStructure, NotALattice):
+    except NotALattice as exc:
+        up, down = cover_closure(n, index_pairs)
+        with pytest.raises(NotALattice) as ref:
+            bit_scan_meet_join(names, up, down)
+        assert exc.pair == ref.value.pair
+        assert str(exc) == str(ref.value)
+        return
+    except (NotAPartialOrder, NoBoundedStructure):
         return
     lat.assert_valid()
+    assert (lat.up, lat.down) == tuple(map(tuple, cover_closure(n, index_pairs)))
+    assert (lat.meet, lat.join) == bit_scan_meet_join(names, lat.up, lat.down)
     if is_distributive(lat):
         assert is_modular(lat)
         assert is_zero_distributive(lat)
+
+
+@given(st.sets(st.integers(1, 30), min_size=3, max_size=10), st.booleans())
+def test_random_subset_orders_match_bit_scan_oracle(middle, reverse):
+    """Bounded families of subsets of a 5-set, ordered by inclusion or its
+    reverse; about one in ten lacks a meet or a join."""
+    masks = sorted({0, 31} | middle)
+    n = len(masks)
+    names = [f"s{m}" for m in masks]
+    le = [[(b & ~a == 0) if reverse else (a & ~b == 0) for b in masks] for a in masks]
+    up = [sum(1 << j for j in range(n) if le[i][j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if le[i][j]) for j in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(n)
+             if i != j and le[i][j]]
+    try:
+        lat = build_lattice(names, pairs, "leq")
+    except NotALattice as exc:
+        with pytest.raises(NotALattice) as ref:
+            bit_scan_meet_join(names, up, down)
+        assert exc.pair == ref.value.pair
+        assert str(exc) == str(ref.value)
+        return
+    assert (lat.meet, lat.join) == bit_scan_meet_join(names, up, down)
+
+
+def test_join_irreducibles_have_one_lower_cover():
+    rng = random.Random(5)
+    lattices = [chain_lattice(1), chain_lattice(5), boolean_lattice(3),
+                diamond_lattice(), pentagon_lattice(), fig2_lattice(),
+                fig3_lattice(), *(random_closure_lattice(rng, 4, 5) for _ in range(20))]
+    for lat in lattices:
+        strict = [lat.down[x] & ~(1 << x) for x in range(lat.n)]
+        lower_covers = [[y for y in range(lat.n) if strict[x] >> y & 1
+                         and not any(strict[z] >> y & 1 for z in range(lat.n)
+                                     if strict[x] >> z & 1)]
+                        for x in range(lat.n)]
+        irreducibles = lat.join_irreducibles()
+        assert irreducibles == [x for x in range(lat.n) if len(lower_covers[x]) == 1]
+        for x in range(lat.n):
+            assert lat.join_all(j for j in irreducibles if lat.leq(j, x)) == x
+    assert boolean_lattice(3).join_irreducibles() == boolean_lattice(3).atoms()
+    assert chain_lattice(1).join_irreducibles() == []
+    pentagon = pentagon_lattice()
+    assert [pentagon.names[x] for x in pentagon.join_irreducibles()] == ["a", "b", "c"]
 
 
 def test_distributivity_implications():

@@ -1,21 +1,26 @@
 """Multiplication axioms and the multiplicative notions built on them."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (AxiomViolation, IncompleteTable, annihilator_star,
+from multlat import (AxiomViolation, IncompleteTable, MultLattice,
+                     SelfCheckError, annihilator_star,
                      attach_multiplication, fig2_lattice,
                      fig3_lattice, fig3_table, fixture, is_nilpotent,
                      is_prime_element, is_reduced, is_zero_distributive,
                      maximal_annihilator_elements, minimal_prime_elements,
                      nilpotency_witness, power, prime_elements, residual)
-from multlat.multiplication import stable_power
+from multlat.multiplication import _verify_axioms, stable_power
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
-from test_lattice import diamond_lattice
+from helpers import (axiom_holds_at, exhaustive_axiom_violation,
+                     random_closure_lattice, trivial_product)
+from test_lattice import diamond_lattice, pentagon_lattice
 
 
 def b3_meet():
@@ -98,6 +103,129 @@ def test_exhaustive_axiom_scan_on_fig3():
                 assert ml.prod(a, ml.prod(b, c)) == ml.prod(ml.prod(a, b), c)
                 assert ml.prod(a, lat.join_of(b, c)) == \
                     lat.join_of(ml.prod(a, b), ml.prod(a, c))
+
+
+# ---------------------------------------------------------------------------
+# The join-irreducible check against the exhaustive oracle
+
+
+def assert_matches_oracle(lat, product) -> str | None:
+    """The fast check and the exhaustive one agree on accept or reject, and
+    each reported witness violates the axiom it is reported under.  Returns
+    the axiom the fast check reported, or None."""
+    reference = exhaustive_axiom_violation(lat, product)
+    try:
+        _verify_axioms(lat, product)
+    except AxiomViolation as exc:
+        witness = tuple(lat.index(w) for w in exc.witness)
+        assert reference is not None, f"{exc} but every triple satisfies M1-M5"
+        assert not axiom_holds_at(lat, product, exc.axiom, witness)
+        assert not axiom_holds_at(lat, product, *reference)
+        irreducibles = set(lat.join_irreducibles())
+        if exc.axiom == "M2":
+            assert set(witness) <= irreducibles
+        if exc.axiom == "M3" and len(witness) == 3:
+            assert witness[2] in irreducibles
+        return exc.axiom
+    assert reference is None, f"accepted, but the oracle finds {reference}"
+    return None
+
+
+def small_instances():
+    """(lattice, candidate product) pairs: the fixtures, the diamond and the
+    pentagon with both built-in kinds, and Id(Z_n) for n < 200."""
+    out = [(fixture("fig2").lattice, fixture("fig2").product),
+           (fixture("fig3").lattice, fixture("fig3").product)]
+    for lat in (diamond_lattice(), pentagon_lattice()):
+        out += [(lat, lat.meet), (lat, trivial_product(lat))]
+    for n in range(2, 200):
+        ml = ideal_lattice_zn(n).embedded
+        out.append((ml.lattice, ml.product))
+    return out
+
+
+def test_axiom_check_matches_oracle_on_fixed_instances():
+    verdicts = [assert_matches_oracle(lat, p) for lat, p in small_instances()]
+    assert verdicts[:2] == [None, None]  # fig2 trivial, fig3 table
+    assert verdicts[2:6] == ["M3"] * 4  # diamond and pentagon, meet and trivial
+    assert verdicts[6:] == [None] * 198
+
+
+def test_axiom_check_matches_oracle_on_perturbed_tables():
+    """Seeded perturbations of one entry, alone and with its mirror entry,
+    so that some copies keep M1 and fail only M2 or M3."""
+    rng = random.Random(3)
+    seen = set()
+    for lat, product in small_instances():
+        n = lat.n
+        for _ in range(4):
+            i, j = rng.randrange(n), rng.randrange(n)
+            v = rng.choice([x for x in range(n) if x != product[i][j]])
+            one = [list(row) for row in product]
+            one[i][j] = v
+            mirrored = [list(row) for row in one]
+            mirrored[j][i] = v
+            for table in (one, mirrored):
+                seen.add(assert_matches_oracle(lat, table))
+    assert {"M1", "M2", "M3", "M4", "M5", None} <= seen
+
+
+SMALL_LATTICES = [chain_lattice(k) for k in range(1, 9)] + [
+    boolean_lattice(k) for k in range(4)] + [
+    diamond_lattice(), pentagon_lattice(), fig2_lattice()] + [
+    ideal_lattice_zn(n).lattice for n in (8, 12, 18, 20, 24, 30)] + [
+    random_closure_lattice(random.Random(s), 3, 4) for s in range(10)]
+
+
+@st.composite
+def small_tables(draw):
+    """A lattice of at most 8 elements and a table on it.  Most tables keep
+    M1, M4, M5 and a.0 = 0 by construction, so that M2 and M3 decide."""
+    lat = draw(st.sampled_from(SMALL_LATTICES))
+    n, bot, top = lat.n, lat.bottom, lat.top
+    shaped = draw(st.integers(0, 3)) > 0
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if shaped and b < a:
+                table[a][b] = table[b][a]
+            elif shaped and top in (a, b):
+                table[a][b] = b if a == top else a
+            elif shaped and bot in (a, b):
+                table[a][b] = bot
+            elif shaped:
+                below = [x for x in range(n) if lat.leq(x, lat.meet[a][b])]
+                table[a][b] = draw(st.sampled_from(below))
+            else:
+                table[a][b] = draw(st.integers(0, n - 1))
+    return lat, table
+
+
+@given(small_tables())
+def test_axiom_check_matches_oracle_on_drawn_tables(drawn):
+    assert_matches_oracle(*drawn)
+
+
+def test_axiom_check_matches_oracle_on_every_chain_table():
+    """All 12 tables on the 4-chain 0 < a < b < 1 that keep M1, M4 and M5;
+    some are admissible multiplications other than the meet."""
+    lat = chain_lattice(4)
+    accepted = 0
+    for aa in range(2):
+        for ab in range(2):
+            for bb in range(3):
+                table = [[0, 0, 0, 0], [0, aa, ab, 1], [0, ab, bb, 2], [0, 1, 2, 3]]
+                accepted += assert_matches_oracle(lat, table) is None
+    assert 0 < accepted < 12
+
+
+def test_residual_adjunction_is_checked_at_run_time():
+    """A product that skips attach-time verification breaks the residual's
+    adjunction; the check raises even under python -O."""
+    lat = diamond_lattice()
+    ml = MultLattice(lat, lat.meet)  # the meet is not admissible on M3
+    with pytest.raises(SelfCheckError, match="adjunction"):
+        residual(ml, lat.bottom, lat.index("x"))
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,13 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
 
     Builds the graph at ``element`` (default: bottom), computes exact chi and
     omega with witnesses, the prime structure, structural flags, and the
-    lemma suite, then renders the verdict.  A solver timeout is folded into
-    the report (chi/omega None, timed_out True) so batch callers can log and
-    continue; a reduced instance with chi != omega raises SelfCheckError
-    because the theory proves it impossible.
+    lemma suite, then renders the verdict.  ``solver_budget`` bounds both
+    exact solves together: the chromatic search gets what the clique search
+    left over.  A solver timeout is folded into the report (timed_out True,
+    verdict None) so batch callers can log and continue; chi and its
+    coloring are None, and so are omega and its clique unless the clique
+    was solved first.  A reduced instance with chi != omega raises
+    SelfCheckError because the theory proves it impossible.
     """
     start = time.monotonic()
     lat = ml.lattice
@@ -97,9 +100,13 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     chi = omega = None
     clique_names = coloring_names = None
     try:
+        solve_start = time.monotonic()
         omega, clique = clique_number(graph, solver_budget)
-        chi, coloring = chromatic_number(graph, solver_budget, lower=omega)
         clique_names = [lat.names[v] for v in clique.vertices]
+        left = solver_budget
+        if left is not None:
+            left = max(0.0, left - (time.monotonic() - solve_start))
+        chi, coloring = chromatic_number(graph, left, lower=omega)
         coloring_names = {lat.names[v]: c for v, c in coloring.assignment.items()}
         if omega > chi:
             raise SelfCheckError(

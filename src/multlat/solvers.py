@@ -5,6 +5,14 @@ The exact solvers are deterministic: vertices are processed in a fixed order
 wall-clock or OS entropy enters any decision.  Both carry a configurable time
 budget and abort with SolverTimeout when it runs out.
 
+Both solvers work on bitmasks over one relabelling of the graph: vertex v of
+the new numbering is the v-th vertex of the degree order, so "highest degree,
+then lowest position" is always the lowest set bit of a mask.  The
+colouring search keeps, per colour c, the mask of vertices that see c on a
+neighbour, and bit-sliced saturation layers: layer t holds the vertices with
+at least t + 1 distinct neighbour colours.  The DSATUR choice is then the
+lowest set bit of the top non-empty layer among the uncoloured vertices.
+
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
 branch-and-bound solvers they cross-check.
@@ -14,7 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import NoPrimesFound, NotReduced, SolverTimeout, TooLarge
+from .errors import (NoPrimesFound, NotReduced, SelfCheckError, SolverTimeout,
+                     TooLarge)
 from .lattice import _bits
 from .multiplication import MultLattice, is_reduced, minimal_prime_elements
 from .zdgraph import ZdGraph, mult_zero_divisor_graph
@@ -45,8 +54,10 @@ class Coloring:
     color_count: int
 
     def __post_init__(self):
-        used = set(self.assignment.values())
-        assert self.color_count == len(used)
+        used = len(set(self.assignment.values()))
+        if self.color_count != used:
+            raise SelfCheckError(
+                f"coloring claims {self.color_count} colors but uses {used}")
 
 
 @dataclass
@@ -61,26 +72,57 @@ def _degree_order(g: ZdGraph) -> list[int]:
     return sorted(range(g.n_vertices), key=lambda k: (-degs[k], k))
 
 
+def _relabel(g: ZdGraph) -> tuple[list[int], list[int]]:
+    """The degree order and the adjacency masks renumbered along it.
+
+    Vertex v of the new numbering is position ``order[v]`` of ``g``.
+    """
+    order = _degree_order(g)
+    newbit = [0] * len(order)
+    for new, old in enumerate(order):
+        newbit[old] = 1 << new
+    adj = []
+    for old in order:
+        rest = g.adj[old]
+        row = 0
+        while rest:
+            low = rest & -rest
+            row |= newbit[low.bit_length() - 1]
+            rest ^= low
+        adj.append(row)
+    return order, adj
+
+
 def is_proper(g: ZdGraph, coloring: Coloring) -> bool:
     col = coloring.assignment
-    for i, j in g.edges():
-        if col[g.vertices[i]] == col[g.vertices[j]]:
-            return False
-    return set(col) == set(g.vertices)
+    if set(col) != set(g.vertices):
+        return False
+    classes: dict[int, int] = {}
+    for k, v in enumerate(g.vertices):
+        classes[col[v]] = classes.get(col[v], 0) | 1 << k
+    return all(not row & classes[col[v]]
+               for row, v in zip(g.adj, g.vertices))
+
+
+def _greedy(g: ZdGraph, order: list[int], adj: list[int]) -> Coloring:
+    """First fit along the relabelled numbering, by colour-class masks."""
+    classes: list[int] = []
+    assignment = {}
+    for v, row in enumerate(adj):
+        for c, cls in enumerate(classes):
+            if not cls & row:
+                classes[c] = cls | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
+        assignment[g.vertices[order[v]]] = c
+    return Coloring(assignment, len(classes))
 
 
 def greedy_coloring(g: ZdGraph) -> Coloring:
     """Largest-degree-first greedy coloring (deterministic upper bound)."""
-    order = _degree_order(g)
-    colors: dict[int, int] = {}
-    for k in order:
-        used = {colors[j] for j in _bits(g.adj[k]) if j in colors}
-        c = 0
-        while c in used:
-            c += 1
-        colors[k] = c
-    assignment = {g.vertices[k]: c for k, c in colors.items()}
-    return Coloring(assignment, len(set(colors.values())) if colors else 0)
+    return _greedy(g, *_relabel(g))
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +134,17 @@ def clique_number(g: ZdGraph,
                   ) -> tuple[int, CliqueWitness]:
     """Exact maximum clique size and a witness.
 
-    Branch and bound over candidate bitmasks; vertices are renumbered by
-    descending degree (ties by position) and candidates inside a node are
-    ordered by a greedy coloring whose class count bounds the achievable
-    clique.  Returns (0, empty witness) for the empty graph.
+    Branch and bound over candidate bitmasks in the relabelled numbering;
+    candidates inside a node are ordered by a greedy coloring whose class
+    count bounds the achievable clique, and scanned from the last class
+    down, highest vertex first.  Returns (0, empty witness) for the empty
+    graph.
     """
     nv = g.n_vertices
     if nv == 0:
         return 0, CliqueWitness(())
     deadline = _Deadline(budget)
-    order = _degree_order(g)
-    # adjacency in the new numbering
-    newpos = {old: new for new, old in enumerate(order)}
-    adj = [0] * nv
-    for old_i, row in enumerate(g.adj):
-        for old_j in _bits(row):
-            adj[newpos[old_i]] |= 1 << newpos[old_j]
+    order, adj = _relabel(g)
 
     best_size = 0
     best_mask = 0
@@ -123,36 +160,37 @@ def clique_number(g: ZdGraph,
             avail = rest
             cls = 0
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                cls |= 1 << v
-                avail &= ~(adj[v] | 1 << v)
+                low = avail & -avail
+                cls |= low
+                avail &= ~(adj[low.bit_length() - 1] | low)
             classes.append(cls)
             rest &= ~cls
-        ordered: list[tuple[int, int]] = []
-        for ci, cls in enumerate(classes):
-            for v in _bits(cls):
-                ordered.append((v, ci + 1))
         p = cand
-        for v, bound in reversed(ordered):
-            if rsize + bound <= best_size:
-                return
-            nr = rmask | 1 << v
-            np_ = p & adj[v]
-            if np_:
-                expand(nr, rsize + 1, np_)
-            elif rsize + 1 > best_size:
-                best_size = rsize + 1
-                best_mask = nr
-            p &= ~(1 << v)
+        for bound in range(len(classes), 0, -1):
+            cls = classes[bound - 1]
+            while cls:
+                if rsize + bound <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                np_ = p & adj[v]
+                if np_:
+                    expand(rmask | bit, rsize + 1, np_)
+                elif rsize + 1 > best_size:
+                    best_size = rsize + 1
+                    best_mask = rmask | bit
+                p &= ~bit
 
     expand(0, 0, (1 << nv) - 1)
-    witness = tuple(sorted(g.vertices[order[v]] for v in _bits(best_mask)))
-    # sanity: pairwise adjacency of the witness in the original graph
-    pos = {v: k for k, v in enumerate(g.vertices)}
-    for a in witness:
-        for b in witness:
-            if a != b:
-                assert g.adjacent(pos[a], pos[b]), "clique witness not a clique"
+    positions = [order[v] for v in _bits(best_mask)]
+    mask = 0
+    for k in positions:
+        mask |= 1 << k
+    if len(positions) != best_size or any(
+            (g.adj[k] | 1 << k) & mask != mask for k in positions):
+        raise SelfCheckError("clique witness not a clique")
+    witness = tuple(sorted(g.vertices[k] for k in positions))
     return best_size, CliqueWitness(witness)
 
 
@@ -160,56 +198,71 @@ def clique_number(g: ZdGraph,
 # Exact chromatic number (iterated k-colorability, DSATUR branching)
 
 
-def _k_colorable(g: ZdGraph, k: int, deadline: _Deadline) -> dict[int, int] | None:
-    """A proper coloring with at most k colors, or None.
+def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | None:
+    """Colours 0..k-1 per vertex of a proper coloring, or None.
 
     Backtracking with dynamic DSATUR vertex selection (max saturation, ties
-    by degree then position) and new-color symmetry breaking.
+    by degree then position) and new-color symmetry breaking, on adjacency
+    masks relabelled by ``_relabel``.  ``seen[c]`` is the mask of vertices
+    with a neighbour coloured c; ``sat[t]`` holds the vertices with at least
+    t + 1 distinct neighbour colours.  Colouring v with c lifts the vertices
+    of ``adj[v] & ~seen[c]`` one layer by a carry chain, so the next vertex
+    is the lowest set bit of the top layer met by the uncoloured mask.  The
+    search runs on an explicit stack of (vertex, colour, colours used, old
+    ``seen[c]``, old layers) frames, so its depth is not bounded by Python's
+    recursion limit.
     """
-    nv = g.n_vertices
-    adj = g.adj
-    colors = [-1] * nv
-    neighbor_colors: list[set[int]] = [set() for _ in range(nv)]
-    degs = [adj[i].bit_count() for i in range(nv)]
-
-    def pick() -> int:
-        best = -1
-        key = (-1, -1, 0)
-        for v in range(nv):
-            if colors[v] < 0:
-                cand = (len(neighbor_colors[v]), degs[v], -v)
-                if cand > key:
-                    key = cand
-                    best = v
-        return best
-
-    def run(colored: int, max_used: int) -> bool:
-        deadline.check()
-        if colored == nv:
-            return True
-        v = pick()
-        limit = min(max_used + 1, k - 1)
-        for c in range(limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = []
-            for w in _bits(adj[v]):
-                if colors[w] < 0 and c not in neighbor_colors[w]:
-                    neighbor_colors[w].add(c)
-                    touched.append(w)
-            if run(colored + 1, max(max_used, c)):
-                return True
-            for w in touched:
-                neighbor_colors[w].discard(c)
-            colors[v] = -1
-        return False
-
-    if nv == 0:
-        return {}
-    if run(0, -1):
-        return {g.vertices[i]: colors[i] for i in range(nv)}
-    return None
+    nv = len(adj)
+    check = deadline.check
+    colors = [0] * nv
+    seen = [0] * k
+    sat = [0] * k
+    uncolored = (1 << nv) - 1
+    max_used = -1
+    top = k - 1
+    stack = []
+    while True:
+        check()
+        if not uncolored:
+            return colors
+        # No vertex sees more colours than are in use, so the scan starts at
+        # layer max_used.
+        cand = uncolored
+        for t in range(max_used, -1, -1):
+            if sat[t] & uncolored:
+                cand = sat[t] & uncolored
+                break
+        v = (cand & -cand).bit_length() - 1
+        c = 0
+        limit = max_used + 1 if max_used < top else top
+        while True:
+            while c <= limit and seen[c] >> v & 1:
+                c += 1
+            if c <= limit:
+                break
+            # v has no colour left: undo the last assignment, try its next.
+            if not stack:
+                return None
+            v, c, max_used, old, sat = stack.pop()
+            seen[c] = old
+            uncolored |= 1 << v
+            limit = max_used + 1 if max_used < top else top
+            c += 1
+        old = seen[c]
+        row = adj[v]
+        stack.append((v, c, max_used, old, sat[:]))
+        seen[c] = old | row
+        carry = row & ~old
+        t = 0
+        while carry:
+            nxt = carry & sat[t]
+            sat[t] |= carry
+            carry = nxt
+            t += 1
+        colors[v] = c
+        uncolored ^= 1 << v
+        if c > max_used:
+            max_used = c
 
 
 def chromatic_number(g: ZdGraph,
@@ -221,7 +274,8 @@ def chromatic_number(g: ZdGraph,
     a greedy largest-degree-first coloring an upper bound, and each k in
     between is settled by an exhaustive k-colorability search.  A caller
     that has already solved the clique number passes it as ``lower``; the
-    clique is solved here only when ``lower`` is None.  Returns
+    clique is solved here only when ``lower`` is None.  The graph is
+    relabelled once, for the greedy bound and every k.  Returns
     (0, empty coloring) for the empty graph.
     """
     if g.n_vertices == 0:
@@ -229,19 +283,24 @@ def chromatic_number(g: ZdGraph,
     deadline = _Deadline(budget)
     if lower is None:
         lower, _ = clique_number(g, budget)
-    greedy = greedy_coloring(g)
-    upper = greedy.color_count
-    witness = greedy
-    chi = upper
-    for k in range(lower, upper):
+    order, adj = _relabel(g)
+    witness = _greedy(g, order, adj)
+    chi = witness.color_count
+    for k in range(lower, chi):
         deadline.check()
-        found = _k_colorable(g, k, deadline)
+        found = _k_colorable(adj, k, deadline)
         if found is not None:
+            by_position = [0] * len(order)
+            for old, c in zip(order, found):
+                by_position[old] = c
             chi = k
-            witness = Coloring(found, len(set(found.values())))
+            witness = Coloring(dict(zip(g.vertices, by_position)),
+                               len(set(found)))
             break
-    assert is_proper(g, witness), "chromatic witness is not proper"
-    assert witness.color_count == chi, "chromatic witness wastes colors"
+    if not is_proper(g, witness):
+        raise SelfCheckError("chromatic witness is not proper")
+    if witness.color_count != chi:
+        raise SelfCheckError("chromatic witness wastes colors")
     return chi, witness
 
 
@@ -332,8 +391,8 @@ def beck_coloring(ml: MultLattice,
     primes = minimal_prime_elements(ml)
     if not primes:
         raise NoPrimesFound("no prime elements although the graph is non-empty")
-    assert lat.meet_all(primes) == lat.bottom, \
-        "minimal primes of a reduced lattice must meet to 0"
+    if lat.meet_all(primes) != lat.bottom:
+        raise SelfCheckError("minimal primes of a reduced lattice must meet to 0")
     assignment: dict[int, int] = {}
     for v in graph.vertices:
         for i, p in enumerate(primes):
@@ -341,9 +400,11 @@ def beck_coloring(ml: MultLattice,
                 assignment[v] = i
                 break
         else:
-            raise AssertionError(
+            raise SelfCheckError(
                 f"vertex {lat.names[v]} lies below every minimal prime")
     coloring = Coloring(assignment, len(set(assignment.values())))
-    assert is_proper(graph, coloring), "minimal-prime coloring is not proper"
-    assert coloring.color_count <= len(primes)
+    if not is_proper(graph, coloring):
+        raise SelfCheckError("minimal-prime coloring is not proper")
+    if coloring.color_count > len(primes):
+        raise SelfCheckError("minimal-prime coloring uses more colors than primes")
     return coloring

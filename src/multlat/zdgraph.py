@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ImproperIdeal, NotAnIdeal
+from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError
 from .lattice import ElementSubset, Lattice, _bits
 from .multiplication import MultLattice
 
@@ -80,7 +80,8 @@ def _assemble(lat: Lattice, verts: list[int], adjacent, provenance) -> ZdGraph:
                 adj[pos[w]] |= 1 << pos[v]
     g = ZdGraph(lat, tuple(verts), tuple(adj), provenance)
     for k, row in enumerate(adj):
-        assert not row >> k & 1, "self-loop"
+        if row >> k & 1:
+            raise SelfCheckError("self-loop")
     return g
 
 

@@ -210,3 +210,117 @@ def trivial_product(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     t, b = lat.top, lat.bottom
     return tuple(tuple(y if x == t else x if y == t else b for y in range(lat.n))
                  for x in range(lat.n))
+
+
+# ---------------------------------------------------------------------------
+# Reference solvers: the set-based DSATUR search and the tuple-list clique
+# scan that multlat.solvers replaced with bitmask kernels.  The new kernels
+# must visit the same search tree, so they must return the same witnesses.
+
+
+def _reference_degree_order(g: ZdGraph) -> list[int]:
+    degs = [row.bit_count() for row in g.adj]
+    return sorted(range(g.n_vertices), key=lambda k: (-degs[k], k))
+
+
+def reference_k_colorable(g: ZdGraph, k: int) -> dict[int, int] | None:
+    """A proper coloring with at most k colors, or None.
+
+    Recursive backtracking with DSATUR selection by a linear scan (max
+    saturation, then max degree, then lowest position), per-vertex sets of
+    neighbour colours and new-color symmetry breaking.
+    """
+    nv = g.n_vertices
+    adj = g.adj
+    colors = [-1] * nv
+    neighbor_colors: list[set[int]] = [set() for _ in range(nv)]
+    degs = [adj[i].bit_count() for i in range(nv)]
+
+    def pick() -> int:
+        best = -1
+        key = (-1, -1, 0)
+        for v in range(nv):
+            if colors[v] < 0:
+                cand = (len(neighbor_colors[v]), degs[v], -v)
+                if cand > key:
+                    key = cand
+                    best = v
+        return best
+
+    def run(colored: int, max_used: int) -> bool:
+        if colored == nv:
+            return True
+        v = pick()
+        limit = min(max_used + 1, k - 1)
+        for c in range(limit + 1):
+            if c in neighbor_colors[v]:
+                continue
+            colors[v] = c
+            touched = []
+            for w in _mask_bits(adj[v]):
+                if colors[w] < 0 and c not in neighbor_colors[w]:
+                    neighbor_colors[w].add(c)
+                    touched.append(w)
+            if run(colored + 1, max(max_used, c)):
+                return True
+            for w in touched:
+                neighbor_colors[w].discard(c)
+            colors[v] = -1
+        return False
+
+    if nv == 0:
+        return {}
+    if run(0, -1):
+        return {g.vertices[i]: colors[i] for i in range(nv)}
+    return None
+
+
+def reference_clique(g: ZdGraph) -> tuple[int, tuple[int, ...]]:
+    """(maximum clique size, witness) by branch and bound that lists each
+    node's candidates as (vertex, greedy colour bound) pairs and scans the
+    list from its end."""
+    nv = g.n_vertices
+    if nv == 0:
+        return 0, ()
+    order = _reference_degree_order(g)
+    newpos = {old: new for new, old in enumerate(order)}
+    adj = [0] * nv
+    for old_i, row in enumerate(g.adj):
+        for old_j in _mask_bits(row):
+            adj[newpos[old_i]] |= 1 << newpos[old_j]
+    best_size = 0
+    best_mask = 0
+
+    def expand(rmask: int, rsize: int, cand: int) -> None:
+        nonlocal best_size, best_mask
+        classes: list[int] = []
+        rest = cand
+        while rest:
+            avail = rest
+            cls = 0
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                cls |= 1 << v
+                avail &= ~(adj[v] | 1 << v)
+            classes.append(cls)
+            rest &= ~cls
+        ordered: list[tuple[int, int]] = []
+        for ci, cls in enumerate(classes):
+            for v in _mask_bits(cls):
+                ordered.append((v, ci + 1))
+        p = cand
+        for v, bound in reversed(ordered):
+            if rsize + bound <= best_size:
+                return
+            nr = rmask | 1 << v
+            np_ = p & adj[v]
+            if np_:
+                expand(nr, rsize + 1, np_)
+            elif rsize + 1 > best_size:
+                best_size = rsize + 1
+                best_mask = nr
+            p &= ~(1 << v)
+
+    expand(0, 0, (1 << nv) - 1)
+    return best_size, tuple(sorted(g.vertices[order[v]]
+                                   for v in _mask_bits(best_mask)))

@@ -1,7 +1,11 @@
 """Exact solvers against the brute-force oracles and known values."""
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -9,16 +13,18 @@ from hypothesis import strategies as st
 
 import multlat.report
 import multlat.solvers
-from multlat import (NotReduced, SolverTimeout, TooLarge, analyze,
-                     attach_multiplication, beck_coloring,
+from multlat import (NotReduced, SelfCheckError, SolverTimeout, TooLarge,
+                     ZdGraph, analyze, attach_multiplication, beck_coloring,
                      brute_force_chromatic, brute_force_clique,
                      chromatic_number, clique_number, fixture, is_reduced,
                      mult_zero_divisor_graph)
-from multlat.solvers import greedy_coloring, is_proper
+from multlat.solvers import (Coloring, _Deadline, _k_colorable, _relabel,
+                             greedy_coloring, is_proper)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
-from helpers import complete_graph, cycle_graph, make_graph, random_graph
+from helpers import (complete_graph, cycle_graph, make_graph, random_graph,
+                     reference_clique, reference_k_colorable)
 
 
 def fig3_graph():
@@ -236,3 +242,196 @@ def test_beck_coloring_properties_on_random_reduced(seed):
     chi, _ = chromatic_number(g)
     omega, _ = clique_number(g)
     assert chi == omega == len(primes)
+
+
+# ---------------------------------------------------------------------------
+# Bitmask kernels against the reference solvers they replaced
+
+
+def mycielski_graph(k: int):
+    """M_k: M_2 is an edge, and M_{k+1} adds a shadow u_i of every vertex
+    v_i, adjacent to the neighbours of v_i, and a hub adjacent to every
+    shadow.  chi(M_k) = k and omega(M_k) = 2."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        shadow = [(a, n + b) for a, b in edges] + [(b, n + a) for a, b in edges]
+        hub = [(n + i, 2 * n) for i in range(n)]
+        edges, n = edges + shadow + hub, 2 * n + 1
+    return make_graph(n, edges)
+
+
+def kneser_graph(n: int, k: int):
+    """K(n, k): the k-subsets of an n-set, adjacent when disjoint."""
+    subsets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+    edges = [(i, j) for i, a in enumerate(subsets)
+             for j in range(i + 1, len(subsets)) if not a & subsets[j]]
+    return make_graph(len(subsets), edges)
+
+
+def assert_same_as_reference(g):
+    """Same clique witness, and the same coloring or None for every k from
+    the clique number up to the greedy bound, which always succeeds."""
+    omega, witness = clique_number(g, budget=None)
+    assert (omega, witness.vertices) == reference_clique(g)
+    if g.n_vertices == 0:
+        return
+    order, adj = _relabel(g)
+    for k in range(omega, greedy_coloring(g).color_count + 1):
+        found = _k_colorable(adj, k, _Deadline(None))
+        ours = None if found is None else {
+            g.vertices[order[v]]: c for v, c in enumerate(found)}
+        assert ours == reference_k_colorable(g, k), k
+
+
+def test_known_graphs_match_the_reference_solvers():
+    graphs = [fig3_graph()] + [mycielski_graph(k) for k in (3, 4, 5)]
+    graphs += [kneser_graph(n, k)
+               for n, k in ((7, 2), (8, 2), (9, 2), (8, 3), (9, 3))]
+    for g in graphs:
+        assert_same_as_reference(g)
+
+
+def test_mycielski_and_kneser_values():
+    for k in (3, 4, 5):
+        g = mycielski_graph(k)
+        assert (chromatic_number(g)[0], clique_number(g)[0]) == (k, 2)
+    g = kneser_graph(8, 3)
+    assert (chromatic_number(g)[0], clique_number(g)[0]) == (4, 2)
+
+
+def test_ring_graphs_match_the_reference_solvers():
+    checked = 0
+    for n in range(2, 1001):
+        g = mult_zero_divisor_graph(ideal_lattice_zn(n).embedded)
+        if g.n_vertices:
+            assert_same_as_reference(g)
+            checked += 1
+    assert checked == 831
+
+
+def test_random_graphs_match_the_reference_solvers():
+    rng = random.Random(23)
+    for n, p in [(n, p) for n in (10, 20, 30, 40) for p in (0.2, 0.5, 0.8)]:
+        for _ in range(5):
+            assert_same_as_reference(random_graph(rng, n, p))
+
+
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0)))))))
+def test_small_graphs_match_the_reference_solvers(case):
+    n, pairs = case
+    assert_same_as_reference(
+        make_graph(n, sorted({(min(a, b), max(a, b)) for a, b in pairs
+                              if a != b})))
+
+
+def test_greedy_matches_first_fit_in_degree_order():
+    rng = random.Random(29)
+    for _ in range(20):
+        g = random_graph(rng, 20, 0.4)
+        degs = [row.bit_count() for row in g.adj]
+        colors: dict[int, int] = {}
+        for k in sorted(range(20), key=lambda k: (-degs[k], k)):
+            used = {colors[j] for j in range(20) if g.adj[k] >> j & 1
+                    and j in colors}
+            colors[k] = min(set(range(20)) - used)
+        assert greedy_coloring(g).assignment == colors
+
+
+def test_is_proper_rejects_a_conflict_and_a_missing_vertex():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    assert is_proper(g, Coloring({0: 0, 1: 1, 2: 0}, 2))
+    assert not is_proper(g, Coloring({0: 0, 1: 0, 2: 1}, 2))
+    assert not is_proper(g, Coloring({0: 0, 1: 1}, 2))
+
+
+# ---------------------------------------------------------------------------
+# Depth, budget and self-checks
+
+
+def test_long_odd_cycle_needs_no_recursion():
+    # The solvers never read the lattice; a 1501-element chain would take
+    # seconds to build, so the graph carries a one-element one.
+    n = 1501
+    adj = [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)]
+    g = ZdGraph(chain_lattice(1), tuple(range(n)), tuple(adj), ("test", None))
+    chi, coloring = chromatic_number(g)
+    assert chi == 3 and is_proper(g, coloring)
+    assert _k_colorable(_relabel(g)[1], 2, _Deadline(None)) is None
+
+
+def test_kernel_honours_an_expired_budget():
+    g = cycle_graph(5)
+    with pytest.raises(SolverTimeout):
+        _k_colorable(_relabel(g)[1], 3, _Deadline(-1.0))
+    with pytest.raises(SolverTimeout):
+        chromatic_number(g, budget=0.0, lower=2)
+    assert chromatic_number(g, budget=None, lower=2)[0] == 3
+
+
+def test_coloring_count_is_checked_under_python_O():
+    src = os.path.dirname(os.path.dirname(multlat.solvers.__file__))
+    code = ("from multlat import SelfCheckError\n"
+            "from multlat.solvers import Coloring\n"
+            "try:\n"
+            "    Coloring({0: 0}, 2)\n"
+            "except SelfCheckError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
+
+
+# ---------------------------------------------------------------------------
+# One solver budget per analysis
+
+
+class _Clock:
+    """A monotonic clock that moves only when told to."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_analyze_gives_chi_the_budget_the_clique_left(monkeypatch):
+    clock = _Clock()
+    budgets = []
+    real_clique = multlat.report.clique_number
+    real_chromatic = multlat.report.chromatic_number
+
+    def slow_clique(graph, budget=None):
+        clock.now += 2.5
+        return real_clique(graph, budget)
+
+    def recording_chromatic(graph, budget=None, lower=None):
+        budgets.append(budget)
+        return real_chromatic(graph, budget, lower=lower)
+
+    monkeypatch.setattr(multlat.report, "time", clock)
+    monkeypatch.setattr(multlat.report, "clique_number", slow_clique)
+    monkeypatch.setattr(multlat.report, "chromatic_number", recording_chromatic)
+    report = analyze(fixture("fig3"), solver_budget=10.0)
+    assert budgets == [7.5] and (report.chi, report.omega) == (4, 3)
+    analyze(fixture("fig3"), solver_budget=2.0)
+    assert budgets[-1] == 0.0
+    analyze(fixture("fig3"), solver_budget=None)
+    assert budgets[-1] is None
+
+
+def test_chi_timeout_keeps_the_clique(monkeypatch):
+    def timing_out(graph, budget=None, lower=None):
+        raise SolverTimeout("solver exceeded its time budget")
+
+    monkeypatch.setattr(multlat.report, "chromatic_number", timing_out)
+    report = analyze(fixture("fig3"))
+    omega, clique = clique_number(fig3_graph())
+    assert report.timed_out and report.verdict is None
+    assert report.chi is None and report.coloring is None
+    assert report.omega == omega == 3
+    names = fixture("fig3").lattice.names
+    assert report.clique == [names[v] for v in clique.vertices]

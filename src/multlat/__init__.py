@@ -7,7 +7,7 @@ prime structure in closed form, and report per-instance verdicts on whether
 the two graph invariants agree.
 """
 from .errors import (AxiomViolation, ImproperIdeal,
-                     IncompleteTable, InvalidModulus, LatticeError,
+                     IncompleteTable, InvalidModulus, InvalidSpec, LatticeError,
                      LatticeFileError, NoBoundedStructure, NoPrimesFound,
                      NotALattice, NotAnIdeal, NotAPartialOrder, NotReduced,
                      SelfCheckError, SolverTimeout, TooLarge)

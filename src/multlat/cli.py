@@ -10,6 +10,9 @@ go to stderr.  Exit codes are stable:
   3  I/O or parse error
   4  solver timeout (a partial report is still printed)
 
+Usage errors, such as a malformed family spec or a --timeout that is not a
+finite number of seconds >= 0, exit 2 with one line on stderr.
+
 All randomness is seed-injected via flags; identical inputs and seeds give
 byte-identical output.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (LatticeError, LatticeFileError, SelfCheckError,
@@ -174,8 +178,15 @@ def cmd_search(args) -> int:
     return EXIT_FAILS if result.findings else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multlat",
         description="Analyze finite multiplicative lattices and their "
                     "zero-divisor graphs.")
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--element", help="element for the zero-divisor graph "
                                      "(default: the bottom)")
-    p.add_argument("--timeout", type=float, default=DEFAULT_SOLVER_BUDGET,
+    p.add_argument("--timeout", type=_parse_seconds, default=DEFAULT_SOLVER_BUDGET,
                    help="per-graph solver budget in seconds")
     p.set_defaults(func=cmd_analyze)
 
@@ -203,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write DOT here instead of stdout")
     p.add_argument("--color", action="store_true",
                    help="fill nodes by an optimal coloring")
-    p.add_argument("--timeout", type=float, default=DEFAULT_SOLVER_BUDGET)
+    p.add_argument("--timeout", type=_parse_seconds, default=DEFAULT_SOLVER_BUDGET)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("ring", help="analyze the ideal lattice of Z_n")
     p.add_argument("--modulus", type=int, help="single modulus n >= 2")
     p.add_argument("--sweep", type=_parse_range,
                    help="range A..B of moduli, one JSON line each")
-    p.add_argument("--timeout", type=float, default=DEFAULT_SOLVER_BUDGET)
+    p.add_argument("--timeout", type=_parse_seconds, default=DEFAULT_SOLVER_BUDGET)
     p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("search",
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1000,
                    help="maximum number of instances to analyze")
-    p.add_argument("--timeout", type=float, default=DEFAULT_SOLVER_BUDGET)
+    p.add_argument("--timeout", type=_parse_seconds, default=DEFAULT_SOLVER_BUDGET)
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -234,6 +245,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"range must look like A..B, got {text!r}") from None
+
+
+def _parse_seconds(text: str) -> float:
+    """A solver budget: a finite number of seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

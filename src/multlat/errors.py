@@ -68,6 +68,12 @@ class InvalidModulus(LatticeError):
     """Ring constructions need an integer modulus n >= 2."""
 
 
+class InvalidSpec(LatticeError, ValueError):
+    """A fixture name, family spec or search budget is malformed or out of
+    range.  It is also a ValueError, so callers that check arguments the
+    usual way catch it."""
+
+
 class SelfCheckError(LatticeError):
     """A theorem-backed internal consistency check failed.
 

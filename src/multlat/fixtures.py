@@ -11,6 +11,7 @@ needs 4 colors although its largest clique has 3 vertices.
 """
 from __future__ import annotations
 
+from .errors import InvalidSpec
 from .lattice import Lattice, build_lattice
 from .multiplication import MultLattice, attach_multiplication
 
@@ -73,7 +74,7 @@ def fixture(name: str, mult: str | None = None) -> MultLattice:
         lat = fig2_lattice()
         kind = mult or "trivial"
         if kind == "table":
-            raise ValueError("fig2 has no bundled multiplication table")
+            raise InvalidSpec("fig2 has no bundled multiplication table")
         return attach_multiplication(lat, kind)
     if name == "fig3":
         lat = fig3_lattice()
@@ -81,4 +82,4 @@ def fixture(name: str, mult: str | None = None) -> MultLattice:
         if kind == "table":
             return attach_multiplication(lat, "table", fig3_table())
         return attach_multiplication(lat, kind)
-    raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    raise InvalidSpec(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

@@ -16,10 +16,24 @@ join-irreducibles J only, in O(n^2 |J|), and M2 on J^3 only (see
 ``_verify_axioms`` for why that suffices).  On top of the verified table
 this module computes powers, nilpotents, annihilators, residuals and prime
 elements.
+
+The facts the analysis asks for more than once are computed once per
+``MultLattice`` and cached on it with ``functools.cached_property``: the
+nilpotency witness, the annihilator of every element and the prime
+elements.  The public functions return a fresh list each call.
+
+Primality is decided on J x J.  An element p != 1 is prime exactly when
+a.b is not below p for all join-irreducibles a, b not below p.  Any x not
+below p is the join of the join-irreducibles below it, so one of them, a,
+is not below p either; M3 makes the product monotone in each argument
+(x = x v a gives x.y = x.y v a.y), so x, y not below p with x.y <= p give
+a <= x and b <= y in J, not below p, with a.b <= x.y <= p.  The cost per
+element is O(|J|^2) instead of O(n^2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import AxiomViolation, IncompleteTable, SelfCheckError
@@ -30,7 +44,11 @@ MULT_KINDS = ("table", "meet", "trivial")
 
 @dataclass(frozen=True)
 class MultLattice:
-    """A lattice together with a verified multiplication table."""
+    """A lattice together with a verified multiplication table.
+
+    The underscored cached properties hold facts computed on first use; they
+    are not fields, so they take no part in ``==`` or hashing.
+    """
 
     lattice: Lattice
     product: tuple[tuple[int, ...], ...]
@@ -45,6 +63,18 @@ class MultLattice:
 
     def prod(self, x: int, y: int) -> int:
         return self.product[x][y]
+
+    @cached_property
+    def _nilpotency_witness(self) -> tuple[int, int] | None:
+        return _nilpotency_scan(self)
+
+    @cached_property
+    def _annihilators(self) -> tuple[int, ...]:
+        return tuple([annihilator_star(self, a) for a in range(self.n)])
+
+    @cached_property
+    def _prime_elements(self) -> tuple[int, ...]:
+        return tuple([p for p in range(self.n) if is_prime_element(self, p)])
 
 
 def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
@@ -189,8 +219,12 @@ def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
     """A nonzero nilpotent with the smallest exponent, or None if reduced.
 
     Searches exponent-first (k = 2, 3, ...), ties broken by element index,
-    so the witness has the minimal power that reaches 0.
+    so the witness has the minimal power that reaches 0.  Cached on ``ml``.
     """
+    return ml._nilpotency_witness
+
+
+def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
     bot = ml.lattice.bottom
     nilpotents = [a for a in range(ml.n) if a != bot and is_nilpotent(ml, a)]
     if not nilpotents:
@@ -209,7 +243,7 @@ def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
 
 def is_reduced(ml: MultLattice) -> bool:
     """Whether the only nilpotent element is 0."""
-    return nilpotency_witness(ml) is None
+    return ml._nilpotency_witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +284,32 @@ def residual(ml: MultLattice, a: int, b: int) -> int:
 
 
 def is_prime_element(ml: MultLattice, p: int) -> bool:
-    """p != 1 and a.b <= p always forces a <= p or b <= p."""
+    """p != 1 and a.b <= p always forces a <= p or b <= p.
+
+    Decided on pairs of join-irreducibles not below p, which is exact (see
+    the module docstring); by M1 each unordered pair is tried once.
+    """
     lat = ml.lattice
     if p == lat.top:
         return False
-    n = ml.n
-    outside = [a for a in range(n) if not lat.leq(a, p)]
-    for a in outside:
+    below = lat.down[p]
+    outside = [a for a in lat.join_irreducibles() if not below >> a & 1]
+    for i, a in enumerate(outside):
         row = ml.product[a]
-        for b in outside:
-            if lat.leq(row[b], p):
+        for b in outside[i:]:
+            if below >> row[b] & 1:
                 return False
     return True
 
 
 def prime_elements(ml: MultLattice) -> list[int]:
-    """All prime elements, ascending by element index."""
-    return [p for p in range(ml.n) if is_prime_element(ml, p)]
+    """All prime elements, ascending by element index.  Cached on ``ml``."""
+    return list(ml._prime_elements)
 
 
 def minimal_prime_elements(ml: MultLattice) -> list[int]:
     """The <=-minimal prime elements, ascending by element index."""
-    primes = prime_elements(ml)
+    primes = ml._prime_elements
     lat = ml.lattice
     return [p for p in primes
             if not any(q != p and lat.leq(q, p) for q in primes)]
@@ -283,12 +321,12 @@ def maximal_annihilator_elements(ml: MultLattice) -> list[int]:
     Result is ascending by element index.
     """
     lat = ml.lattice
-    stars = sorted({annihilator_star(ml, a)
-                    for a in range(ml.n) if a != lat.bottom})
-    stars = [s for s in stars if s != lat.top]
+    stars = sorted({s for a, s in enumerate(ml._annihilators)
+                    if a != lat.bottom and s != lat.top})
     return [s for s in stars if not any(t != s and lat.leq(s, t) for t in stars)]
 
 
 def annihilator_map(ml: MultLattice) -> list[int]:
-    """annihilator_star for every element, as a list indexed by element."""
-    return [annihilator_star(ml, a) for a in range(ml.n)]
+    """annihilator_star for every element, as a list indexed by element.
+    Cached on ``ml``."""
+    return list(ml._annihilators)

@@ -12,16 +12,20 @@ bitmasks in O(n^2) time, with no enumeration of down-sets.
 The lemma suite re-checks, instance by instance, the statements that the
 reduced theory guarantees.  A failing check on a reduced lattice is an
 implementation bug, never an acceptable outcome; the suite therefore reports
-failures with concrete witnesses instead of raising.
+failures with concrete witnesses instead of raising.  It reads the facts it
+needs (nilpotency, 0-distributivity, the annihilator of every element, the
+prime elements, decided on pairs of join-irreducibles) from the caches on
+the ``Lattice`` and ``MultLattice``, so ``analyze`` and the suite compute
+each of them once per instance between them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .lattice import ElementSubset, Lattice, zero_distributivity_witness
-from .multiplication import (MultLattice, annihilator_map, is_prime_element,
-                             is_reduced, maximal_annihilator_elements,
-                             minimal_prime_elements)
+from .multiplication import (MultLattice, annihilator_map, is_reduced,
+                             maximal_annihilator_elements,
+                             minimal_prime_elements, prime_elements)
 
 
 def _candidate_masks(lat: Lattice) -> list[int]:
@@ -189,10 +193,7 @@ def check_lemma_suite(ml: MultLattice,
             report.add("minimal_prime_semi_ideals_are_ideals", "pass")
 
     stars = annihilator_map(ml)
-    # Primality of each distinct annihilator, decided once for the two
-    # checks below that need it; both apply to reduced lattices only.
-    star_is_prime = ({s: is_prime_element(ml, s) for s in set(stars)}
-                     if reduced else {})
+    primes = set(prime_elements(ml))
     has_zero_divisor = any(
         ml.product[a][b] == lat.bottom
         for a in range(ml.n) if a != lat.bottom
@@ -203,8 +204,7 @@ def check_lemma_suite(ml: MultLattice,
         report.add("maximal_annihilators_are_prime", "skip",
                    "hypothesis unmet (not reduced)")
     else:
-        bad_m = [m for m in structure.maximal_annihilators
-                 if not star_is_prime[m]]
+        bad_m = [m for m in structure.maximal_annihilators if m not in primes]
         if bad_m:
             report.add("maximal_annihilators_are_prime", "fail",
                        "a maximal annihilator element is not prime",
@@ -220,10 +220,10 @@ def check_lemma_suite(ml: MultLattice,
     else:
         violation = None
         for x in range(ml.n):
-            if not star_is_prime[stars[x]]:
+            if stars[x] not in primes:
                 continue
             for y in range(x + 1, ml.n):
-                if (stars[y] != stars[x] and star_is_prime[stars[y]]
+                if (stars[y] != stars[x] and stars[y] in primes
                         and ml.product[x][y] != lat.bottom):
                     violation = (x, y)
                     break

@@ -79,25 +79,29 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
 
     Elements are named "(d)" for each divisor d of n, in ascending divisor
     order, so the whole ring (1) is the top and the zero ideal (n) is the
-    bottom.  Products are computed in unbounded integers.
+    bottom.  The order is built from its cover pairs, (d*p) below (d) for
+    each prime p dividing n/d, and checked against lcm and gcd.  Products
+    are computed in unbounded integers.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
     divs = divisors_of(n)
     names = tuple([f"({d})" for d in divs])
-    pairs = [(f"({d1})", f"({d2})")
-             for d1 in divs for d2 in divs if d1 % d2 == 0]
-    lat = build_lattice(names, pairs, "leq")
+    position = {d: i for i, d in enumerate(divs)}
+    # (d) covers (d*p) exactly for the primes p dividing n/d.
+    primes = prime_factors(n)
+    pairs = [(names[position[d * p]], names[i])
+             for i, d in enumerate(divs) for p in primes if n // d % p == 0]
+    lat = build_lattice(names, pairs, "covers")
 
     # Cross-check the generic order tables against divisor arithmetic.
     for i, d1 in enumerate(divs):
-        for j, d2 in enumerate(divs):
-            if divs[lat.meet[i][j]] != math.lcm(d1, d2):
-                raise SelfCheckError(f"meet table of Id(Z_{n}) is not lcm")
-            if divs[lat.join[i][j]] != math.gcd(d1, d2):
-                raise SelfCheckError(f"join table of Id(Z_{n}) is not gcd")
+        if [divs[m] for m in lat.meet[i]] != [math.lcm(d1, d2) for d2 in divs]:
+            raise SelfCheckError(f"meet table of Id(Z_{n}) is not lcm")
+        if [divs[j] for j in lat.join[i]] != [math.gcd(d1, d2) for d2 in divs]:
+            raise SelfCheckError(f"join table of Id(Z_{n}) is not gcd")
 
-    table = [[f"({math.gcd(d1 * d2, n)})" for d2 in divs] for d1 in divs]
+    table = [[names[position[math.gcd(d1 * d2, n)]] for d2 in divs] for d1 in divs]
     ml = attach_multiplication(lat, "table", table)
     if not is_modular(lat):
         raise SelfCheckError(f"Id(Z_{n}) reports non-modular; divisor lattices "

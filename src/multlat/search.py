@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import SelfCheckError
+from .errors import InvalidSpec, SelfCheckError
 from .fixtures import fixture
 from .lattice import Lattice, build_lattice
 from .multiplication import MultLattice, attach_multiplication
@@ -115,10 +115,24 @@ def _default_mult(family: str) -> str:
 
 def _with_mult(lat: Lattice, mult: str) -> MultLattice:
     if mult == "ring":
-        raise ValueError("ring multiplication only applies to divisor lattices")
+        raise InvalidSpec("ring multiplication only applies to divisor lattices")
     if mult == "table":
-        raise ValueError("table multiplication needs an explicit table")
+        raise InvalidSpec("table multiplication needs an explicit table")
     return attach_multiplication(lat, mult)
+
+
+def _int_arg(text: str, spec: str, what: str, low: int | None = None,
+             high: int | None = None) -> int:
+    """Parse one integer field of a family spec, within [low, high]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise InvalidSpec(f"{what} must be an integer, got {text!r} in spec "
+                          f"{spec!r}") from None
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise InvalidSpec(f"{what} must be {bounds}, got {value} in spec {spec!r}")
+    return value
 
 
 def generate(spec: str, mult: str | None = None, seed: int = 0
@@ -126,8 +140,10 @@ def generate(spec: str, mult: str | None = None, seed: int = 0
     """Expand one family spec into (instance_id, MultLattice) pairs.
 
     The optional third colon field of the spec overrides ``mult``.  Raises
-    ValueError on malformed specs and propagates AxiomViolation when a
-    requested multiplication is inadmissible on the generated lattice.
+    InvalidSpec (a ValueError) on malformed or out-of-range specs,
+    InvalidModulus on a divisor modulus below 2, and propagates
+    AxiomViolation when a requested multiplication is inadmissible on the
+    generated lattice.
     """
     parts = spec.split(":")
     family = parts[0]
@@ -139,28 +155,28 @@ def generate(spec: str, mult: str | None = None, seed: int = 0
 
     if family in ("fig2", "fig3"):
         if args:
-            raise ValueError(f"fixture spec takes no arguments: {spec!r}")
+            raise InvalidSpec(f"fixture spec takes no arguments: {spec!r}")
         kind = mult or _default_mult(family)
         return [(f"{family}+{kind}", fixture(family, kind))]
 
     if family == "chain":
         if len(args) != 1:
-            raise ValueError(f"chain spec needs one size argument: {spec!r}")
-        k = int(args[0])
+            raise InvalidSpec(f"chain spec needs one size argument: {spec!r}")
+        k = _int_arg(args[0], spec, "chain size", 1)
         kind = mult or "meet"
         return [(f"chain:{k}+{kind}", _with_mult(chain_lattice(k), kind))]
 
     if family == "boolean":
         if len(args) != 1:
-            raise ValueError(f"boolean spec needs one rank argument: {spec!r}")
-        k = int(args[0])
+            raise InvalidSpec(f"boolean spec needs one rank argument: {spec!r}")
+        k = _int_arg(args[0], spec, "boolean rank", 0, MAX_BOOLEAN_RANK)
         kind = mult or "meet"
         return [(f"boolean:{k}+{kind}", _with_mult(boolean_lattice(k), kind))]
 
     if family == "divisor":
         if len(args) != 1:
-            raise ValueError(f"divisor spec needs one modulus argument: {spec!r}")
-        n = int(args[0])
+            raise InvalidSpec(f"divisor spec needs one modulus argument: {spec!r}")
+        n = _int_arg(args[0], spec, "divisor modulus")
         kind = mult or "ring"
         if kind == "ring":
             return [(f"divisor:{n}+ring", ideal_lattice_zn(n).embedded)]
@@ -169,9 +185,10 @@ def generate(spec: str, mult: str | None = None, seed: int = 0
 
     if family == "random":
         if len(args) != 1 or "x" not in args[0]:
-            raise ValueError(f"random spec must look like random:CxS: {spec!r}")
+            raise InvalidSpec(f"random spec must look like random:CxS: {spec!r}")
         count_s, size_s = args[0].split("x", 1)
-        count, size = int(count_s), int(size_s)
+        count = _int_arg(count_s, spec, "random count", 0)
+        size = _int_arg(size_s, spec, "random size", 2, MAX_RANDOM_SIZE)
         kind = mult or "meet"
         out = []
         for i in range(count):
@@ -181,7 +198,7 @@ def generate(spec: str, mult: str | None = None, seed: int = 0
                         _with_mult(lat, kind)))
         return out
 
-    raise ValueError(f"unknown family {family!r} in spec {spec!r}")
+    raise InvalidSpec(f"unknown family {family!r} in spec {spec!r}")
 
 
 @dataclass
@@ -204,7 +221,7 @@ def search_counterexamples(families: list[str], budget: int = 1000,
     at most 12 vertices are re-verified against the brute-force oracles.
     """
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidSpec(f"budget must be positive, got {budget}")
     instances: list[tuple[str, MultLattice]] = []
     for spec in families:
         instances.extend(generate(spec, seed=seed))

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import random
 
-from multlat import ElementSubset, Lattice, NotALattice, ZdGraph, build_lattice
+from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
+                     attach_multiplication, build_lattice)
 from multlat.search import chain_lattice
 
 
@@ -324,3 +325,59 @@ def reference_clique(g: ZdGraph) -> tuple[int, tuple[int, ...]]:
     expand(0, 0, (1 << nv) - 1)
     return best_size, tuple(sorted(g.vertices[order[v]]
                                    for v in _mask_bits(best_mask)))
+
+
+# ---------------------------------------------------------------------------
+# Reference deciders for the facts cached on Lattice and MultLattice
+
+
+def scan_join_irreducibles(lat: Lattice) -> list[int]:
+    """Elements x != 0 that differ from the join of everything strictly
+    below them, found by taking that join for each x."""
+    return [x for x in range(lat.n)
+            if x != lat.bottom and lat.join_all(_mask_bits(lat.down[x] & ~(1 << x))) != x]
+
+
+def scan_is_prime_element(ml, p: int) -> bool:
+    """p != 1 and a.b <= p forces a <= p or b <= p, checked over every pair
+    of elements not below p: the O(n^2) definition that the join-irreducible
+    test in multlat.multiplication is compared against."""
+    lat = ml.lattice
+    if p == lat.top:
+        return False
+    outside = [a for a in range(ml.n) if not lat.leq(a, p)]
+    for a in outside:
+        row = ml.product[a]
+        for b in outside:
+            if lat.leq(row[b], p):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reduced instances whose product is not the meet
+
+
+# On the 4-chain c0 < c1 < c2 < c3: c2.c2 = c1, every other product the
+# smaller factor.
+_CHAIN_SQUARE = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
+
+
+def chain_square_mult():
+    """The 4-chain with c2.c2 = c1: reduced, with an empty graph."""
+    lat = chain_lattice(4)
+    table = [[lat.names[x] for x in row] for row in _CHAIN_SQUARE]
+    return attach_multiplication(lat, "table", table)
+
+
+def chain_square_times_two_chain():
+    """The componentwise product of ``chain_square_mult`` with the 2-chain
+    under its meet: 8 elements "(i,j)", i in 0..3, j in 0..1."""
+    cells = [(i, j) for i in range(4) for j in range(2)]
+    names = [f"({i},{j})" for i, j in cells]
+    covers = [(f"({i},{j})", f"({i + 1},{j})") for i, j in cells if i < 3]
+    covers += [(f"({i},0)", f"({i},1)") for i in range(4)]
+    lat = build_lattice(names, covers, "covers")
+    table = [[f"({_CHAIN_SQUARE[i][k]},{min(j, l)})" for k, l in cells]
+             for i, j in cells]
+    return attach_multiplication(lat, "table", table)

@@ -363,6 +363,41 @@ def test_cmd_search_byte_identical_across_runs():
     assert r1.stdout == r2.stdout
 
 
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--fixture", "fig2", "--mult", "table"],
+     "fig2 has no bundled multiplication table"),
+    (["search", "--families", "bogus:3"], "unknown family 'bogus'"),
+    (["search", "--families", "boolean:x"], "boolean rank must be an integer"),
+    (["search", "--families", "boolean:9"], "boolean rank must be 0..6"),
+    (["search", "--families", "chain:-1"], "chain size must be >= 1"),
+    (["search", "--families", "random:5x"], "random size must be an integer"),
+    (["search", "--families", "random:3x0"], "random size must be 2..40"),
+    (["search", "--families", "chain:4", "--budget", "0"],
+     "budget must be positive"),
+])
+def test_input_errors_exit_2_with_one_line(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--fixture", "fig3", "--timeout", "nan"],
+    ["analyze", "--fixture", "fig3", "--timeout", "-1"],
+    ["ring", "--modulus", "6", "--timeout", "inf"],
+    ["search", "--families", "fig3", "--timeout", "soon"],
+])
+def test_bad_timeouts_are_rejected_at_parse_time(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "argument --timeout: must be a finite number of seconds >= 0" in err
+
+
 def test_unknown_element_names_are_structural_errors(capsys):
     code, _, err = run_cli(["analyze", "--fixture", "fig3",
                             "--element", "zzz"], capsys)

@@ -1,0 +1,204 @@
+"""The deciders that work on the join-irreducible and covering core, checked
+against the scans they stand in for, and the facts cached once per
+instance."""
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import multlat.lattice
+import multlat.multiplication
+from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_star,
+                     attach_multiplication, fixture,
+                     is_prime_element, maximal_annihilator_elements,
+                     minimal_prime_elements, modularity_witness,
+                     nilpotency_witness, prime_elements,
+                     zero_distributivity_witness)
+from multlat.lattice import (_covers_semimodular, _modularity_scan,
+                             _zero_distributive, _zero_distributivity_scan)
+from multlat.multiplication import _nilpotency_scan, annihilator_map
+from multlat.rings import ideal_lattice_zn
+from multlat.search import (boolean_lattice, chain_lattice,
+                            random_poset_down_set_lattice)
+
+from helpers import (chain_square_mult, chain_square_times_two_chain,
+                     random_closure_lattice, scan_is_prime_element,
+                     scan_join_irreducibles)
+from test_lattice import diamond_lattice, pentagon_lattice
+
+# Seed base of the random lattices in the acceptance battery.
+RANDOM_SUITE_BASE_SEED = 20_240_817
+
+
+def _mult_instances():
+    """(label, MultLattice): Id(Z_n) for n < 600, the fixtures, boolean and
+    chain lattices, the battery's random lattices and the two reduced
+    instances whose product is not the meet."""
+    for n in range(2, 600):
+        yield f"ring:{n}", ideal_lattice_zn(n).embedded
+    yield "fig2", fixture("fig2")
+    yield "fig3", fixture("fig3")
+    for k in range(7):
+        yield f"boolean:{k}", attach_multiplication(boolean_lattice(k), "meet")
+    for k in range(1, 8):
+        yield f"chain:{k}", attach_multiplication(chain_lattice(k), "meet")
+        yield f"chain:{k}:trivial", attach_multiplication(chain_lattice(k), "trivial")
+    for i in range(100):
+        lat = random_poset_down_set_lattice(RANDOM_SUITE_BASE_SEED + i, 24)
+        yield f"random:{i}", attach_multiplication(lat, "meet")
+    yield "chain-square", chain_square_mult()
+    yield "chain-square x 2-chain", chain_square_times_two_chain()
+
+
+def _plane_flats(dual: bool = False) -> Lattice:
+    """The flats of four points in general position in the plane (the empty
+    set, the points, the six lines and the plane), ordered by inclusion or,
+    with ``dual``, by reverse inclusion.  Upper semimodular but not modular,
+    and the dual lower semimodular but not modular: two lines meet in the
+    empty flat, which neither covers."""
+    flats = [0, 1, 2, 4, 8] + [m for m in range(16) if bin(m).count("1") == 2] + [15]
+    names = [f"f{m}" for m in flats]
+    pairs = [(f"f{a}", f"f{b}") if not dual else (f"f{b}", f"f{a}")
+             for a in flats for b in flats if a != b and a & ~b == 0]
+    return build_lattice(names, pairs, "leq")
+
+
+def _lattices():
+    """The lattices of ``_mult_instances``, pentagons labelled both ways,
+    the diamond, lattices that are semimodular on one side only, and seeded
+    intersection-closed lattices, most of them not modular."""
+    for label, ml in _mult_instances():
+        yield label, ml.lattice
+    yield "pentagon", pentagon_lattice()
+    # The side element before the chain: then each pair of covers that
+    # breaks semimodularity does so at its second member.
+    yield "pentagon, side first", build_lattice(
+        ["0", "s", "a", "b", "1"],
+        [("0", "s"), ("s", "1"), ("0", "a"), ("a", "b"), ("b", "1")], "covers")
+    yield "diamond", diamond_lattice()
+    yield "plane flats", _plane_flats()
+    yield "plane flats, dual", _plane_flats(dual=True)
+    rng = random.Random(0)
+    for i in range(150):
+        yield f"closure:{i}", random_closure_lattice(rng, 5, rng.randint(2, 10))
+
+
+def test_prime_elements_match_the_pair_scan():
+    """Primality on pairs of join-irreducibles equals the O(n^2) definition,
+    element by element."""
+    checked = primes = 0
+    for label, ml in _mult_instances():
+        for p in range(ml.n):
+            expected = scan_is_prime_element(ml, p)
+            assert is_prime_element(ml, p) == expected, (label, ml.names[p])
+            primes += expected
+        checked += ml.n
+    assert checked > 5000
+    assert 0 < primes < checked
+
+
+def test_covering_pair_test_matches_the_modular_law_scan():
+    outcomes = Counter()
+    for label, lat in _lattices():
+        modular = _modularity_scan(lat) is None
+        assert _covers_semimodular(lat) == modular, label
+        outcomes[modular] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 20
+
+
+def test_atom_zero_distributivity_matches_the_triple_scan():
+    outcomes = Counter()
+    for label, lat in _lattices():
+        zero_distributive = _zero_distributivity_scan(lat) is None
+        assert _zero_distributive(lat) == zero_distributive, label
+        outcomes[zero_distributive] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 5
+
+
+def test_cached_facts_equal_fresh_oracles():
+    """Each cached fact equals a fresh computation by its scan, on the first
+    call and when read back from the cache."""
+    for label, ml in _mult_instances():
+        lat = ml.lattice
+        for _ in range(2):
+            assert lat.join_irreducibles() == scan_join_irreducibles(lat), label
+            assert modularity_witness(lat) == _modularity_scan(lat), label
+            assert zero_distributivity_witness(lat) == _zero_distributivity_scan(lat), label
+            assert nilpotency_witness(ml) == _nilpotency_scan(ml), label
+            assert annihilator_map(ml) == [annihilator_star(ml, a)
+                                           for a in range(ml.n)], label
+            assert prime_elements(ml) == [p for p in range(ml.n)
+                                          if scan_is_prime_element(ml, p)], label
+
+
+def test_returned_lists_are_fresh():
+    """Mutating a returned list does not change what the next call returns."""
+    ml = ideal_lattice_zn(210).embedded
+    for fn, arg in ((Lattice.join_irreducibles, ml.lattice),
+                    (prime_elements, ml), (minimal_prime_elements, ml),
+                    (annihilator_map, ml), (maximal_annihilator_elements, ml)):
+        first = fn(arg)
+        expected = list(first)
+        first.append(-1)
+        first.reverse()
+        assert fn(arg) == expected, fn.__name__
+
+
+def test_cached_facts_leave_equality_and_hashing_alone():
+    ml = ideal_lattice_zn(30).embedded
+    fresh = ideal_lattice_zn(30).embedded
+    prime_elements(ml)
+    modularity_witness(ml.lattice)
+    assert ml == fresh and hash(ml.lattice) == hash(fresh.lattice)
+
+
+# ---------------------------------------------------------------------------
+# Once per instance
+
+COUNTED = ((multlat.lattice, "_covers_semimodular"),
+           (multlat.lattice, "_modularity_scan"),
+           (multlat.lattice, "_zero_distributive"),
+           (multlat.lattice, "_zero_distributivity_scan"),
+           (multlat.multiplication, "_nilpotency_scan"),
+           (multlat.multiplication, "annihilator_star"),
+           (multlat.multiplication, "is_prime_element"))
+
+
+def _count_calls(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    for module, name in COUNTED:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_ring_analysis_computes_each_fact_once(monkeypatch):
+    """Building Id(Z_720) and analysing it decides modularity,
+    0-distributivity and nilpotency once, and each element's annihilator
+    and primality once; the distributive lattice never needs a scan."""
+    counts = _count_calls(monkeypatch)
+    report = analyze_ring(720)
+    assert report.element_count == 30
+    assert counts == {"_covers_semimodular": 1, "_zero_distributive": 1,
+                      "_nilpotency_scan": 1, "annihilator_star": 30,
+                      "is_prime_element": 30}
+
+
+def test_fig3_analysis_computes_each_fact_once(monkeypatch):
+    """fig3 is not modular, so its first pentagon is found by one scan; a
+    second analysis of the same instance reads every fact from the cache."""
+    ml = fixture("fig3")
+    counts = _count_calls(monkeypatch)
+    first = analyze(ml, instance_id="fixture:fig3")
+    expected = {"_covers_semimodular": 1, "_modularity_scan": 1,
+                "_zero_distributive": 1, "_nilpotency_scan": 1,
+                "annihilator_star": 14, "is_prime_element": 14}
+    assert counts == expected
+    second = analyze(ml, instance_id="fixture:fig3")
+    assert counts == expected
+    assert first.to_json() == second.to_json()

@@ -17,7 +17,8 @@ from multlat.rings import ideal_lattice_zn, is_squarefree
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
-from helpers import oracle_prime_masks, random_closure_lattice
+from helpers import (chain_square_mult, chain_square_times_two_chain,
+                     oracle_prime_masks, random_closure_lattice)
 
 # Seed base of the random lattices in the acceptance battery.
 RANDOM_SUITE_BASE_SEED = 20_240_817
@@ -237,3 +238,40 @@ def test_count_coherence_on_reduced_instances():
         n_mpe = len(minimal_prime_elements(ml))
         n_mpsi = len(minimal_prime_semi_ideals(lat))
         assert chi == omega == n_mpe == n_mpsi
+
+
+# ---------------------------------------------------------------------------
+# Reduced instances whose product is not the meet
+
+
+def test_reduced_chain_with_a_non_meet_square():
+    """On the 4-chain, c2.c2 = c1 keeps the lattice reduced; nothing
+    multiplies to 0, so the graph is empty."""
+    ml = chain_square_mult()
+    lat = ml.lattice
+    c1, c2 = lat.index("c1"), lat.index("c2")
+    assert ml.prod(c2, c2) == c1 != lat.meet_of(c2, c2)
+    report = analyze(ml, instance_id="chain-square")
+    assert report.reduced and report.verdict == "empty_graph"
+    assert report.chi == report.omega == report.vertex_count == 0
+    assert set(report.lemmas.values()) == {"pass"}
+    assert report.lemma_report.all_passed
+    assert report.minimal_prime_elements == ["c0"]
+    assert report.counts["maximal_annihilators"] == 1
+
+
+def test_reduced_product_with_a_non_meet_square():
+    """The chain above times the 2-chain: 8 elements, reduced, product not
+    the meet, a 4-vertex star as graph, and chi = omega = #minimal primes =
+    #maximal annihilators = 2."""
+    ml = chain_square_times_two_chain()
+    lat = ml.lattice
+    assert lat.n == 8 and ml.product != lat.meet
+    report = analyze(ml, instance_id="chain-square x 2-chain")
+    assert report.reduced and report.verdict == "holds"
+    assert set(report.lemmas.values()) == {"pass"}
+    assert report.lemma_report.all_passed
+    assert report.vertex_count == 4 and report.edge_count == 3
+    assert (report.chi == report.omega == report.counts["minimal_prime_elements"]
+            == report.counts["maximal_annihilators"] == 2)
+    assert report.minimal_prime_elements == ["(0,1)", "(3,0)"]

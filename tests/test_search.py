@@ -4,8 +4,9 @@ from __future__ import annotations
 import pytest
 
 import multlat.report
-from multlat import (AxiomViolation, SelfCheckError, analyze, is_reduced,
-                     mult_zero_divisor_graph, search_counterexamples)
+from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
+                     is_reduced, mult_zero_divisor_graph,
+                     search_counterexamples)
 from multlat.search import generate, random_poset_down_set_lattice
 
 
@@ -75,6 +76,16 @@ def test_generate_bad_specs():
                 "fig2:9", "divisor:1"):
         with pytest.raises(Exception):
             generate(bad)
+
+
+def test_bad_specs_raise_invalid_spec():
+    for bad in ("bogus:3", "boolean:x", "boolean:9", "chain:-1", "chain:4:ring",
+                "random:5x", "random:3x0", "random:-1x5", "divisor:x",
+                "fig2:table"):
+        with pytest.raises(InvalidSpec):
+            generate(bad)
+    with pytest.raises(InvalidSpec):
+        search_counterexamples(["chain:4"], budget=0)
 
 
 def test_random_lattice_bounds():

@@ -136,8 +136,11 @@ def cmd_graph(args) -> int:
         _, coloring = chromatic_number(graph, args.timeout)
     text = export_dot(graph, coloring=coloring)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LatticeFileError(f"cannot write {args.dot}: {exc}") from exc
         _diag(f"wrote {graph.n_vertices} vertices / {graph.n_edges} edges "
               f"to {args.dot}")
     else:

@@ -56,8 +56,10 @@ class NoPrimesFound(LatticeError):
     """No prime elements exist although the operation needs at least one."""
 
 
-class TooLarge(LatticeError):
-    """Input exceeds the size cap of a brute-force oracle."""
+class TooLarge(LatticeError, ValueError):
+    """Input exceeds a size cap: that of a brute-force oracle, or the DOT
+    palette's number of colours.  It is also a ValueError, as a size is an
+    argument value."""
 
 
 class SolverTimeout(LatticeError):

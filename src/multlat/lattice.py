@@ -51,6 +51,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _extremal(xs: Iterable[int], cone: tuple[int, ...]) -> list[int]:
+    """The x of S = mask(xs), ascending, whose cone meets S only in x."""
+    s = 0
+    for x in xs:
+        s |= 1 << x
+    return [x for x in _bits(s) if cone[x] & s == 1 << x]
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A finite bounded lattice over named elements.
@@ -103,6 +111,16 @@ class Lattice:
         for x in xs:
             acc = self.join[acc][x]
         return acc
+
+    def minimal(self, xs: Iterable[int]) -> list[int]:
+        """The <=-minimal members of ``xs``, ascending and deduplicated: the
+        x in S with ``down[x] & S == 1 << x``, where S is the mask of xs."""
+        return _extremal(xs, self.down)
+
+    def maximal(self, xs: Iterable[int]) -> list[int]:
+        """The <=-maximal members of ``xs``, ascending and deduplicated: the
+        x in S with ``up[x] & S == 1 << x``."""
+        return _extremal(xs, self.up)
 
     def atoms(self) -> list[int]:
         """Elements covering bottom."""
@@ -454,7 +472,7 @@ class ElementSubset:
         return bool(self.mask >> x & 1)
 
     def __len__(self) -> int:
-        return self.mask.bit_count() if hasattr(self.mask, "bit_count") else bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ElementSubset) and self.mask == other.mask

@@ -309,10 +309,7 @@ def prime_elements(ml: MultLattice) -> list[int]:
 
 def minimal_prime_elements(ml: MultLattice) -> list[int]:
     """The <=-minimal prime elements, ascending by element index."""
-    primes = ml._prime_elements
-    lat = ml.lattice
-    return [p for p in primes
-            if not any(q != p and lat.leq(q, p) for q in primes)]
+    return ml.lattice.minimal(ml._prime_elements)
 
 
 def maximal_annihilator_elements(ml: MultLattice) -> list[int]:
@@ -321,9 +318,8 @@ def maximal_annihilator_elements(ml: MultLattice) -> list[int]:
     Result is ascending by element index.
     """
     lat = ml.lattice
-    stars = sorted({s for a, s in enumerate(ml._annihilators)
-                    if a != lat.bottom and s != lat.top})
-    return [s for s in stars if not any(t != s and lat.leq(s, t) for t in stars)]
+    return lat.maximal(s for a, s in enumerate(ml._annihilators)
+                       if a != lat.bottom and s != lat.top)
 
 
 def annihilator_map(ml: MultLattice) -> list[int]:

@@ -6,17 +6,20 @@ prime semi-ideals are exactly the complements of the principal filters up(f)
 for f != 0; the minimal ones are the complements of up(a) for the atoms a.
 A finite down-set is an ideal exactly when it holds its own join, that is
 when it is a principal down-set, so the prime ideals are the candidates that
-equal some down(m).  Everything here is read off the ``up``/``down``
-bitmasks in O(n^2) time, with no enumeration of down-sets.
+equal some down(m), and the inclusion-minimal ones are down(m) for the
+<=-minimal such m (``Lattice.minimal``).  Everything here is read off the
+``up``/``down`` bitmasks in O(n^2) time, with no enumeration of down-sets.
 
 The lemma suite re-checks, instance by instance, the statements that the
 reduced theory guarantees.  A failing check on a reduced lattice is an
 implementation bug, never an acceptable outcome; the suite therefore reports
-failures with concrete witnesses instead of raising.  It reads the facts it
-needs (nilpotency, 0-distributivity, the annihilator of every element, the
-prime elements, decided on pairs of join-irreducibles) from the caches on
-the ``Lattice`` and ``MultLattice``, so ``analyze`` and the suite compute
-each of them once per instance between them.
+failures with concrete witnesses instead of raising.  Reducedness is tested
+once, up front: a lattice that is not reduced gets its skip lines and
+nothing more is computed.  Otherwise the suite reads the facts it needs
+(0-distributivity, the annihilator of every element, the prime elements,
+decided on pairs of join-irreducibles) from the caches on the ``Lattice``
+and ``MultLattice``, so ``analyze`` and the suite compute each of them once
+per instance between them.
 """
 from __future__ import annotations
 
@@ -35,16 +38,6 @@ def _candidate_masks(lat: Lattice) -> list[int]:
     return sorted(full & ~lat.up[f] for f in range(lat.n) if f != lat.bottom)
 
 
-def _minimal_masks(masks: list[int]) -> list[int]:
-    """The inclusion-minimal masks, in their given order."""
-    return [m for m in masks
-            if not any(o != m and o & ~m == 0 for o in masks)]
-
-
-def _minimal_subsets(lat: Lattice, masks: list[int]) -> list[ElementSubset]:
-    return [ElementSubset(lat, m, is_minimal=True) for m in masks]
-
-
 def prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
     """All prime semi-ideals (non-empty proper prime down-sets), sorted by
     member bitmask."""
@@ -55,7 +48,8 @@ def minimal_prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
     """Inclusion-minimal prime semi-ideals, sorted by member bitmask: the
     complements of up(a) for the atoms a."""
     full = (1 << lat.n) - 1
-    return _minimal_subsets(lat, sorted(full & ~lat.up[a] for a in lat.atoms()))
+    return [ElementSubset(lat, m, is_minimal=True)
+            for m in sorted(full & ~lat.up[a] for a in lat.atoms())]
 
 
 def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
@@ -63,11 +57,14 @@ def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
 
     The prime ideals are the join-closed prime semi-ideals.  A finite
     down-set is join-closed exactly when it holds its own join, that is when
-    it is a principal down-set down(m).
+    it is a principal down-set down(m).  As down(m) is inside down(m')
+    exactly when m <= m', the inclusion-minimal ones are down(m) for the
+    <=-minimal m.
     """
-    principal = set(lat.down)
-    ideals = [m for m in _candidate_masks(lat) if m in principal]
-    return _minimal_subsets(lat, _minimal_masks(ideals))
+    generator = {d: m for m, d in enumerate(lat.down)}
+    tops = [generator[d] for d in _candidate_masks(lat) if d in generator]
+    return [ElementSubset(lat, m, is_minimal=True)
+            for m in sorted(lat.down[t] for t in lat.minimal(tops))]
 
 
 @dataclass
@@ -148,94 +145,91 @@ def check_lemma_suite(ml: MultLattice,
                       structure: PrimeStructure | None = None) -> LemmaReport:
     """Run every instance-checkable statement of the reduced theory.
 
-    Checks whose hypothesis (reducedness, presence of a nonzero zero divisor)
-    is unmet are reported as skipped or vacuously passing rather than
-    evaluated out of context.
+    Reducedness is tested once.  On a lattice that is not reduced every
+    statement that assumes it is reported as skipped, and nothing else is
+    computed: not the annihilators, the primes or ``structure``.  On a
+    reduced lattice each statement is evaluated; the two whose hypothesis
+    also needs a nonzero zero divisor pass vacuously without one.
     """
     lat = ml.lattice
     names = lat.names
-    reduced = is_reduced(ml)
+    report = LemmaReport()
+    zd_witness = zero_distributivity_witness(lat)
+
+    if not is_reduced(ml):
+        unmet = "hypothesis unmet (not reduced)"
+        report.add("reduced_implies_zero_distributive", "skip",
+                   f"{unmet}; base lattice is 0-distributive: "
+                   f"{zd_witness is None}")
+        for check_id in ("minimal_prime_semi_ideals_are_ideals",
+                         "maximal_annihilators_are_prime",
+                         "distinct_prime_annihilators_multiply_to_zero"):
+            report.add(check_id, "skip", unmet)
+        report.add("annihilator_chains_stabilize", "pass", "trivial (finite)")
+        for check_id in ("finitely_many_maximal_annihilators",
+                         "zero_is_meet_of_minimal_primes",
+                         "minimal_primes_are_annihilators"):
+            report.add(check_id, "skip", unmet)
+        return report
+
     if structure is None:
         structure = prime_structure(ml)
-    report = LemmaReport()
-
-    # Reduced lattices are 0-distributive.
-    zd_witness = zero_distributivity_witness(lat)
-    if reduced:
-        if zd_witness is None:
-            report.add("reduced_implies_zero_distributive", "pass")
-        else:
-            report.add("reduced_implies_zero_distributive", "fail",
-                       "reduced lattice is not 0-distributive",
-                       tuple([names[w] for w in zd_witness]))
-    else:
-        report.add("reduced_implies_zero_distributive", "skip",
-                   "hypothesis unmet (not reduced); base lattice is "
-                   f"0-distributive: {zd_witness is None}")
-
-    # In a reduced lattice every minimal prime semi-ideal is an ideal, and the
-    # minimal prime semi-ideal and minimal prime ideal families coincide.
-    if not reduced:
-        report.add("minimal_prime_semi_ideals_are_ideals", "skip",
-                   "hypothesis unmet (not reduced)")
-    else:
-        semi = structure.minimal_prime_semi_ideals
-        ideals = structure.minimal_prime_ideals
-        bad = [d for d in semi if not d.is_ideal]
-        if bad:
-            report.add("minimal_prime_semi_ideals_are_ideals", "fail",
-                       "a minimal prime semi-ideal is not join-closed",
-                       bad[0].names)
-        elif {d.mask for d in semi} != {d.mask for d in ideals}:
-            report.add("minimal_prime_semi_ideals_are_ideals", "fail",
-                       "semi-ideal and ideal families differ")
-        else:
-            report.add("minimal_prime_semi_ideals_are_ideals", "pass")
-
     stars = annihilator_map(ml)
     primes = set(prime_elements(ml))
-    has_zero_divisor = any(
-        ml.product[a][b] == lat.bottom
-        for a in range(ml.n) if a != lat.bottom
-        for b in range(ml.n) if b != lat.bottom)
+    maxann = structure.maximal_annihilators
+
+    # Reduced lattices are 0-distributive.
+    if zd_witness is None:
+        report.add("reduced_implies_zero_distributive", "pass")
+    else:
+        report.add("reduced_implies_zero_distributive", "fail",
+                   "reduced lattice is not 0-distributive",
+                   tuple([names[w] for w in zd_witness]))
+
+    # Every minimal prime semi-ideal is an ideal, and the minimal prime
+    # semi-ideal and minimal prime ideal families coincide.
+    semi = structure.minimal_prime_semi_ideals
+    bad = [d for d in semi if not d.is_ideal]
+    if bad:
+        report.add("minimal_prime_semi_ideals_are_ideals", "fail",
+                   "a minimal prime semi-ideal is not join-closed",
+                   bad[0].names)
+    elif ({d.mask for d in semi}
+          != {d.mask for d in structure.minimal_prime_ideals}):
+        report.add("minimal_prime_semi_ideals_are_ideals", "fail",
+                   "semi-ideal and ideal families differ")
+    else:
+        report.add("minimal_prime_semi_ideals_are_ideals", "pass")
 
     # Maximal annihilator elements are prime.
-    if not reduced:
-        report.add("maximal_annihilators_are_prime", "skip",
-                   "hypothesis unmet (not reduced)")
+    bad_m = [m for m in maxann if m not in primes]
+    if bad_m:
+        report.add("maximal_annihilators_are_prime", "fail",
+                   "a maximal annihilator element is not prime",
+                   (names[bad_m[0]],))
     else:
-        bad_m = [m for m in structure.maximal_annihilators if m not in primes]
-        if bad_m:
-            report.add("maximal_annihilators_are_prime", "fail",
-                       "a maximal annihilator element is not prime",
-                       (names[bad_m[0]],))
-        else:
-            report.add("maximal_annihilators_are_prime", "pass",
-                       f"{len(structure.maximal_annihilators)} maximal annihilator(s)")
+        report.add("maximal_annihilators_are_prime", "pass",
+                   f"{len(maxann)} maximal annihilator(s)")
 
     # Distinct prime annihilators multiply to zero.
-    if not reduced:
-        report.add("distinct_prime_annihilators_multiply_to_zero", "skip",
-                   "hypothesis unmet (not reduced)")
-    else:
-        violation = None
-        for x in range(ml.n):
-            if stars[x] not in primes:
-                continue
-            for y in range(x + 1, ml.n):
-                if (stars[y] != stars[x] and stars[y] in primes
-                        and ml.product[x][y] != lat.bottom):
-                    violation = (x, y)
-                    break
-            if violation:
+    violation = None
+    for x in range(ml.n):
+        if stars[x] not in primes:
+            continue
+        for y in range(x + 1, ml.n):
+            if (stars[y] != stars[x] and stars[y] in primes
+                    and ml.product[x][y] != lat.bottom):
+                violation = (x, y)
                 break
         if violation:
-            report.add("distinct_prime_annihilators_multiply_to_zero", "fail",
-                       "elements with distinct prime annihilators have a "
-                       "nonzero product",
-                       tuple([names[w] for w in violation]))
-        else:
-            report.add("distinct_prime_annihilators_multiply_to_zero", "pass")
+            break
+    if violation:
+        report.add("distinct_prime_annihilators_multiply_to_zero", "fail",
+                   "elements with distinct prime annihilators have a "
+                   "nonzero product",
+                   tuple([names[w] for w in violation]))
+    else:
+        report.add("distinct_prime_annihilators_multiply_to_zero", "pass")
 
     # Ascending chains of annihilators stabilize: immediate in a finite
     # lattice, reported without computation.
@@ -243,58 +237,47 @@ def check_lemma_suite(ml: MultLattice,
 
     # The set of maximal annihilators is finite and its witnesses form a
     # clique in the zero-divisor graph.
-    if not reduced:
-        report.add("finitely_many_maximal_annihilators", "skip",
-                   "hypothesis unmet (not reduced)")
+    witnesses = []
+    for m in maxann:
+        for a in range(ml.n):
+            if a != lat.bottom and stars[a] == m:
+                witnesses.append(a)
+                break
+    if all(ml.product[a][b] == lat.bottom
+           for i, a in enumerate(witnesses) for b in witnesses[i + 1:]):
+        report.add("finitely_many_maximal_annihilators", "pass",
+                   f"count = {len(maxann)}")
     else:
-        witnesses = []
-        for m in structure.maximal_annihilators:
-            for a in range(ml.n):
-                if a != lat.bottom and stars[a] == m:
-                    witnesses.append(a)
-                    break
-        pairwise_zero = all(
-            ml.product[a][b] == lat.bottom
-            for i, a in enumerate(witnesses) for b in witnesses[i + 1:])
-        if pairwise_zero:
-            report.add("finitely_many_maximal_annihilators", "pass",
-                       f"count = {len(structure.maximal_annihilators)}")
-        else:
-            report.add("finitely_many_maximal_annihilators", "fail",
-                       "witnesses of maximal annihilators are not a clique",
-                       tuple([names[w] for w in witnesses]))
+        report.add("finitely_many_maximal_annihilators", "fail",
+                   "witnesses of maximal annihilators are not a clique",
+                   tuple([names[w] for w in witnesses]))
 
     # With a nonzero zero divisor, the maximal annihilators are minimal prime
-    # elements and meet to 0.
-    if not reduced:
-        report.add("zero_is_meet_of_minimal_primes", "skip",
-                   "hypothesis unmet (not reduced)")
-        report.add("minimal_primes_are_annihilators", "skip",
-                   "hypothesis unmet (not reduced)")
-    elif not has_zero_divisor:
+    # elements and meet to 0, and every minimal prime is an annihilator.
+    has_zero_divisor = any(
+        ml.product[a][b] == lat.bottom
+        for a in range(ml.n) if a != lat.bottom
+        for b in range(ml.n) if b != lat.bottom)
+    if not has_zero_divisor:
         report.add("zero_is_meet_of_minimal_primes", "pass",
                    "vacuous (no nonzero zero divisors)")
         report.add("minimal_primes_are_annihilators", "pass",
                    "vacuous (no nonzero zero divisors)")
+        return report
+    meet_ok = lat.meet_all(maxann) == lat.bottom if maxann else False
+    if meet_ok and set(maxann) <= set(structure.minimal_prime_elements):
+        report.add("zero_is_meet_of_minimal_primes", "pass")
     else:
-        maxann = structure.maximal_annihilators
-        mpe = set(structure.minimal_prime_elements)
-        meet_ok = lat.meet_all(maxann) == lat.bottom if maxann else False
-        all_minimal = set(maxann) <= mpe
-        if meet_ok and all_minimal:
-            report.add("zero_is_meet_of_minimal_primes", "pass")
-        else:
-            report.add("zero_is_meet_of_minimal_primes", "fail",
-                       "maximal annihilators do not meet to 0 as minimal primes",
-                       tuple([names[m] for m in maxann]))
-        star_values = set(stars)
-        missing = [p for p in structure.minimal_prime_elements
-                   if p not in star_values]
-        if missing:
-            report.add("minimal_primes_are_annihilators", "fail",
-                       "a minimal prime element is not an annihilator",
-                       (names[missing[0]],))
-        else:
-            report.add("minimal_primes_are_annihilators", "pass")
-
+        report.add("zero_is_meet_of_minimal_primes", "fail",
+                   "maximal annihilators do not meet to 0 as minimal primes",
+                   tuple([names[m] for m in maxann]))
+    star_values = set(stars)
+    missing = [p for p in structure.minimal_prime_elements
+               if p not in star_values]
+    if missing:
+        report.add("minimal_primes_are_annihilators", "fail",
+                   "a minimal prime element is not an annihilator",
+                   (names[missing[0]],))
+    else:
+        report.add("minimal_primes_are_annihilators", "pass")
     return report

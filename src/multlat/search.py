@@ -5,7 +5,7 @@ Family specs are compact strings:
   chain:K          the K-element chain
   boolean:K        the lattice of subsets of {1..K}          (K <= 6)
   divisor:N        the ideal lattice of Z_N
-  random:CxS       C seeded random distributive lattices of size <= S (S <= 40)
+  random:CxS       C seeded random distributive lattices of size <= S (4..40)
   fig2 / fig3      the bundled fixtures
 
 An optional trailing ":MULT" picks the multiplication (meet, trivial, ring,
@@ -68,10 +68,13 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
 
     Posets are sampled (3-6 points, random comparabilities) until the
     down-set family has at most ``max_size`` members; the same seed always
-    yields the same lattice.
+    yields the same lattice.  A poset of m points has at least m + 1
+    down-sets, so ``max_size`` must be at least 4; InvalidSpec (a
+    ValueError) says so at once instead of sampling in vain.
     """
-    if not 2 <= max_size <= MAX_RANDOM_SIZE:
-        raise ValueError(f"random lattice size must be in 2..{MAX_RANDOM_SIZE}")
+    if not 4 <= max_size <= MAX_RANDOM_SIZE:
+        raise InvalidSpec(f"random lattice size must be in 4..{MAX_RANDOM_SIZE}, "
+                          f"got {max_size}")
     rng = random.Random(seed)
     for _ in range(1000):
         m = rng.randint(3, 6)
@@ -135,12 +138,12 @@ def _int_arg(text: str, spec: str, what: str, low: int | None = None,
     return value
 
 
-def generate(spec: str, mult: str | None = None, seed: int = 0
-             ) -> list[tuple[str, MultLattice]]:
+def generate(spec: str, seed: int = 0) -> list[tuple[str, MultLattice]]:
     """Expand one family spec into (instance_id, MultLattice) pairs.
 
-    The optional third colon field of the spec overrides ``mult``.  Raises
-    InvalidSpec (a ValueError) on malformed or out-of-range specs,
+    The optional trailing ":MULT" field of the spec picks the multiplication
+    in place of the family's default.  ``seed`` seeds the random family.
+    Raises InvalidSpec (a ValueError) on malformed or out-of-range specs,
     InvalidModulus on a divisor modulus below 2, and propagates
     AxiomViolation when a requested multiplication is inadmissible on the
     generated lattice.
@@ -148,6 +151,7 @@ def generate(spec: str, mult: str | None = None, seed: int = 0
     parts = spec.split(":")
     family = parts[0]
     args = parts[1:]
+    mult = None
     known_mults = ("meet", "trivial", "ring", "table")
     if args and args[-1] in known_mults:
         mult = args[-1]

@@ -7,11 +7,22 @@ budget and abort with SolverTimeout when it runs out.
 
 Both solvers work on bitmasks over one relabelling of the graph: vertex v of
 the new numbering is the v-th vertex of the degree order, so "highest degree,
-then lowest position" is always the lowest set bit of a mask.  The
-colouring search keeps, per colour c, the mask of vertices that see c on a
-neighbour, and bit-sliced saturation layers: layer t holds the vertices with
-at least t + 1 distinct neighbour colours.  The DSATUR choice is then the
-lowest set bit of the top non-empty layer among the uncoloured vertices.
+then lowest position" is always the lowest set bit of a mask.  Two kernels
+run on those masks, each on an explicit stack, so neither the depth of the
+search nor the size of a clique is bounded by Python's recursion limit:
+
+* ``_max_clique``, a branch and bound whose candidates are greedily
+  coloured at each node, the class count bounding the clique;
+* ``_k_colorable``, a DSATUR backtracking search.  It keeps, per colour c,
+  the mask of vertices that see c on a neighbour, and bit-sliced saturation
+  layers: layer t holds the vertices with at least t + 1 distinct neighbour
+  colours.  The DSATUR choice is then the lowest set bit of the top
+  non-empty layer among the uncoloured vertices.
+
+``clique_number`` relabels and runs the clique kernel; ``chromatic_number``
+relabels once for the greedy bound, every k and, when no lower bound is
+given, the clique kernel, all under one deadline.  Every clique used as a
+bound has its witness checked against the original graph.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -126,35 +137,29 @@ def greedy_coloring(g: ZdGraph) -> Coloring:
 
 
 # ---------------------------------------------------------------------------
-# Exact maximum clique (branch and bound with greedy-coloring bound)
+# Exact kernels on relabelled adjacency masks: maximum clique (branch and
+# bound with a greedy-colouring bound) and k-colourability (DSATUR)
 
 
-def clique_number(g: ZdGraph,
-                  budget: float | None = DEFAULT_SOLVER_BUDGET
-                  ) -> tuple[int, CliqueWitness]:
-    """Exact maximum clique size and a witness.
+def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
+    """The size and mask of a maximum clique, on masks from ``_relabel``.
 
-    Branch and bound over candidate bitmasks in the relabelled numbering;
-    candidates inside a node are ordered by a greedy coloring whose class
-    count bounds the achievable clique, and scanned from the last class
-    down, highest vertex first.  Returns (0, empty witness) for the empty
-    graph.
+    Branch and bound over candidate masks.  On entering a node the
+    candidates are greedily coloured; a vertex in class c (from 1) can only
+    extend the clique to its size + c, which prunes the rest of the node.
+    The classes are scanned from the last down, each from its highest
+    vertex, and the first clique of a size wins.  The search runs on an
+    explicit stack of [clique mask, clique size, candidates left, classes,
+    class number, class bits left] frames, so its depth is not bounded by
+    Python's recursion limit.
     """
-    nv = g.n_vertices
-    if nv == 0:
-        return 0, CliqueWitness(())
-    deadline = _Deadline(budget)
-    order, adj = _relabel(g)
-
-    best_size = 0
-    best_mask = 0
-
-    def expand(rmask: int, rsize: int, cand: int) -> None:
-        nonlocal best_size, best_mask
+    best_size = best_mask = 0
+    stack = []
+    rmask, rsize, cand = 0, 0, (1 << len(adj)) - 1
+    while True:
+        # Enter the node (rmask, rsize, cand).
         deadline.check()
-        # Greedy-color the candidates; a vertex in class c can only extend the
-        # clique to rsize + c + 1, which prunes the tail of the scan.
-        classes: list[int] = []
+        classes = []
         rest = cand
         while rest:
             avail = rest
@@ -165,37 +170,34 @@ def clique_number(g: ZdGraph,
                 avail &= ~(adj[low.bit_length() - 1] | low)
             classes.append(cls)
             rest &= ~cls
-        p = cand
-        for bound in range(len(classes), 0, -1):
-            cls = classes[bound - 1]
-            while cls:
-                if rsize + bound <= best_size:
-                    return
-                v = cls.bit_length() - 1
-                bit = 1 << v
-                cls ^= bit
-                np_ = p & adj[v]
-                if np_:
-                    expand(rmask | bit, rsize + 1, np_)
-                elif rsize + 1 > best_size:
-                    best_size = rsize + 1
-                    best_mask = rmask | bit
-                p &= ~bit
-
-    expand(0, 0, (1 << nv) - 1)
-    positions = [order[v] for v in _bits(best_mask)]
-    mask = 0
-    for k in positions:
-        mask |= 1 << k
-    if len(positions) != best_size or any(
-            (g.adj[k] | 1 << k) & mask != mask for k in positions):
-        raise SelfCheckError("clique witness not a clique")
-    witness = tuple(sorted(g.vertices[k] for k in positions))
-    return best_size, CliqueWitness(witness)
-
-
-# ---------------------------------------------------------------------------
-# Exact chromatic number (iterated k-colorability, DSATUR branching)
+        bound = len(classes)
+        stack.append([rmask, rsize, cand, classes, bound,
+                      classes[-1] if classes else 0])
+        # Scan the top frame until it branches or every frame is done.
+        while stack:
+            frame = stack[-1]
+            rmask, rsize, p, classes, bound, cls = frame
+            if not cls and bound > 1:
+                bound -= 1
+                cls = classes[bound - 1]
+            if not cls or rsize + bound <= best_size:
+                stack.pop()
+                continue
+            v = cls.bit_length() - 1
+            bit = 1 << v
+            frame[2] = p & ~bit
+            frame[4] = bound
+            frame[5] = cls ^ bit
+            cand = p & adj[v]
+            if cand:
+                rmask |= bit
+                rsize += 1
+                break
+            if rsize + 1 > best_size:
+                best_size = rsize + 1
+                best_mask = rmask | bit
+        else:
+            return best_size, best_mask
 
 
 def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | None:
@@ -265,6 +267,38 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
             max_used = c
 
 
+# ---------------------------------------------------------------------------
+# Exact solvers: relabel once, run the kernels, check the witnesses
+
+
+def _clique_witness(g: ZdGraph, order: list[int], size: int,
+                    mask: int) -> CliqueWitness:
+    """Map a clique of the relabelled numbering back to ``g`` and check it."""
+    positions = [order[v] for v in _bits(mask)]
+    pmask = 0
+    for k in positions:
+        pmask |= 1 << k
+    if len(positions) != size or any(
+            (g.adj[k] | 1 << k) & pmask != pmask for k in positions):
+        raise SelfCheckError("clique witness not a clique")
+    return CliqueWitness(tuple(sorted(g.vertices[k] for k in positions)))
+
+
+def clique_number(g: ZdGraph,
+                  budget: float | None = DEFAULT_SOLVER_BUDGET
+                  ) -> tuple[int, CliqueWitness]:
+    """Exact maximum clique size and a checked witness.
+
+    Relabels the graph, runs ``_max_clique`` and maps its clique back.
+    Returns (0, empty witness) for the empty graph.
+    """
+    if g.n_vertices == 0:
+        return 0, CliqueWitness(())
+    order, adj = _relabel(g)
+    size, mask = _max_clique(adj, _Deadline(budget))
+    return size, _clique_witness(g, order, size, mask)
+
+
 def chromatic_number(g: ZdGraph,
                      budget: float | None = DEFAULT_SOLVER_BUDGET,
                      lower: int | None = None) -> tuple[int, Coloring]:
@@ -274,16 +308,18 @@ def chromatic_number(g: ZdGraph,
     a greedy largest-degree-first coloring an upper bound, and each k in
     between is settled by an exhaustive k-colorability search.  A caller
     that has already solved the clique number passes it as ``lower``; the
-    clique is solved here only when ``lower`` is None.  The graph is
-    relabelled once, for the greedy bound and every k.  Returns
+    clique is solved here, and its witness checked, only when ``lower`` is
+    None.  The graph is relabelled once, for the clique, the greedy bound
+    and every k, and one deadline covers them all.  Returns
     (0, empty coloring) for the empty graph.
     """
     if g.n_vertices == 0:
         return 0, Coloring({}, 0)
     deadline = _Deadline(budget)
-    if lower is None:
-        lower, _ = clique_number(g, budget)
     order, adj = _relabel(g)
+    if lower is None:
+        lower, mask = _max_clique(adj, deadline)
+        _clique_witness(g, order, lower, mask)
     witness = _greedy(g, order, adj)
     chi = witness.color_count
     for k in range(lower, chi):
@@ -372,15 +408,15 @@ def brute_force_clique(g: ZdGraph, max_vertices: int = ORACLE_CAP) -> int:
 # Constructive coloring for reduced lattices
 
 
-def beck_coloring(ml: MultLattice,
-                  budget: float | None = DEFAULT_SOLVER_BUDGET) -> Coloring:
+def beck_coloring(ml: MultLattice) -> Coloring:
     """Color the zero-divisor graph of a reduced lattice by minimal primes.
 
     With the minimal prime elements p_1 < p_2 < ... (ascending element
     index), each vertex x gets the first index i with x not below p_i.  In a
     reduced lattice the minimal primes meet to 0, so the color is defined for
     every vertex, and adjacent vertices (product 0 <= p_i) cannot share it;
-    the result is a proper coloring in at most #minimal-primes colors.
+    the result is a proper coloring in at most #minimal-primes colors.  The
+    construction runs no search, so it takes no time budget.
     """
     if not is_reduced(ml):
         raise NotReduced("constructive coloring requires a reduced lattice")

@@ -10,6 +10,13 @@ below i drops to or below i (the partner may be the vertex itself, so a
 square-zero element is a vertex), and distinct vertices are adjacent when
 their product is <= i.
 
+Both are one construction: a symmetric table (the meet, or the product,
+which is symmetric by M1) and a down-set (I, or down(i)).  An element x
+outside the down-set is a vertex when its row has an entry in the down-set
+at some y outside it, x itself included, and that row, less x, is its
+adjacency.  In the order sense x ^ x = x is never in I, so the partner is
+always another element there.
+
 Graphs store vertex indices into their source lattice plus a bitmask
 adjacency over vertex positions; they are immutable.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError
+from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError, TooLarge
 from .lattice import ElementSubset, Lattice, _bits
 from .multiplication import MultLattice
 
@@ -70,19 +77,39 @@ class ZdGraph:
         return bool(self.adj[i] >> j & 1)
 
 
-def _assemble(lat: Lattice, verts: list[int], adjacent, provenance) -> ZdGraph:
-    pos = {v: k for k, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        for w in verts:
-            if w > v and adjacent(v, w):
-                adj[pos[v]] |= 1 << pos[w]
-                adj[pos[w]] |= 1 << pos[v]
-    g = ZdGraph(lat, tuple(verts), tuple(adj), provenance)
+def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
+    """The graph of ``table`` (n x n element indices, symmetric) around the
+    down-set ``inside`` (a mask).
+
+    The row of an element x outside is the mask of the y outside with
+    ``table[x][y]`` inside.  The vertices are the x with a non-empty row
+    (x itself may be in it) and x's neighbours are its row without x.
+    """
+    outside = [x for x in range(lat.n) if not inside >> x & 1]
+    verts = []
+    rows = []
+    for x in outside:
+        entries = table[x]
+        row = 0
+        for y in outside:
+            if inside >> entries[y] & 1:
+                row |= 1 << y
+        if row:
+            verts.append(x)
+            rows.append(row & ~(1 << x))
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    adj = []
+    for row in rows:
+        out = 0
+        while row:
+            low = row & -row
+            out |= bit[low.bit_length() - 1]
+            row ^= low
+        adj.append(out)
     for k, row in enumerate(adj):
         if row >> k & 1:
             raise SelfCheckError("self-loop")
-    return g
+    return ZdGraph(lat, tuple(verts), tuple(adj), provenance)
 
 
 def order_zero_divisor_graph(lat: Lattice, ideal: ElementSubset) -> ZdGraph:
@@ -93,13 +120,7 @@ def order_zero_divisor_graph(lat: Lattice, ideal: ElementSubset) -> ZdGraph:
         raise NotAnIdeal(f"subset {{{', '.join(ideal.names)}}} is not an ideal")
     if not ideal.is_proper:
         raise ImproperIdeal("the whole lattice is not a proper ideal")
-    mask = ideal.mask
-    outside = [x for x in range(lat.n) if not mask >> x & 1]
-    in_ideal = lambda v: bool(mask >> v & 1)
-    verts = [x for x in outside
-             if any(y != x and in_ideal(lat.meet[x][y]) for y in outside)]
-    return _assemble(lat, verts, lambda v, w: in_ideal(lat.meet[v][w]),
-                     ("order", mask))
+    return _assemble(lat, lat.meet, ideal.mask, ("order", ideal.mask))
 
 
 def mult_zero_divisor_graph(ml: MultLattice, element: int | None = None) -> ZdGraph:
@@ -110,11 +131,9 @@ def mult_zero_divisor_graph(ml: MultLattice, element: int | None = None) -> ZdGr
     """
     lat = ml.lattice
     i = lat.bottom if element is None else element
-    outside = [x for x in range(lat.n) if not lat.leq(x, i)]
-    verts = [x for x in outside
-             if any(lat.leq(ml.product[x][y], i) for y in outside)]
-    return _assemble(lat, verts, lambda v, w: lat.leq(ml.product[v][w], i),
-                     ("mult", i))
+    if not 0 <= i < lat.n:
+        raise ValueError(f"element index {i} is outside the lattice")
+    return _assemble(lat, ml.product, lat.down[i], ("mult", i))
 
 
 def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
@@ -124,7 +143,7 @@ def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
     One node line per vertex in ascending order, one edge line per edge with
     endpoints ascending, edges sorted by their position pair.  When a
     coloring is supplied, nodes are filled from the fixed 12-color palette
-    indexed by color class.
+    indexed by color class; a coloring with more classes raises TooLarge.
     """
     names = labels if labels is not None else graph.vertex_names()
     if len(names) != graph.n_vertices:
@@ -132,7 +151,7 @@ def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
     color_of = {}
     if coloring is not None:
         if coloring.color_count > len(DOT_PALETTE):
-            raise ValueError(
+            raise TooLarge(
                 f"coloring uses {coloring.color_count} classes; palette has "
                 f"{len(DOT_PALETTE)}")
         color_of = {v: DOT_PALETTE[c] for v, c in coloring.assignment.items()}

@@ -276,10 +276,12 @@ def reference_k_colorable(g: ZdGraph, k: int) -> dict[int, int] | None:
     return None
 
 
-def reference_clique(g: ZdGraph) -> tuple[int, tuple[int, ...]]:
+def reference_clique(g: ZdGraph, nodes: list | None = None
+                     ) -> tuple[int, tuple[int, ...]]:
     """(maximum clique size, witness) by branch and bound that lists each
     node's candidates as (vertex, greedy colour bound) pairs and scans the
-    list from its end."""
+    list from its end.  Each node's (clique mask, candidates) is appended
+    to ``nodes`` when it is given."""
     nv = g.n_vertices
     if nv == 0:
         return 0, ()
@@ -294,6 +296,8 @@ def reference_clique(g: ZdGraph) -> tuple[int, tuple[int, ...]]:
 
     def expand(rmask: int, rsize: int, cand: int) -> None:
         nonlocal best_size, best_mask
+        if nodes is not None:
+            nodes.append((rmask, cand))
         classes: list[int] = []
         rest = cand
         while rest:
@@ -325,6 +329,38 @@ def reference_clique(g: ZdGraph) -> tuple[int, tuple[int, ...]]:
     expand(0, 0, (1 << nv) - 1)
     return best_size, tuple(sorted(g.vertices[order[v]]
                                    for v in _mask_bits(best_mask)))
+
+
+# ---------------------------------------------------------------------------
+# Zero-divisor graphs read pairwise off their definitions
+
+
+def reference_order_graph(lat: Lattice, ideal_mask: int):
+    """(vertices, edges) of the order-sense graph: the elements outside I
+    whose meet with some other element outside I is in I, and the pairs of
+    distinct vertices whose meet is in I."""
+    outside = [x for x in range(lat.n) if not ideal_mask >> x & 1]
+
+    def zero(x, y):
+        return bool(ideal_mask >> lat.meet_of(x, y) & 1)
+
+    verts = [x for x in outside if any(y != x and zero(x, y) for y in outside)]
+    return verts, [(v, w) for v in verts for w in verts if v < w and zero(v, w)]
+
+
+def reference_mult_graph(ml, i: int):
+    """(vertices, edges) of the multiplicative-sense graph at i: the elements
+    not below i whose product with some element not below i, itself
+    included, is <= i, and the pairs of distinct vertices with product
+    <= i."""
+    lat = ml.lattice
+    outside = [x for x in range(lat.n) if not lat.leq(x, i)]
+
+    def zero(x, y):
+        return lat.leq(ml.prod(x, y), i)
+
+    verts = [x for x in outside if any(zero(x, y) for y in outside)]
+    return verts, [(v, w) for v in verts for w in verts if v < w and zero(v, w)]
 
 
 # ---------------------------------------------------------------------------

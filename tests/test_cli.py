@@ -150,6 +150,73 @@ def test_validate_fuzz_ends_in_a_documented_exit_code(doc):
     assert "Traceback" not in err.getvalue()
 
 
+def _run_in_process(args) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run; a usage error's
+    SystemExit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(lattice_documents())
+def test_analyze_and_graph_fuzz_end_in_a_documented_exit_code(doc):
+    """analyze and graph --color on the same documents as the validate fuzz
+    end in a documented exit code, never in an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for args in (["analyze", path], ["graph", path, "--color"]):
+            code, _, err = _run_in_process(args)
+            assert code in (0, 1, 2, 3, 4), args
+            assert "Traceback" not in err
+
+
+SPEC_ARGUMENTS = {
+    "chain": st.integers(1, 12).map(str),
+    "boolean": st.integers(0, 6).map(str),
+    "divisor": st.integers(2, 60).map(str),
+    "random": st.tuples(st.integers(0, 3), st.integers(2, 40)).map(
+        lambda cs: f"{cs[0]}x{cs[1]}"),
+}
+SPEC_FIELDS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["", "x", "3x", "x4", "0x2", "-1x3", "2x41", "7",
+                     "meet", "trivial", "ring", "table"]),
+    st.text(max_size=3))
+
+
+@st.composite
+def family_specs(draw):
+    """Family specs, well formed three times in four (with an optional
+    multiplication, which may not suit the family), and arbitrary
+    colon-separated fields otherwise."""
+    family = draw(st.sampled_from(["chain", "boolean", "divisor", "random",
+                                   "fig2", "fig3", "bogus", ""]))
+    if family in SPEC_ARGUMENTS and draw(st.sampled_from([True] * 3 + [False])):
+        fields = [draw(SPEC_ARGUMENTS[family])]
+        fields += draw(st.sampled_from([[], [], ["meet"], ["trivial"], ["ring"]]))
+    else:
+        fields = draw(st.lists(SPEC_FIELDS, max_size=3))
+    return ":".join([family, *fields])
+
+
+@given(st.lists(family_specs(), min_size=1, max_size=3))
+def test_search_spec_fuzz_ends_in_a_documented_exit_code(specs):
+    """Any --families string ends in a documented exit code; a usage error
+    is one line on stderr and nothing on stdout."""
+    code, out, err = _run_in_process(
+        ["search", "--families", ",".join(specs), "--budget", "3"])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -274,6 +341,40 @@ def test_graph_empty_chain(tmp_path, capsys):
                            capsys)
     assert code == 0
     assert out == "graph G {\n}\n"
+
+
+def test_graph_dot_to_an_unwritable_path_exits_3(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run_cli(["graph", "--fixture", "fig3", "--dot", str(target)],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write" in err
+
+
+def power_chain_document(e: int) -> dict:
+    """Id(Z_{2^e}) as a lattice file: the chain of ideals (2^i), with
+    (2^i)(2^j) = (2^min(i + j, e)).  Its graph needs ceil(e / 2) colours."""
+    names = [f"2^{i}" for i in range(e + 1)]
+    return {"elements": names,
+            "order": {"kind": "covers",
+                      "pairs": [[names[i + 1], names[i]] for i in range(e)]},
+            "multiplication": {"kind": "table", "table": [
+                [names[min(i + j, e)] for j in range(e + 1)]
+                for i in range(e + 1)]}}
+
+
+def test_graph_color_beyond_the_palette_exits_2(tmp_path, capsys):
+    """chi = 13 is one more colour than the DOT palette holds."""
+    path = write(tmp_path, power_chain_document(26))
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert code == 0 and json.loads(out)["chi"] == 13
+    code, out, err = run_cli(["graph", path, "--color"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "palette has 12" in err
+    code, out, _ = run_cli(["graph", path], capsys)
+    assert code == 0 and out.count(" -- ") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from collections import Counter
 import multlat.lattice
 import multlat.multiplication
 from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_star,
+                     check_lemma_suite,
                      attach_multiplication, fixture,
                      is_prime_element, maximal_annihilator_elements,
                      minimal_prime_elements, modularity_witness,
@@ -202,3 +203,16 @@ def test_fig3_analysis_computes_each_fact_once(monkeypatch):
     second = analyze(ml, instance_id="fixture:fig3")
     assert counts == expected
     assert first.to_json() == second.to_json()
+
+
+def test_lemma_suite_on_a_non_reduced_lattice_reads_no_annihilator_or_prime(
+        monkeypatch):
+    """fig3 is not reduced: the suite tests that once and reports its skip
+    lines without deciding any annihilator or primality."""
+    ml = fixture("fig3")
+    counts = _count_calls(monkeypatch)
+    report = check_lemma_suite(ml)
+    assert counts["annihilator_star"] == 0
+    assert counts["is_prime_element"] == 0
+    assert counts["_nilpotency_scan"] == 1
+    assert [c.status for c in report.checks] == ["skip"] * 4 + ["pass"] + ["skip"] * 3

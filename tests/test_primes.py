@@ -141,6 +141,24 @@ def test_closed_form_matches_down_set_oracle():
     assert distinct_counts > 0
 
 
+def test_minimal_and_maximal_match_the_quadratic_definition():
+    """Lattice.minimal and Lattice.maximal against the pairwise definition,
+    on every element, the empty set, and seeded subsets with repeats."""
+    rng = random.Random(3)
+    for lat in _oracle_lattices():
+        subsets = [list(range(lat.n)), []]
+        subsets += [[rng.randrange(lat.n) for _ in range(rng.randint(1, lat.n + 2))]
+                    for _ in range(4)]
+        for xs in subsets:
+            members = sorted(set(xs))
+            assert lat.minimal(xs) == [
+                x for x in members
+                if not any(y != x and lat.leq(y, x) for y in members)]
+            assert lat.maximal(iter(xs)) == [
+                x for x in members
+                if not any(y != x and lat.leq(x, y) for y in members)]
+
+
 def test_analyze_counts_on_formerly_capped_instances():
     """boolean:6 and divisor:27720 used to exceed the down-set enumeration;
     their minimal prime semi-ideal and ideal counts are now integers."""

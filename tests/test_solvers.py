@@ -18,8 +18,8 @@ from multlat import (NotReduced, SelfCheckError, SolverTimeout, TooLarge,
                      brute_force_chromatic, brute_force_clique,
                      chromatic_number, clique_number, fixture, is_reduced,
                      mult_zero_divisor_graph)
-from multlat.solvers import (Coloring, _Deadline, _k_colorable, _relabel,
-                             greedy_coloring, is_proper)
+from multlat.solvers import (Coloring, _Deadline, _k_colorable, _max_clique,
+                             _relabel, greedy_coloring, is_proper)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
@@ -152,6 +152,42 @@ def test_analyze_solves_the_clique_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_chromatic_without_a_bound_relabels_once(monkeypatch):
+    """With no lower bound, chromatic_number solves the clique on its own
+    relabelling: one _relabel call, and clique_number is never called."""
+    calls = []
+    real = multlat.solvers._relabel
+
+    def counted_relabel(g):
+        calls.append("_relabel")
+        return real(g)
+
+    def no_clique_number(*args, **kwargs):
+        calls.append("clique_number")
+        raise AssertionError("clique_number called")
+
+    monkeypatch.setattr(multlat.solvers, "_relabel", counted_relabel)
+    monkeypatch.setattr(multlat.solvers, "clique_number", no_clique_number)
+    chi, coloring = chromatic_number(fig3_graph())
+    assert chi == 4 and coloring.color_count == 4
+    assert calls == ["_relabel"]
+
+
+def test_a_false_clique_is_caught_when_used_as_a_bound(monkeypatch):
+    """The clique witness is checked when chromatic_number solves its own
+    lower bound, not only in clique_number."""
+    g = fig3_graph()
+    _, adj = _relabel(g)
+    v, w = next((v, w) for v in range(len(adj)) for w in range(v + 1, len(adj))
+                if not adj[v] >> w & 1)
+    monkeypatch.setattr(multlat.solvers, "_max_clique",
+                        lambda adj, deadline: (2, 1 << v | 1 << w))
+    with pytest.raises(SelfCheckError):
+        chromatic_number(g)
+    with pytest.raises(SelfCheckError):
+        clique_number(g)
+
+
 # ---------------------------------------------------------------------------
 # Oracle equivalence
 
@@ -268,14 +304,31 @@ def kneser_graph(n: int, k: int):
     return make_graph(len(subsets), edges)
 
 
+class _CountingDeadline(_Deadline):
+    """A deadline that never expires and counts its checks: one per node of
+    the clique search."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+
+
 def assert_same_as_reference(g):
-    """Same clique witness, and the same coloring or None for every k from
-    the clique number up to the greedy bound, which always succeeds."""
+    """Same clique witness after as many search nodes, and the same coloring
+    or None for every k from the clique number up to the greedy bound, which
+    always succeeds."""
     omega, witness = clique_number(g, budget=None)
-    assert (omega, witness.vertices) == reference_clique(g)
+    nodes = []
+    assert (omega, witness.vertices) == reference_clique(g, nodes)
     if g.n_vertices == 0:
         return
     order, adj = _relabel(g)
+    deadline = _CountingDeadline()
+    assert _max_clique(adj, deadline)[0] == omega
+    assert deadline.checks == len(nodes)
     for k in range(omega, greedy_coloring(g).color_count + 1):
         found = _k_colorable(adj, k, _Deadline(None))
         ours = None if found is None else {
@@ -361,10 +414,26 @@ def test_long_odd_cycle_needs_no_recursion():
     assert _k_colorable(_relabel(g)[1], 2, _Deadline(None)) is None
 
 
+def test_large_clique_needs_no_recursion():
+    # The complete graph on 1200 vertices; as above, it carries a
+    # one-element lattice.  The clique search used to recurse once per
+    # clique vertex.
+    n = 1200
+    full = (1 << n) - 1
+    g = ZdGraph(chain_lattice(1), tuple(range(n)),
+                tuple([full ^ 1 << v for v in range(n)]), ("test", None))
+    omega, clique = clique_number(g)
+    assert omega == n and clique.vertices == tuple(range(n))
+    chi, coloring = chromatic_number(g)
+    assert chi == n and is_proper(g, coloring)
+
+
 def test_kernel_honours_an_expired_budget():
     g = cycle_graph(5)
     with pytest.raises(SolverTimeout):
         _k_colorable(_relabel(g)[1], 3, _Deadline(-1.0))
+    with pytest.raises(SolverTimeout):
+        _max_clique(_relabel(g)[1], _Deadline(-1.0))
     with pytest.raises(SolverTimeout):
         chromatic_number(g, budget=0.0, lower=2)
     assert chromatic_number(g, budget=None, lower=2)[0] == 3

@@ -1,17 +1,23 @@
 """Zero-divisor graph construction in both senses, plus DOT export."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multlat import (Coloring, ElementSubset, ImproperIdeal, NotAnIdeal,
                      attach_multiplication, chromatic_number, export_dot,
-                     fig2_lattice, fixture, is_reduced,
+                     fig2_lattice, fig3_lattice, fixture, is_distributive,
+                     is_reduced,
                      mult_zero_divisor_graph, order_zero_divisor_graph,
                      principal_down_set)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
+
+from helpers import (chain_square_mult, random_closure_lattice,
+                     reference_mult_graph, reference_order_graph)
 
 # The 21 edges of the bundled 14-element counterexample graph, derived by
 # scanning its product table for zero products (f kills everything, the five
@@ -147,6 +153,59 @@ def test_reduced_order_and_mult_graphs_coincide():
         gm = mult_zero_divisor_graph(ml)
         assert go.vertices == gm.vertices
         assert go.adj == gm.adj
+
+
+# ---------------------------------------------------------------------------
+# One construction for both senses
+
+
+def _kernel_instances():
+    """(lattice, multiplicative lattice or None): fig2 and fig3, Id(Z_n) for
+    n < 200, boolean:0..5 under their meet, the reduced chain with a
+    non-meet square, and seeded closure lattices, which are not all
+    distributive, under their meet where it is a multiplication."""
+    yield fig2_lattice(), fixture("fig2")
+    yield fig3_lattice(), fixture("fig3")
+    for n in range(2, 200):
+        ml = ideal_lattice_zn(n).embedded
+        yield ml.lattice, ml
+    for k in range(6):
+        lat = boolean_lattice(k)
+        yield lat, attach_multiplication(lat, "meet")
+    ml = chain_square_mult()
+    yield ml.lattice, ml
+    rng = random.Random(1)
+    for _ in range(60):
+        lat = random_closure_lattice(rng, 5, rng.randint(2, 10))
+        yield lat, attach_multiplication(lat, "meet") if is_distributive(lat) else None
+
+
+def test_both_senses_match_the_pairwise_definitions():
+    """The multiplicative graph at every element and the order graph at
+    every proper principal ideal equal the graphs read pair by pair off the
+    module docstring."""
+    senses = 0
+    for lat, ml in _kernel_instances():
+        for i in range(lat.n):
+            graphs = []
+            if ml is not None:
+                graphs.append((mult_zero_divisor_graph(ml, i),
+                               reference_mult_graph(ml, i)))
+            if i != lat.top:
+                graphs.append((order_zero_divisor_graph(lat, principal_down_set(lat, i)),
+                               reference_order_graph(lat, lat.down[i])))
+            for g, (verts, edges) in graphs:
+                assert g.vertices == tuple(verts)
+                assert [(g.vertices[a], g.vertices[b]) for a, b in g.edges()] == edges
+                senses += 1
+    assert senses > 2000
+
+
+def test_element_outside_the_lattice_is_rejected():
+    ml = fixture("fig2")
+    for i in (-1, ml.n):
+        with pytest.raises(ValueError):
+            mult_zero_divisor_graph(ml, i)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ go to stderr.  Exit codes are stable:
   3  I/O or parse error
   4  solver timeout (a partial report is still printed)
 
-Usage errors, such as a malformed family spec or a --timeout that is not a
-finite number of seconds >= 0, exit 2 with one line on stderr.
+A sweep or a search exits 1 if any verdict fails or any finding exists,
+else 4 if any instance timed out or was skipped, else 0.  Usage errors,
+such as a malformed family spec or a --timeout that is not a finite number
+of seconds >= 0, exit 2 with one line on stderr.
 
 All randomness is seed-injected via flags; identical inputs and seeds give
 byte-identical output.
@@ -44,6 +46,13 @@ EXIT_TIMEOUT = 4
 
 def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _exit_status(failed: bool, timed_out: bool) -> int:
+    """The exit code of a run of one or more instances (module docstring)."""
+    if failed:
+        return EXIT_FAILS
+    return EXIT_TIMEOUT if timed_out else EXIT_OK
 
 
 def _emit(obj: dict, indent: int | None = 2) -> None:
@@ -111,9 +120,7 @@ def cmd_analyze(args) -> int:
                      solver_budget=args.timeout)
     print(report.to_json())
     _diag(f"analyzed {instance_id} in {report.wall_time:.3f}s")
-    if report.timed_out:
-        return EXIT_TIMEOUT
-    return EXIT_FAILS if report.verdict == VERDICT_FAILS else EXIT_OK
+    return _exit_status(report.verdict == VERDICT_FAILS, report.timed_out)
 
 
 def cmd_graph(args) -> int:
@@ -151,19 +158,17 @@ def cmd_graph(args) -> int:
 def cmd_ring(args) -> int:
     if args.sweep:
         lo, hi = args.sweep
-        worst = EXIT_OK
+        failed = timed_out = False
         for n in range(lo, hi + 1):
             report = analyze_ring(n, solver_budget=args.timeout)
             print(report.to_json(indent=None))
-            if report.verdict == VERDICT_FAILS:
-                worst = EXIT_FAILS
-        return worst
+            failed |= report.verdict == VERDICT_FAILS
+            timed_out |= report.timed_out
+        return _exit_status(failed, timed_out)
     report = analyze_ring(args.modulus, solver_budget=args.timeout)
     print(report.to_json())
     _diag(f"analyzed ring:{args.modulus} in {report.wall_time:.3f}s")
-    if report.timed_out:
-        return EXIT_TIMEOUT
-    return EXIT_FAILS if report.verdict == VERDICT_FAILS else EXIT_OK
+    return _exit_status(report.verdict == VERDICT_FAILS, report.timed_out)
 
 
 def cmd_search(args) -> int:
@@ -178,7 +183,7 @@ def cmd_search(args) -> int:
           f"{len(result.skipped)} skipped on timeout")
     for instance_id in result.skipped:
         _diag(f"skipped (timeout): {instance_id}")
-    return EXIT_FAILS if result.findings else EXIT_OK
+    return _exit_status(bool(result.findings), bool(result.skipped))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,9 +18,11 @@ this module computes powers, nilpotents, annihilators, residuals and prime
 elements.
 
 The facts the analysis asks for more than once are computed once per
-``MultLattice`` and cached on it with ``functools.cached_property``: the
-nilpotency witness, the annihilator of every element and the prime
-elements.  The public functions return a fresh list each call.
+``MultLattice`` and cached on it with ``functools.cached_property``: one
+walk of each element's powers (read by the stable power, nilpotency, the
+nilpotency witness and the annihilators), the nilpotency witness, the
+annihilator of every element and the prime elements.  The public functions
+return a fresh list each call.
 
 Primality is decided on J x J.  An element p != 1 is prime exactly when
 a.b is not below p for all join-irreducibles a, b not below p.  Any x not
@@ -63,6 +65,10 @@ class MultLattice:
 
     def prod(self, x: int, y: int) -> int:
         return self.product[x][y]
+
+    @cached_property
+    def _power_walks(self) -> tuple[tuple[int, int], ...]:
+        return tuple([_power_walk(self.product, a) for a in range(self.n)])
 
     @cached_property
     def _nilpotency_witness(self) -> tuple[int, int] | None:
@@ -196,18 +202,24 @@ def power(ml: MultLattice, a: int, k: int) -> int:
     return acc
 
 
-def stable_power(ml: MultLattice, a: int) -> int:
-    """The limit of the decreasing power sequence a, a^2, a^3, ...
+def _power_walk(product: Sequence[Sequence[int]], a: int) -> tuple[int, int]:
+    """(p, k): the stable power p of a and the least k >= 1 with a^k = p.
 
-    M4 forces a^(k+1) <= a^k, so the sequence stabilizes within n steps; the
-    limit is 0 precisely for nilpotent elements.
+    M4 forces a^(k+1) <= a^k, so the powers strictly decrease until two
+    consecutive ones agree, and from there on they all equal p.
     """
-    p = a
+    p, k = a, 1
     while True:
-        q = ml.product[p][a]
+        q = product[p][a]
         if q == p:
-            return p
-        p = q
+            return p, k
+        p, k = q, k + 1
+
+
+def stable_power(ml: MultLattice, a: int) -> int:
+    """The limit of the decreasing power sequence a, a^2, a^3, ..., which
+    is 0 precisely for nilpotent elements.  Read off the cached walk."""
+    return ml._power_walks[a][0]
 
 
 def is_nilpotent(ml: MultLattice, a: int) -> bool:
@@ -218,7 +230,7 @@ def is_nilpotent(ml: MultLattice, a: int) -> bool:
 def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
     """A nonzero nilpotent with the smallest exponent, or None if reduced.
 
-    Searches exponent-first (k = 2, 3, ...), ties broken by element index,
+    Ordered exponent-first (k = 2, 3, ...), ties broken by element index,
     so the witness has the minimal power that reaches 0.  Cached on ``ml``.
     """
     return ml._nilpotency_witness
@@ -226,19 +238,10 @@ def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
 
 def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
     bot = ml.lattice.bottom
-    nilpotents = [a for a in range(ml.n) if a != bot and is_nilpotent(ml, a)]
-    if not nilpotents:
-        return None
-    best: tuple[int, int] | None = None
-    for a in nilpotents:
-        k = 1
-        p = a
-        while p != bot:
-            p = ml.product[p][a]
-            k += 1
-        if best is None or k < best[1]:
-            best = (a, k)
-    return best
+    # For a nilpotent a the walk stops at p = 0, and k is its exponent.
+    best = min(((k, a) for a, (p, k) in enumerate(ml._power_walks)
+                if a != bot and p == bot), default=None)
+    return None if best is None else (best[1], best[0])
 
 
 def is_reduced(ml: MultLattice) -> bool:
@@ -259,8 +262,7 @@ def annihilator_star(ml: MultLattice, a: int) -> int:
     {x | x.a = 0}.
     """
     lat = ml.lattice
-    p = stable_power(ml, a)
-    row = ml.product[p]
+    row = ml.product[stable_power(ml, a)]
     return lat.join_all(x for x in range(ml.n) if row[x] == lat.bottom)
 
 

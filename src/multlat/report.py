@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
@@ -50,27 +50,8 @@ class BeckReport:
     wall_time: float = field(repr=False, compare=False, default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "element": self.element,
-            "element_count": self.element_count,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "chi": self.chi,
-            "omega": self.omega,
-            "clique": self.clique,
-            "coloring": self.coloring,
-            "reduced": self.reduced,
-            "nilpotent_witness": self.nilpotent_witness,
-            "modular": self.modular,
-            "n5_witness": self.n5_witness,
-            "zero_distributive": self.zero_distributive,
-            "minimal_prime_elements": self.minimal_prime_elements,
-            "counts": self.counts,
-            "verdict": self.verdict,
-            "timed_out": self.timed_out,
-            "lemmas": self.lemmas,
-        }
+        """The canonical fields: every field that takes part in ``==``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent,

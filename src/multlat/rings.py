@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .errors import InvalidModulus, SelfCheckError
 from .lattice import Lattice, build_lattice, is_modular
 from .multiplication import MultLattice, attach_multiplication
+from .report import BeckReport, analyze
+from .solvers import DEFAULT_SOLVER_BUDGET
 
 
 def divisors_of(n: int) -> list[int]:
@@ -109,17 +111,14 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     return ZnIdealLattice(n, tuple(divs), ml)
 
 
-def analyze_ring(n: int, solver_budget: float | None = None):
+def analyze_ring(n: int, solver_budget: float | None = DEFAULT_SOLVER_BUDGET
+                 ) -> BeckReport:
     """Full analysis of the annihilating-ideal graph of Z_n.
 
     Returns the standard report for the zero-divisor graph of Id(Z_n) at the
     zero ideal.  For squarefree n the lattice is reduced and the verdict is
     guaranteed; for other n the values are reported without any claim.
+    ``solver_budget`` is passed to ``analyze`` as it is: None means no limit.
     """
-    from .report import analyze  # local import to avoid a cycle
-
-    zn = ideal_lattice_zn(n)
-    kwargs = {}
-    if solver_budget is not None:
-        kwargs["solver_budget"] = solver_budget
-    return analyze(zn.embedded, instance_id=f"ring:{n}", **kwargs)
+    return analyze(ideal_lattice_zn(n).embedded, instance_id=f"ring:{n}",
+                   solver_budget=solver_budget)

@@ -33,6 +33,7 @@ from .solvers import (DEFAULT_SOLVER_BUDGET, ORACLE_CAP, brute_force_chromatic,
 from .zdgraph import mult_zero_divisor_graph
 
 MAX_BOOLEAN_RANK = 6
+MIN_RANDOM_SIZE = 4
 MAX_RANDOM_SIZE = 40
 
 
@@ -66,15 +67,17 @@ def boolean_lattice(k: int) -> Lattice:
 def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
     """The down-set lattice of a seeded random poset; always distributive.
 
-    Posets are sampled (3-6 points, random comparabilities) until the
-    down-set family has at most ``max_size`` members; the same seed always
-    yields the same lattice.  A poset of m points has at least m + 1
-    down-sets, so ``max_size`` must be at least 4; InvalidSpec (a
-    ValueError) says so at once instead of sampling in vain.
+    Posets are sampled (3-6 points, random comparabilities i < j drawn with
+    i ascending, so ``below[i]`` is already transitively closed when it is
+    copied into ``below[j]``) until the down-set family has at most
+    ``max_size`` members; the same seed always yields the same lattice.  A
+    poset of m points has at least m + 1 down-sets, so ``max_size`` must be
+    at least ``MIN_RANDOM_SIZE``, which ``generate`` checks too; InvalidSpec
+    (a ValueError) says so at once instead of sampling in vain.
     """
-    if not 4 <= max_size <= MAX_RANDOM_SIZE:
-        raise InvalidSpec(f"random lattice size must be in 4..{MAX_RANDOM_SIZE}, "
-                          f"got {max_size}")
+    if not MIN_RANDOM_SIZE <= max_size <= MAX_RANDOM_SIZE:
+        raise InvalidSpec(f"random size must be {MIN_RANDOM_SIZE}.."
+                          f"{MAX_RANDOM_SIZE}, got {max_size}")
     rng = random.Random(seed)
     for _ in range(1000):
         m = rng.randint(3, 6)
@@ -83,14 +86,6 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
             for j in range(i + 1, m):
                 if rng.random() < 0.4:
                     below[j] |= below[i]  # impose i < j transitively
-        # transitive closure
-        for _ in range(m):
-            for j in range(m):
-                acc = below[j]
-                for i in range(m):
-                    if acc >> i & 1:
-                        acc |= below[i]
-                below[j] = acc
         down_sets = {0}
         frontier = [0]
         while frontier:
@@ -192,7 +187,8 @@ def generate(spec: str, seed: int = 0) -> list[tuple[str, MultLattice]]:
             raise InvalidSpec(f"random spec must look like random:CxS: {spec!r}")
         count_s, size_s = args[0].split("x", 1)
         count = _int_arg(count_s, spec, "random count", 0)
-        size = _int_arg(size_s, spec, "random size", 2, MAX_RANDOM_SIZE)
+        size = _int_arg(size_s, spec, "random size", MIN_RANDOM_SIZE,
+                        MAX_RANDOM_SIZE)
         kind = mult or "meet"
         out = []
         for i in range(count):

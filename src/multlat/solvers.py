@@ -21,8 +21,10 @@ search nor the size of a clique is bounded by Python's recursion limit:
 
 ``clique_number`` relabels and runs the clique kernel; ``chromatic_number``
 relabels once for the greedy bound, every k and, when no lower bound is
-given, the clique kernel, all under one deadline.  Every clique used as a
-bound has its witness checked against the original graph.
+given, the clique kernel, all under one deadline.  The greedy bound and the
+k-search give colour lists in the new numbering; only the one that wins is
+mapped back, by the helper ``greedy_coloring`` uses.  Every clique used as
+a bound has its witness checked against the original graph.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -115,10 +117,11 @@ def is_proper(g: ZdGraph, coloring: Coloring) -> bool:
                for row, v in zip(g.adj, g.vertices))
 
 
-def _greedy(g: ZdGraph, order: list[int], adj: list[int]) -> Coloring:
-    """First fit along the relabelled numbering, by colour-class masks."""
+def _greedy(adj: list[int]) -> list[int]:
+    """First fit along the relabelled numbering, by colour-class masks:
+    the colour of each relabelled vertex."""
     classes: list[int] = []
-    assignment = {}
+    colors = []
     for v, row in enumerate(adj):
         for c, cls in enumerate(classes):
             if not cls & row:
@@ -127,13 +130,20 @@ def _greedy(g: ZdGraph, order: list[int], adj: list[int]) -> Coloring:
         else:
             c = len(classes)
             classes.append(1 << v)
-        assignment[g.vertices[order[v]]] = c
-    return Coloring(assignment, len(classes))
+        colors.append(c)
+    return colors
+
+
+def _coloring(g: ZdGraph, order: list[int], colors: list[int]) -> Coloring:
+    """Map colours of the relabelled numbering back to a Coloring of ``g``."""
+    return Coloring({g.vertices[old]: c for old, c in zip(order, colors)},
+                    len(set(colors)))
 
 
 def greedy_coloring(g: ZdGraph) -> Coloring:
     """Largest-degree-first greedy coloring (deterministic upper bound)."""
-    return _greedy(g, *_relabel(g))
+    order, adj = _relabel(g)
+    return _coloring(g, order, _greedy(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +330,15 @@ def chromatic_number(g: ZdGraph,
     if lower is None:
         lower, mask = _max_clique(adj, deadline)
         _clique_witness(g, order, lower, mask)
-    witness = _greedy(g, order, adj)
-    chi = witness.color_count
+    colors = _greedy(adj)
+    chi = len(set(colors))
     for k in range(lower, chi):
         deadline.check()
         found = _k_colorable(adj, k, deadline)
         if found is not None:
-            by_position = [0] * len(order)
-            for old, c in zip(order, found):
-                by_position[old] = c
-            chi = k
-            witness = Coloring(dict(zip(g.vertices, by_position)),
-                               len(set(found)))
+            chi, colors = k, found
             break
+    witness = _coloring(g, order, colors)
     if not is_proper(g, witness):
         raise SelfCheckError("chromatic witness is not proper")
     if witness.color_count != chi:

@@ -417,3 +417,41 @@ def chain_square_times_two_chain():
     table = [[f"({_CHAIN_SQUARE[i][k]},{min(j, l)})" for k, l in cells]
              for i, j in cells]
     return attach_multiplication(lat, "table", table)
+
+
+# ---------------------------------------------------------------------------
+# Power walks and zero divisors read off their definitions
+
+
+def two_walk_nilpotency_scan(ml) -> tuple[int, int] | None:
+    """(a, k): the nonzero nilpotent a with the least exponent k, ties by
+    index, or None.  Walks each element's powers to see whether it is
+    nilpotent, then walks each nilpotent's powers again to count its
+    exponent: the scan that the one cached power walk replaced."""
+    bot = ml.lattice.bottom
+
+    def stable(a):
+        p = a
+        while ml.product[p][a] != p:
+            p = ml.product[p][a]
+        return p
+
+    best = None
+    for a in range(ml.n):
+        if a == bot or stable(a) != bot:
+            continue
+        k, p = 1, a
+        while p != bot:
+            p = ml.product[p][a]
+            k += 1
+        if best is None or k < best[1]:
+            best = (a, k)
+    return best
+
+
+def scan_has_nonzero_zero_divisor(ml) -> bool:
+    """Whether a.b = 0 for some a, b != 0, by scanning all n^2 products."""
+    bot = ml.lattice.bottom
+    return any(ml.product[a][b] == bot
+               for a in range(ml.n) if a != bot
+               for b in range(ml.n) if b != bot)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat.cli import main
+from multlat.cli import _exit_status, main
 
 B2_MEET = {
     "elements": ["0", "a", "b", "1"],
@@ -401,6 +401,15 @@ def test_ring_sweep_jsonl(capsys):
     assert by_n["ring:7"]["verdict"] == "empty_graph"
 
 
+def test_ring_sweep_with_timeouts_exits_4(capsys):
+    """ring:6 and ring:8 time out and ring:7 has an empty graph: every line
+    is printed, and the timeouts decide the exit code."""
+    code, out, _ = run_cli(["ring", "--sweep", "6..8", "--timeout", "0"], capsys)
+    assert code == 4
+    reports = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [r["timed_out"] for r in reports] == [True, False, True]
+
+
 def test_ring_requires_exactly_one_mode(capsys):
     with pytest.raises(SystemExit):
         main(["ring"])
@@ -438,6 +447,20 @@ def test_search_clean_families_exit_0(capsys):
     assert out == ""
 
 
+def test_search_with_skipped_instances_exits_4(capsys):
+    code, out, err = run_cli(["search", "--families", "boolean:3,divisor:30",
+                              "--timeout", "0"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "2 skipped on timeout" in err
+
+
+@pytest.mark.parametrize("failed, timed_out, code", [
+    (False, False, 0), (True, False, 1), (False, True, 4), (True, True, 1)])
+def test_a_failure_outranks_a_timeout(failed, timed_out, code):
+    assert _exit_status(failed, timed_out) == code
+
+
 # ---------------------------------------------------------------------------
 # determinism across processes (fresh interpreter each run)
 
@@ -472,7 +495,7 @@ def test_cmd_search_byte_identical_across_runs():
     (["search", "--families", "boolean:9"], "boolean rank must be 0..6"),
     (["search", "--families", "chain:-1"], "chain size must be >= 1"),
     (["search", "--families", "random:5x"], "random size must be an integer"),
-    (["search", "--families", "random:3x0"], "random size must be 2..40"),
+    (["search", "--families", "random:3x0"], "random size must be 4..40"),
     (["search", "--families", "chain:4", "--budget", "0"],
      "budget must be positive"),
 ])

@@ -10,22 +10,24 @@ import multlat.lattice
 import multlat.multiplication
 from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_star,
                      check_lemma_suite,
-                     attach_multiplication, fixture,
+                     attach_multiplication, fixture, is_distributive,
                      is_prime_element, maximal_annihilator_elements,
                      minimal_prime_elements, modularity_witness,
                      nilpotency_witness, prime_elements,
                      zero_distributivity_witness)
 from multlat.lattice import (_covers_semimodular, _modularity_scan,
                              _zero_distributive, _zero_distributivity_scan)
-from multlat.multiplication import _nilpotency_scan, annihilator_map
+from multlat.multiplication import annihilator_map
 from multlat.rings import ideal_lattice_zn
-from multlat.search import (boolean_lattice, chain_lattice,
+from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     random_closure_lattice, scan_is_prime_element,
-                     scan_join_irreducibles)
+                     random_closure_lattice, scan_has_nonzero_zero_divisor,
+                     scan_is_prime_element, scan_join_irreducibles,
+                     two_walk_nilpotency_scan)
 from test_lattice import diamond_lattice, pentagon_lattice
+from test_primes import _oracle_lattices
 
 # Seed base of the random lattices in the acceptance battery.
 RANDOM_SUITE_BASE_SEED = 20_240_817
@@ -125,7 +127,7 @@ def test_cached_facts_equal_fresh_oracles():
             assert lat.join_irreducibles() == scan_join_irreducibles(lat), label
             assert modularity_witness(lat) == _modularity_scan(lat), label
             assert zero_distributivity_witness(lat) == _zero_distributivity_scan(lat), label
-            assert nilpotency_witness(ml) == _nilpotency_scan(ml), label
+            assert nilpotency_witness(ml) == two_walk_nilpotency_scan(ml), label
             assert annihilator_map(ml) == [annihilator_star(ml, a)
                                            for a in range(ml.n)], label
             assert prime_elements(ml) == [p for p in range(ml.n)
@@ -216,3 +218,64 @@ def test_lemma_suite_on_a_non_reduced_lattice_reads_no_annihilator_or_prime(
     assert counts["is_prime_element"] == 0
     assert counts["_nilpotency_scan"] == 1
     assert [c.status for c in report.checks] == ["skip"] * 4 + ["pass"] + ["skip"] * 3
+
+
+def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
+    """The stable power, nilpotency, the nilpotency witness and the
+    annihilators all read one cached walk of each element's powers."""
+    counts: Counter = Counter()
+    original = multlat.multiplication._power_walk
+
+    def counted(product, a):
+        counts[a] += 1
+        return original(product, a)
+
+    monkeypatch.setattr(multlat.multiplication, "_power_walk", counted)
+    assert analyze_ring(720).element_count == 30
+    assert counts == Counter(range(30))
+    counts.clear()
+    ml = fixture("fig3")
+    analyze(ml, instance_id="fixture:fig3")
+    analyze(ml, instance_id="fixture:fig3")
+    assert counts == Counter(range(14))
+
+
+def _walk_instances():
+    """The lattices of the prime-structure oracle test under every product
+    among meet and trivial that is admissible on them, Id(Z_n) for
+    n <= 1000, the fixtures, the two reduced instances whose product is not
+    the meet, and seeded random lattices of up to 40 elements."""
+    for lat in _oracle_lattices():
+        if is_distributive(lat):
+            yield attach_multiplication(lat, "meet")
+        if lat.top in lat.join_irreducibles():
+            yield attach_multiplication(lat, "trivial")
+    for n in range(2, 1001):
+        yield ideal_lattice_zn(n).embedded
+    for spec in ("boolean:6", "chain:7", "fig2", "fig3"):
+        yield from (ml for _, ml in generate(spec))
+    yield chain_square_mult()
+    yield chain_square_times_two_chain()
+    yield from (ml for _, ml in generate("random:300x40", seed=11))
+
+
+def test_power_walk_and_annihilator_test_match_their_scans():
+    """The nilpotency witness read off the one power walk equals the
+    two-walk scan, and on every reduced instance the lemma suite finds a
+    nonzero zero divisor exactly when the O(n^2) product scan does."""
+    witnesses = Counter()
+    zero_divisors = Counter()
+    for ml in _walk_instances():
+        witness = nilpotency_witness(ml)
+        assert witness == two_walk_nilpotency_scan(ml), ml.names
+        witnesses[witness[1] if witness else None] += 1
+        if witness is None:
+            check = next(c for c in check_lemma_suite(ml).checks
+                         if c.check_id == "zero_is_meet_of_minimal_primes")
+            found = check.detail != "vacuous (no nonzero zero divisors)"
+            assert found == scan_has_nonzero_zero_divisor(ml), ml.names
+            zero_divisors[found] += 1
+    # If a != 0 is nilpotent, its last nonzero power b has b.b = 0, so the
+    # least exponent is always 2 and the witness is decided by the index.
+    assert witnesses[None] > 900 and witnesses[2] > 400
+    assert zero_divisors[True] > 800 and zero_divisors[False] > 100

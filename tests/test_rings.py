@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multlat.rings
 from multlat import (InvalidModulus, analyze_ring, ideal_lattice_zn,
                      is_distributive, is_modular, is_reduced,
                      minimal_prime_elements, mult_zero_divisor_graph)
 from multlat.rings import divisors_of, is_squarefree, prime_factors
+from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
 
 def test_divisor_helpers():
@@ -112,6 +114,21 @@ def test_analyze_ring_instance_id_and_element():
     report = analyze_ring(30)
     assert report.instance == "ring:30"
     assert report.element == "(30)"
+
+
+def test_analyze_ring_passes_its_budget_through(monkeypatch):
+    """None means no limit, as it does for analyze; the default is
+    analyze's default."""
+    budgets = []
+
+    def stub(ml, instance_id, solver_budget):
+        budgets.append(solver_budget)
+
+    monkeypatch.setattr(multlat.rings, "analyze", stub)
+    analyze_ring(6, solver_budget=None)
+    analyze_ring(6)
+    analyze_ring(6, solver_budget=2.5)
+    assert budgets == [None, DEFAULT_SOLVER_BUDGET, 2.5]
 
 
 def test_divisor_element_lookup():

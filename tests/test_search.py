@@ -7,7 +7,8 @@ import multlat.report
 from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
                      is_reduced, mult_zero_divisor_graph,
                      search_counterexamples)
-from multlat.search import generate, random_poset_down_set_lattice
+from multlat.search import (MAX_RANDOM_SIZE, MIN_RANDOM_SIZE, generate,
+                            random_poset_down_set_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,20 @@ def test_random_lattice_bounds():
         assert 2 <= lat.n <= 24
     with pytest.raises(ValueError):
         random_poset_down_set_lattice(0, 100)
+
+
+def test_random_size_range_is_stated_once():
+    """The spec check and the sampler accept the same sizes, MIN..MAX, and
+    state the range in the same words."""
+    for size in (MIN_RANDOM_SIZE - 1, MAX_RANDOM_SIZE + 1):
+        message = f"random size must be {MIN_RANDOM_SIZE}..{MAX_RANDOM_SIZE}"
+        with pytest.raises(InvalidSpec, match=message):
+            generate(f"random:1x{size}")
+        with pytest.raises(InvalidSpec, match=message):
+            random_poset_down_set_lattice(0, size)
+    for size in (MIN_RANDOM_SIZE, MAX_RANDOM_SIZE):
+        [(_, ml)] = generate(f"random:1x{size}")
+        assert ml.n <= size
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -390,6 +391,31 @@ def test_greedy_matches_first_fit_in_degree_order():
                     and j in colors}
             colors[k] = min(set(range(20)) - used)
         assert greedy_coloring(g).assignment == colors
+
+
+def test_chromatic_number_maps_its_colouring_back_once(monkeypatch):
+    """Whichever colour list wins, the greedy one or a k-search's, is mapped
+    back to a Coloring once; when greedy is optimal it is the witness."""
+    calls = []
+    original = multlat.solvers._coloring
+
+    def counted(g, order, colors):
+        calls.append(colors)
+        return original(g, order, colors)
+
+    monkeypatch.setattr(multlat.solvers, "_coloring", counted)
+    rng = random.Random(31)
+    greedy_optimal = Counter()
+    for _ in range(40):
+        g = random_graph(rng, 14, 0.5)
+        greedy = greedy_coloring(g)
+        calls.clear()
+        chi, coloring = chromatic_number(g)
+        assert len(calls) == 1
+        if chi == greedy.color_count:
+            assert coloring == greedy
+        greedy_optimal[chi == greedy.color_count] += 1
+    assert greedy_optimal[True] and greedy_optimal[False]
 
 
 def test_is_proper_rejects_a_conflict_and_a_missing_vertex():

@@ -12,8 +12,9 @@ go to stderr.  Exit codes are stable:
 
 A sweep or a search exits 1 if any verdict fails or any finding exists,
 else 4 if any instance timed out or was skipped, else 0.  Usage errors,
-such as a malformed family spec or a --timeout that is not a finite number
-of seconds >= 0, exit 2 with one line on stderr.
+such as a malformed family spec, a --timeout that is not a finite number
+of seconds >= 0 or a run with nothing to analyse (--sweep A..B with A > B,
+no spec in --families), exit 2 with one line on stderr.
 
 All randomness is seed-injected via flags; identical inputs and seeds give
 byte-identical output.
@@ -248,11 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split("..", 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"range must look like A..B, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"range A..B needs A <= B, got {text!r}")
+    return lo, hi
 
 
 def _parse_seconds(text: str) -> float:
@@ -274,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("ring needs exactly one of --modulus or --sweep")
     if args.command in ("analyze", "graph") and not (args.file or args.fixture):
         parser.error(f"{args.command} needs a file or --fixture")
+    if args.command == "search" and not any(args.families.split(",")):
+        parser.error("search needs at least one family spec")
     try:
         return args.func(args)
     except LatticeFileError as exc:

@@ -12,11 +12,15 @@ The on-disk format is UTF-8 JSON:
 Pairs [x, y] mean x <= y.  Unknown keys are rejected.  Schema problems raise
 LatticeFileError (CLI exit 3); order/axiom problems raise the structural
 errors from the core modules (CLI exit 2).
+
+This module checks only the JSON shape.  The rules on names and the order
+kind (no name declared twice, a kind of "covers" or "leq", no pair naming an
+undeclared element) live in ``build_lattice``, whose ValueError is re-raised
+here as LatticeFileError with the same message.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
 from typing import Any
 
 from .errors import LatticeFileError
@@ -44,29 +48,21 @@ def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
     if (not isinstance(elements, list) or not elements
             or not all(isinstance(e, str) for e in elements)):
         raise LatticeFileError('"elements" must be a non-empty list of strings')
-    declared = set(elements)
-    if len(declared) != len(elements):
-        dup = next(e for e, count in Counter(elements).items() if count > 1)
-        raise LatticeFileError(f"element name {dup!r} is declared more than once")
 
     order = data["order"]
     if not isinstance(order, dict):
         raise LatticeFileError('"order" must be an object')
     _expect_keys(order, {"kind", "pairs"}, {"kind", "pairs"}, '"order"')
-    kind = order["kind"]
-    if kind not in ("covers", "leq"):
-        raise LatticeFileError(f'order kind must be "covers" or "leq", got {kind!r}')
     pairs = order["pairs"]
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2
             and all(isinstance(x, str) for x in p) for p in pairs):
         raise LatticeFileError('"pairs" must be a list of [name, name] pairs')
-    for a, b in pairs:
-        if a not in declared or b not in declared:
-            bad = a if a not in declared else b
-            raise LatticeFileError(f"order pair references undeclared element {bad!r}")
 
-    lat = build_lattice(elements, [tuple(p) for p in pairs], kind)
+    try:
+        lat = build_lattice(elements, pairs, order["kind"])
+    except ValueError as exc:  # a name or kind rule of build_lattice
+        raise LatticeFileError(str(exc)) from exc
 
     if "multiplication" not in data:
         return lat, None

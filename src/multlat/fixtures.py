@@ -15,7 +15,9 @@ from .errors import InvalidSpec
 from .lattice import Lattice, build_lattice
 from .multiplication import MultLattice, attach_multiplication
 
-FIXTURE_NAMES = ("fig2", "fig3")
+#: Each fixture's default multiplication, for ``fixture`` and search specs.
+FIXTURE_MULTS = {"fig2": "trivial", "fig3": "table"}
+FIXTURE_NAMES = tuple(FIXTURE_MULTS)
 
 _FIG2_ELEMENTS = ("0", "a", "b", "c", "d", "1")
 _FIG2_COVERS = (("0", "a"), ("a", "b"), ("b", "d"),
@@ -70,16 +72,13 @@ def fixture(name: str, mult: str | None = None) -> MultLattice:
 
     fig2 defaults to the trivial multiplication, fig3 to its bundled table.
     """
+    kind = mult or FIXTURE_MULTS.get(name)
     if name == "fig2":
-        lat = fig2_lattice()
-        kind = mult or "trivial"
         if kind == "table":
             raise InvalidSpec("fig2 has no bundled multiplication table")
-        return attach_multiplication(lat, kind)
+        return attach_multiplication(fig2_lattice(), kind)
     if name == "fig3":
-        lat = fig3_lattice()
-        kind = mult or "table"
         if kind == "table":
-            return attach_multiplication(lat, "table", fig3_table())
-        return attach_multiplication(lat, kind)
+            return attach_multiplication(fig3_lattice(), "table", fig3_table())
+        return attach_multiplication(fig3_lattice(), kind)
     raise InvalidSpec(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

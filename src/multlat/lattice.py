@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder
+from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder, SelfCheckError
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -162,34 +162,39 @@ class Lattice:
 
         Construction already guarantees these; this is the belt-and-braces
         scan used by the test suite (reflexivity through associativity and
-        absorption, glb/lub laws, bounds).
+        absorption, glb/lub laws, bounds).  Raises SelfCheckError naming the
+        first law that fails, also under ``python -O``.
         """
-        n, up, down = self.n, self.up, self.down
+        def law(holds: bool, name: str) -> None:
+            if not holds:
+                raise SelfCheckError(name)
+        n, up, down, meet, join = self.n, self.up, self.down, self.meet, self.join
         full = (1 << n) - 1
         for x in range(n):
-            assert self.leq(x, x), "reflexivity"
-            assert self.leq(self.bottom, x) and self.leq(x, self.top), "bounds"
+            law(self.leq(x, x), "reflexivity")
+            law(self.leq(self.bottom, x) and self.leq(x, self.top), "bounds")
             for y in range(n):
-                assert (down[x] >> y & 1) == (up[y] >> x & 1), "up/down transposes"
+                law((down[x] >> y & 1) == (up[y] >> x & 1), "up/down transposes")
                 if x != y:
-                    assert not (self.leq(x, y) and self.leq(y, x)), "antisymmetry"
-                m, j = self.meet[x][y], self.join[x][y]
-                assert m == self.meet[y][x] and j == self.join[y][x], "commutativity"
+                    law(not (self.leq(x, y) and self.leq(y, x)), "antisymmetry")
+                m, j = meet[x][y], join[x][y]
+                law(m == meet[y][x] and j == join[y][x], "commutativity")
                 low = down[x] & down[y]
                 high = up[x] & up[y]
-                assert low & ~down[m] == 0 and (low >> m & 1), "glb law"
-                assert high & ~up[j] == 0 and (high >> j & 1), "lub law"
-                assert self.meet[x][self.join[x][y]] == x, "absorption"
-                assert self.join[x][self.meet[x][y]] == x, "absorption (dual)"
-            assert self.meet[x][x] == x and self.join[x][x] == x, "idempotence"
+                law(low & ~down[m] == 0 and (low >> m & 1), "glb law")
+                law(high & ~up[j] == 0 and (high >> j & 1), "lub law")
+                law(meet[x][join[x][y]] == x, "absorption")
+                law(join[x][meet[x][y]] == x, "absorption (dual)")
+            law(meet[x][x] == x and join[x][x] == x, "idempotence")
         for x in range(n):
             for y in _bits(up[x]):
-                assert up[y] & ~up[x] == 0, "transitivity"
+                law(up[y] & ~up[x] == 0, "transitivity")
             for y in range(n):
+                m, j = meet[x][y], join[x][y]
                 for z in range(n):
-                    assert self.meet[self.meet[x][y]][z] == self.meet[x][self.meet[y][z]]
-                    assert self.join[self.join[x][y]][z] == self.join[x][self.join[y][z]]
-        assert up[self.bottom] == full and down[self.top] == full
+                    law(meet[m][z] == meet[x][meet[y][z]], "associativity")
+                    law(join[j][z] == join[x][join[y][z]], "associativity (dual)")
+        law(up[self.bottom] == full and down[self.top] == full, "bounds")
 
 
 def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
@@ -201,25 +206,29 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
     (possibly reflexive-stripped) full order and verifies transitivity.
     A pair (x, y) always means x <= y.
 
-    Raises NotAPartialOrder, NoBoundedStructure or NotALattice; never returns
-    a partially validated object.
+    Raises ValueError for no names, a name declared twice (the first in
+    element order), a kind other than "covers" or "leq", or a pair naming an
+    undeclared element: the lattice-file rules, which ``parse_lattice_data``
+    reports in these words.  Raises NotAPartialOrder, NoBoundedStructure or
+    NotALattice; never returns a partially validated object.
     """
     names = tuple(names)
     if not names:
         raise ValueError("at least one element name is required")
-    if len(set(names)) != len(names):
-        raise ValueError("element names must be distinct")
-    if kind not in ("covers", "leq"):
-        raise ValueError(f"unknown relation kind {kind!r}")
     index = {nm: i for i, nm in enumerate(names)}
     n = len(names)
+    if len(index) != n:  # index holds each name's last position
+        dup = next(nm for i, nm in enumerate(names) if index[nm] != i)
+        raise ValueError(f"element name {dup!r} is declared more than once")
+    if kind not in ("covers", "leq"):
+        raise ValueError(f'order kind must be "covers" or "leq", got {kind!r}')
     full = (1 << n) - 1
 
     up = [1 << i for i in range(n)]
     for a, b in pairs:
         if a not in index or b not in index:
             bad = a if a not in index else b
-            raise ValueError(f"relation references undeclared element {bad!r}")
+            raise ValueError(f"order pair references undeclared element {bad!r}")
         up[index[a]] |= 1 << index[b]
 
     if kind == "covers":

@@ -18,11 +18,12 @@ this module computes powers, nilpotents, annihilators, residuals and prime
 elements.
 
 The facts the analysis asks for more than once are computed once per
-``MultLattice`` and cached on it with ``functools.cached_property``: one
-walk of each element's powers (read by the stable power, nilpotency, the
-nilpotency witness and the annihilators), the nilpotency witness, the
-annihilator of every element and the prime elements.  The public functions
-return a fresh list each call.
+``MultLattice`` and cached on it with ``functools.cached_property``: the
+stable power of each element (read by ``stable_power``, ``is_nilpotent``
+and the annihilators), the nilpotency witness, the annihilator of every
+element and the prime elements.  The public functions return a fresh list
+each call.  Reducedness is read off the diagonal of the table, with no
+power walk (see ``nilpotency_witness``).
 
 Primality is decided on J x J.  An element p != 1 is prime exactly when
 a.b is not below p for all join-irreducibles a, b not below p.  Any x not
@@ -67,7 +68,7 @@ class MultLattice:
         return self.product[x][y]
 
     @cached_property
-    def _power_walks(self) -> tuple[tuple[int, int], ...]:
+    def _stable_powers(self) -> tuple[int, ...]:
         return tuple([_power_walk(self.product, a) for a in range(self.n)])
 
     @cached_property
@@ -202,24 +203,22 @@ def power(ml: MultLattice, a: int, k: int) -> int:
     return acc
 
 
-def _power_walk(product: Sequence[Sequence[int]], a: int) -> tuple[int, int]:
-    """(p, k): the stable power p of a and the least k >= 1 with a^k = p.
+def _power_walk(product: Sequence[Sequence[int]], a: int) -> int:
+    """The stable power of a: the first a^k with a^(k+1) = a^k.
 
     M4 forces a^(k+1) <= a^k, so the powers strictly decrease until two
-    consecutive ones agree, and from there on they all equal p.
+    consecutive ones agree, and from there on they all equal that one.
     """
-    p, k = a, 1
-    while True:
-        q = product[p][a]
-        if q == p:
-            return p, k
-        p, k = q, k + 1
+    p = a
+    while (q := product[p][a]) != p:
+        p = q
+    return p
 
 
 def stable_power(ml: MultLattice, a: int) -> int:
     """The limit of the decreasing power sequence a, a^2, a^3, ..., which
     is 0 precisely for nilpotent elements.  Read off the cached walk."""
-    return ml._power_walks[a][0]
+    return ml._stable_powers[a]
 
 
 def is_nilpotent(ml: MultLattice, a: int) -> bool:
@@ -228,20 +227,20 @@ def is_nilpotent(ml: MultLattice, a: int) -> bool:
 
 
 def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
-    """A nonzero nilpotent with the smallest exponent, or None if reduced.
+    """(a, 2) for the first nonzero a with a.a = 0, or None if reduced.
 
-    Ordered exponent-first (k = 2, 3, ...), ties broken by element index,
-    so the witness has the minimal power that reaches 0.  Cached on ``ml``.
+    That is the nonzero nilpotent with the least exponent, ties by index:
+    if a != 0 and k >= 2 is least with a^k = 0, then b = a^(k-1) != 0 and
+    b.b = a^k . a^(k-2) = 0, so the lattice is reduced exactly when no
+    nonzero element squares to 0.  Cached on ``ml``.
     """
     return ml._nilpotency_witness
 
 
 def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
-    bot = ml.lattice.bottom
-    # For a nilpotent a the walk stops at p = 0, and k is its exponent.
-    best = min(((k, a) for a, (p, k) in enumerate(ml._power_walks)
-                if a != bot and p == bot), default=None)
-    return None if best is None else (best[1], best[0])
+    bot, product = ml.lattice.bottom, ml.product
+    a = next((a for a in range(ml.n) if a != bot and product[a][a] == bot), None)
+    return None if a is None else (a, 2)
 
 
 def is_reduced(ml: MultLattice) -> bool:

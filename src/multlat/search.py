@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidSpec, SelfCheckError
-from .fixtures import fixture
+from .fixtures import FIXTURE_MULTS, FIXTURE_NAMES, fixture
 from .lattice import Lattice, build_lattice
-from .multiplication import MultLattice, attach_multiplication
+from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import ideal_lattice_zn
 from .solvers import (DEFAULT_SOLVER_BUDGET, ORACLE_CAP, brute_force_chromatic,
@@ -107,8 +107,7 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
     raise RuntimeError("random poset sampling failed to meet the size bound")
 
 
-def _default_mult(family: str) -> str:
-    return {"divisor": "ring", "fig2": "trivial", "fig3": "table"}.get(family, "meet")
+_DEFAULT_MULTS = {"divisor": "ring", **FIXTURE_MULTS}
 
 
 def _with_mult(lat: Lattice, mult: str) -> MultLattice:
@@ -143,40 +142,31 @@ def generate(spec: str, seed: int = 0) -> list[tuple[str, MultLattice]]:
     AxiomViolation when a requested multiplication is inadmissible on the
     generated lattice.
     """
-    parts = spec.split(":")
-    family = parts[0]
-    args = parts[1:]
-    mult = None
-    known_mults = ("meet", "trivial", "ring", "table")
-    if args and args[-1] in known_mults:
-        mult = args[-1]
-        args = args[:-1]
+    family, *args = spec.split(":")
+    mult = args.pop() if args and args[-1] in (*MULT_KINDS, "ring") else None
+    kind = mult or _DEFAULT_MULTS.get(family, "meet")
 
-    if family in ("fig2", "fig3"):
+    if family in FIXTURE_NAMES:
         if args:
             raise InvalidSpec(f"fixture spec takes no arguments: {spec!r}")
-        kind = mult or _default_mult(family)
         return [(f"{family}+{kind}", fixture(family, kind))]
 
     if family == "chain":
         if len(args) != 1:
             raise InvalidSpec(f"chain spec needs one size argument: {spec!r}")
         k = _int_arg(args[0], spec, "chain size", 1)
-        kind = mult or "meet"
         return [(f"chain:{k}+{kind}", _with_mult(chain_lattice(k), kind))]
 
     if family == "boolean":
         if len(args) != 1:
             raise InvalidSpec(f"boolean spec needs one rank argument: {spec!r}")
         k = _int_arg(args[0], spec, "boolean rank", 0, MAX_BOOLEAN_RANK)
-        kind = mult or "meet"
         return [(f"boolean:{k}+{kind}", _with_mult(boolean_lattice(k), kind))]
 
     if family == "divisor":
         if len(args) != 1:
             raise InvalidSpec(f"divisor spec needs one modulus argument: {spec!r}")
         n = _int_arg(args[0], spec, "divisor modulus")
-        kind = mult or "ring"
         if kind == "ring":
             return [(f"divisor:{n}+ring", ideal_lattice_zn(n).embedded)]
         return [(f"divisor:{n}+{kind}",
@@ -189,7 +179,6 @@ def generate(spec: str, seed: int = 0) -> list[tuple[str, MultLattice]]:
         count = _int_arg(count_s, spec, "random count", 0)
         size = _int_arg(size_s, spec, "random size", MIN_RANDOM_SIZE,
                         MAX_RANDOM_SIZE)
-        kind = mult or "meet"
         out = []
         for i in range(count):
             inst_seed = seed * 1_000_003 + i

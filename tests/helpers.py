@@ -1,11 +1,12 @@
 """Shared test utilities: ad-hoc graphs and reference implementations."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
                      attach_multiplication, build_lattice)
-from multlat.search import chain_lattice
+from multlat.search import boolean_lattice, chain_lattice
 
 
 def make_graph(n: int, edges: list[tuple[int, int]]) -> ZdGraph:
@@ -30,6 +31,16 @@ def cycle_graph(n: int) -> ZdGraph:
 
 def complete_graph(n: int) -> ZdGraph:
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def boolean_2_with_a_wrong_meet() -> Lattice:
+    """boolean_lattice(2) with the meet of {1} and {2} (both ways round)
+    rewritten to {1,2}: every law holds but the glb law."""
+    lat = boolean_lattice(2)
+    x, y = lat.index("{1}"), lat.index("{2}")
+    meet = [list(row) for row in lat.meet]
+    meet[x][y] = meet[y][x] = lat.top
+    return dataclasses.replace(lat, meet=tuple(map(tuple, meet)))
 
 
 def assert_is_n5(lat, witness: tuple[int, int, int, int, int]) -> None:
@@ -427,7 +438,7 @@ def two_walk_nilpotency_scan(ml) -> tuple[int, int] | None:
     """(a, k): the nonzero nilpotent a with the least exponent k, ties by
     index, or None.  Walks each element's powers to see whether it is
     nilpotent, then walks each nilpotent's powers again to count its
-    exponent: the scan that the one cached power walk replaced."""
+    exponent: the scan that reading the diagonal of the table replaced."""
     bot = ml.lattice.bottom
 
     def stable(a):

@@ -522,6 +522,20 @@ def test_bad_timeouts_are_rejected_at_parse_time(args, capsys):
     assert "argument --timeout: must be a finite number of seconds >= 0" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["ring", "--sweep", "5..3"],
+     "argument --sweep: range A..B needs A <= B, got '5..3'"),
+    (["search", "--families", ","], "search needs at least one family spec"),
+])
+def test_a_run_with_nothing_to_analyse_is_a_usage_error(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_unknown_element_names_are_structural_errors(capsys):
     code, _, err = run_cli(["analyze", "--fixture", "fig3",
                             "--element", "zzz"], capsys)

@@ -221,8 +221,9 @@ def test_lemma_suite_on_a_non_reduced_lattice_reads_no_annihilator_or_prime(
 
 
 def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
-    """The stable power, nilpotency, the nilpotency witness and the
-    annihilators all read one cached walk of each element's powers."""
+    """The stable power, nilpotency and the annihilators all read one
+    cached walk of each element's powers; the nilpotency witness reads
+    none."""
     counts: Counter = Counter()
     original = multlat.multiplication._power_walk
 
@@ -235,6 +236,8 @@ def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
     assert counts == Counter(range(30))
     counts.clear()
     ml = fixture("fig3")
+    assert nilpotency_witness(ml) == (ml.lattice.index("f"), 2)
+    assert not counts
     analyze(ml, instance_id="fixture:fig3")
     analyze(ml, instance_id="fixture:fig3")
     assert counts == Counter(range(14))
@@ -260,9 +263,9 @@ def _walk_instances():
 
 
 def test_power_walk_and_annihilator_test_match_their_scans():
-    """The nilpotency witness read off the one power walk equals the
-    two-walk scan, and on every reduced instance the lemma suite finds a
-    nonzero zero divisor exactly when the O(n^2) product scan does."""
+    """The nilpotency witness read off the diagonal of the table equals
+    the two-walk scan, and on every reduced instance the lemma suite finds
+    a nonzero zero divisor exactly when the O(n^2) product scan does."""
     witnesses = Counter()
     zero_divisors = Counter()
     for ml in _walk_instances():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from multlat import (AxiomViolation, LatticeFileError, load_lattice_file,
-                     parse_lattice_data)
+from multlat import (AxiomViolation, LatticeFileError, NotALattice,
+                     build_lattice, load_lattice_file, parse_lattice_data)
+from multlat.cli import main
 
 GOOD = {
     "elements": ["0", "a", "b", "1"],
@@ -97,6 +98,61 @@ def test_undeclared_element_in_pairs_rejected():
     bad = dict(GOOD, order={"kind": "covers", "pairs": [["0", "zz"]]})
     with pytest.raises(LatticeFileError, match="undeclared"):
         parse_lattice_data(bad)
+
+
+def order_document(elements, kind, pairs):
+    return {"elements": elements, "order": {"kind": kind, "pairs": pairs}}
+
+
+# Files that break one rule of build_lattice on names or the order kind.
+NAME_AND_KIND_FAULTS = [
+    (order_document(["0", "a", "a", "1"], "covers", [["0", "a"], ["a", "1"]]),
+     "element name 'a' is declared more than once"),
+    (order_document(["0", "1"], "covers", [["0", "zz"]]),
+     "order pair references undeclared element 'zz'"),
+    (order_document(["0", "1"], "leq", [["0", "1"], ["zz", "1"]]),
+     "order pair references undeclared element 'zz'"),
+    (order_document(["0", "1"], "upward", [["0", "1"]]),
+     'order kind must be "covers" or "leq", got \'upward\''),
+    (order_document(["0", "1"], ["covers"], [["0", "1"]]),
+     'order kind must be "covers" or "leq", got [\'covers\']'),
+    (order_document(["0", "a", "b", "1"], "covers",
+                    [["a", "b"], ["b", "a"], ["a", "zz"]]),
+     "order pair references undeclared element 'zz'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", NAME_AND_KIND_FAULTS,
+                         ids=["duplicate-name", "undeclared-covers",
+                              "undeclared-leq", "kind-string", "kind-list",
+                              "undeclared-and-cycle"])
+def test_name_and_kind_faults_keep_build_lattice_wording(tmp_path, capsys, doc, message):
+    """parse_lattice_data reports build_lattice's ValueError word for word
+    as a LatticeFileError, and validate exits 3 with that message."""
+    with pytest.raises(LatticeFileError) as exc:
+        parse_lattice_data(doc)
+    assert str(exc.value) == message
+    order = doc["order"]
+    with pytest.raises(ValueError) as exc:
+        build_lattice(doc["elements"], order["pairs"], order["kind"])
+    assert str(exc.value) == message
+    assert main(["validate", write(tmp_path, doc)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": "parse", "message": message}
+    assert err == message + "\n"
+
+
+def test_a_non_lattice_file_is_a_structural_error(tmp_path, capsys):
+    """An order that is not a lattice raises NotALattice, not a ValueError,
+    so it is not a file error and validate exits 2."""
+    doc = order_document(["0", "a", "b", "c", "d", "1"], "covers",
+                         [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"],
+                          ["b", "c"], ["b", "d"], ["c", "1"], ["d", "1"]])
+    with pytest.raises(NotALattice) as exc:
+        parse_lattice_data(doc)
+    assert not isinstance(exc.value, ValueError)
+    assert main(["validate", write(tmp_path, doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "NotALattice"
 
 
 def test_axiom_violation_passes_through(tmp_path):

@@ -1,23 +1,28 @@
 """Lattice construction, validation, predicates, and down-set machinery."""
 from __future__ import annotations
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multlat
 from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
-                     NotAPartialOrder, build_lattice, distributivity_witness,
+                     NotAPartialOrder, SelfCheckError, build_lattice, distributivity_witness,
                      fig2_lattice, fig3_lattice, is_distributive, is_modular,
                      is_zero_distributive, modularity_witness,
                      principal_down_set, principal_up_set,
                      zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
-from helpers import (assert_is_n5, bit_scan_meet_join, cover_closure,
-                     enumerate_down_sets, random_closure_lattice)
+from helpers import (assert_is_n5, bit_scan_meet_join, boolean_2_with_a_wrong_meet,
+                     cover_closure, enumerate_down_sets, random_closure_lattice)
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
@@ -116,14 +121,52 @@ def test_pair_without_meet_or_join_reports_the_meet():
 
 
 def test_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one element name"):
         build_lattice([], [], "covers")
-    with pytest.raises(ValueError):
-        build_lattice(["a", "a"], [], "covers")
-    with pytest.raises(ValueError):
+    # "a" is declared first, although "b" is the first one declared again.
+    with pytest.raises(ValueError, match="^element name 'a' is declared more"):
+        build_lattice(["a", "b", "b", "a"], [], "covers")
+    with pytest.raises(ValueError) as exc:
         build_lattice(["a"], [("a", "zz")], "covers")
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "order pair references undeclared element 'zz'"
+    with pytest.raises(ValueError) as exc:
         build_lattice(["a"], [], "weird")
+    assert str(exc.value) == 'order kind must be "covers" or "leq", got \'weird\''
+
+
+def test_assert_valid_names_the_broken_law():
+    fig2_lattice().assert_valid()
+    with pytest.raises(SelfCheckError, match="^glb law$"):
+        boolean_2_with_a_wrong_meet().assert_valid()
+
+
+def test_assert_valid_rejects_a_wrong_meet_under_python_O():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(multlat.__file__))
+    code = ("from multlat import SelfCheckError\n"
+            "from helpers import boolean_2_with_a_wrong_meet\n"
+            "try:\n"
+            "    boolean_2_with_a_wrong_meet().assert_valid()\n"
+            "except SelfCheckError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "glb law\n"
+
+
+def test_the_package_has_no_assert_statement():
+    """Checks in the package raise errors of their own, so that none is
+    stripped under python -O."""
+    found = []
+    for root, _, files in os.walk(os.path.dirname(multlat.__file__)):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_boolean_meets_are_intersections():

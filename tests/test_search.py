@@ -66,6 +66,27 @@ def test_generate_mult_override_token():
     assert not is_reduced(ml)
 
 
+@pytest.mark.parametrize("spec, ids", [
+    ("chain:3", ["chain:3+meet"]),
+    ("chain:3:trivial", ["chain:3+trivial"]),
+    ("boolean:2", ["boolean:2+meet"]),
+    ("boolean:1:trivial", ["boolean:1+trivial"]),
+    ("divisor:12", ["divisor:12+ring"]),
+    ("divisor:12:meet", ["divisor:12+meet"]),
+    ("random:2x8", ["random:seed=3000009,max=8+meet",
+                    "random:seed=3000010,max=8+meet"]),
+    ("random:1x8:meet", ["random:seed=3000009,max=8+meet"]),
+    ("fig2", ["fig2+trivial"]),
+    ("fig2:trivial", ["fig2+trivial"]),
+    ("fig3", ["fig3+table"]),
+    ("fig3:trivial", ["fig3+trivial"]),
+])
+def test_generate_names_each_instance_by_its_multiplication(spec, ids):
+    """Without a ":MULT" suffix the id names the family's default
+    multiplication, with one it names the suffix."""
+    assert [i for i, _ in generate(spec, seed=3)] == ids
+
+
 def test_generate_trivial_on_join_reducible_top_fails():
     # the boolean top is the join of the coatoms
     with pytest.raises(AxiomViolation):

@@ -65,7 +65,9 @@ def _load_instance(args) -> tuple[str, object, object]:
     if getattr(args, "fixture", None):
         ml = fixture(args.fixture, args.mult)
         return f"fixture:{args.fixture}", ml.lattice, ml
-    lat, ml = load_lattice_file(args.file)
+    # A --mult meet or trivial replaces the file's own multiplication, so
+    # that one is checked against the schema only.
+    lat, ml = load_lattice_file(args.file, attach=args.mult in (None, "table"))
     if args.mult and args.mult != "table":
         ml = attach_multiplication(lat, args.mult)
     elif args.mult == "table" and ml is None:

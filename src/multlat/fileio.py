@@ -16,14 +16,17 @@ errors from the core modules (CLI exit 2).
 This module checks only the JSON shape.  The rules on names and the order
 kind (no name declared twice, a kind of "covers" or "leq", no pair naming an
 undeclared element) live in ``build_lattice``, whose ValueError is re-raised
-here as LatticeFileError with the same message.
+here as LatticeFileError with the same message.  A table's entries are read
+once, by ``attach_multiplication``, which looks each one up by name; only
+when that fails is the table searched for an entry that is not a string,
+which is a schema error.
 """
 from __future__ import annotations
 
 import json
 from typing import Any
 
-from .errors import LatticeFileError
+from .errors import IncompleteTable, LatticeFileError
 from .lattice import Lattice, build_lattice
 from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
 
@@ -37,8 +40,20 @@ def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
         raise LatticeFileError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
-def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
-    """Validate parsed JSON data and build the (mult-)lattice it describes."""
+_TABLE_SHAPE = '"table" must be a list of lists of names'
+
+
+def _has_non_name(table: list[list]) -> bool:
+    return not all(isinstance(x, str) for row in table for x in row)
+
+
+def parse_lattice_data(data: Any, attach: bool = True
+                       ) -> tuple[Lattice, MultLattice | None]:
+    """Validate parsed JSON data and build the (mult-)lattice it describes.
+
+    With ``attach`` false the multiplication is checked against the schema
+    only, and None is returned in its place.
+    """
     if not isinstance(data, dict):
         raise LatticeFileError("top level must be a JSON object")
     _expect_keys(data, {"elements", "order", "multiplication"},
@@ -54,9 +69,9 @@ def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
         raise LatticeFileError('"order" must be an object')
     _expect_keys(order, {"kind", "pairs"}, {"kind", "pairs"}, '"order"')
     pairs = order["pairs"]
-    if not isinstance(pairs, list) or not all(
+    if not isinstance(pairs, list) or not all([
             isinstance(p, list) and len(p) == 2
-            and all(isinstance(x, str) for x in p) for p in pairs):
+            and isinstance(p[0], str) and isinstance(p[1], str) for p in pairs]):
         raise LatticeFileError('"pairs" must be a list of [name, name] pairs')
 
     try:
@@ -73,20 +88,31 @@ def parse_lattice_data(data: Any) -> tuple[Lattice, MultLattice | None]:
     if mkind not in MULT_KINDS:
         raise LatticeFileError(
             f'multiplication kind must be one of {MULT_KINDS}, got {mkind!r}')
-    if mkind == "table":
-        _expect_keys(mult, {"kind", "table"}, {"kind", "table"}, '"multiplication"')
-        table = mult["table"]
-        if not isinstance(table, list) or not all(
-                isinstance(row, list) and all(isinstance(x, str) for x in row)
-                for row in table):
-            raise LatticeFileError('"table" must be a list of lists of names')
+    if mkind != "table":
+        _expect_keys(mult, {"kind"}, {"kind"}, '"multiplication"')
+        return lat, attach_multiplication(lat, mkind) if attach else None
+    _expect_keys(mult, {"kind", "table"}, {"kind", "table"}, '"multiplication"')
+    table = mult["table"]
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise LatticeFileError(_TABLE_SHAPE)
+    if not attach:
+        if _has_non_name(table):
+            raise LatticeFileError(_TABLE_SHAPE)
+        return lat, None
+    # The entries are read once, by attach_multiplication; a non-string
+    # entry cannot name an element, so it always ends in IncompleteTable.
+    try:
         return lat, attach_multiplication(lat, "table", table)
-    _expect_keys(mult, {"kind"}, {"kind"}, '"multiplication"')
-    return lat, attach_multiplication(lat, mkind)
+    except IncompleteTable:
+        if _has_non_name(table):
+            raise LatticeFileError(_TABLE_SHAPE) from None
+        raise
 
 
-def load_lattice_file(path: str) -> tuple[Lattice, MultLattice | None]:
-    """Load a lattice file; LatticeFileError on unreadable or malformed input."""
+def load_lattice_file(path: str, attach: bool = True
+                      ) -> tuple[Lattice, MultLattice | None]:
+    """Load a lattice file; LatticeFileError on unreadable or malformed input.
+    ``attach`` is passed to ``parse_lattice_data``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -98,4 +124,4 @@ def load_lattice_file(path: str) -> tuple[Lattice, MultLattice | None]:
         # ValueError: a JSONDecodeError, or an integer literal too long to
         # convert; RecursionError: nesting deeper than the decoder can follow.
         raise LatticeFileError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_lattice_data(data)
+    return parse_lattice_data(data, attach)

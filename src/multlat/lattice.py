@@ -6,18 +6,26 @@ bitmasks (``up[i]`` is the set of elements above ``i``), and meet/join are
 precomputed n-by-n index tables so that everything downstream is a table
 lookup.  All objects here are immutable after construction and safe to share.
 
+A cover relation is closed in one pass over the elements in reverse
+topological order, each element's up-mask the union of its direct
+successors', and one pass back builds the down-masks the same way: one mask
+union per pair each way.  A pass that finds no cycle proves antisymmetry, so
+the pairwise antisymmetry scan runs only when it finds one, to name it.
+
 The tables are built by lookup, not by search: the lower bounds
 ``down[i] & down[j]`` of a pair have a greatest element exactly when they
 equal some ``down[m]``, and then m is the meet, so each meet is one dict
 lookup keyed by the down-mask and each join one lookup keyed by the up-mask.
-The build is O(n^2) table entries after the order closure.
+Both tables are symmetric, so only the n(n+1)/2 entries on and right of the
+diagonal are looked up; the rest are copied from earlier rows.
 
 Facts about a lattice that several layers ask for are computed once per
 ``Lattice`` object and cached on it with ``functools.cached_property``: the
-join-irreducibles, the N5 witness and the 0-distributivity witness.  The
-public functions return a fresh list each call (witnesses are tuples), so a
-caller that mutates a result cannot change the next one.  Each fact is
-decided on its smallest exact core before any cubic scan runs:
+join-irreducibles, the lower covers (shared by the modularity test and the
+multiplication's axiom check), the N5 witness and the 0-distributivity
+witness.  The public functions return a fresh list each call (witnesses
+are tuples), so a caller that mutates a result cannot change the next one.
+Each fact is decided on its smallest exact core before any cubic scan runs:
 
 * the join-irreducibles are the x whose strictly-lower elements form a
   principal down-set, one set lookup each;
@@ -32,7 +40,8 @@ decided on its smallest exact core before any cubic scan runs:
 
 The toolkit targets lattices of up to ~64 elements; Python's unbounded ints
 make the bitmask representation work beyond that (Id(Z_n) with 768 elements
-builds and analyses in under 2 s), but distributivity is still a cubic scan.
+builds, with its multiplication checked, in about 0.6 s), but distributivity
+is still a cubic scan.
 """
 from __future__ import annotations
 
@@ -150,6 +159,33 @@ class Lattice:
                       if x != self.bottom and self.down[x] ^ 1 << x in principal])
 
     @cached_property
+    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The lower covers of every element, ascending: the maximal
+        elements strictly below it.
+
+        Each is found by walking up from the lowest-indexed element left
+        below y to a maximal one, which is a cover; its down-set is then
+        dropped.  The cost is a walk per cover, not a test per element
+        below y.
+        """
+        up, down = self.up, self.down
+        out = []
+        for y in range(self.n):
+            rest = down[y] ^ 1 << y
+            covers = []
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                above = rest & up[x] ^ 1 << x
+                while above:
+                    x = (above & -above).bit_length() - 1
+                    above &= up[x] ^ 1 << x
+                covers.append(x)
+                rest &= ~down[x]
+            covers.sort()
+            out.append(tuple(covers))
+        return tuple(out)
+
+    @cached_property
     def _n5_witness(self) -> tuple[int, int, int, int, int] | None:
         return None if _covers_semimodular(self) else _modularity_scan(self)
 
@@ -197,6 +233,99 @@ class Lattice:
         law(up[self.bottom] == full and down[self.top] == full, "bounds")
 
 
+def _close_acyclic(up: list[int]) -> list[int] | None:
+    """Close the relation whose direct successors are ``up[i]`` (each with
+    bit i set) reflexively and transitively, in place, and return the
+    matching down masks; None, with ``up`` only partly closed, when the
+    relation has a cycle.
+
+    One pass over the nodes in reverse topological order closes ``up``: a
+    node is closed once every direct successor is, as the union of their
+    closures.  The pass back, in topological order, closes ``down`` from
+    the direct predecessors the same way, so each direct pair costs one
+    mask union each way.  A cycle leaves its nodes, and every node below
+    it, unreached.
+    """
+    n = len(up)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    pending = [(up[i] ^ 1 << i).bit_count() for i in range(n)]
+    for i in range(n):
+        for j in _bits(up[i] ^ 1 << i):
+            preds[j].append(i)
+    ready = [i for i in range(n) if not pending[i]]
+    for j in ready:  # grows while it is walked
+        uj = up[j]
+        for i in preds[j]:
+            up[i] |= uj
+            pending[i] -= 1
+            if not pending[i]:
+                ready.append(i)
+    if len(ready) < n:
+        return None
+    down = [1 << i for i in range(n)]
+    for j in reversed(ready):
+        for i in preds[j]:
+            down[j] |= down[i]
+    return down
+
+
+def _close_by_fixpoint(up: list[int]) -> None:
+    """Close ``up`` in place by repeated passes until nothing changes; this
+    also terminates on a relation with cycles."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in _bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+
+
+def _order_down_masks(up: list[int]) -> list[int] | None:
+    """The down masks of the partial order whose up masks are ``up``, in one
+    walk over its pairs; None when it is not transitive (some up[i] lacks
+    part of up[j] for a j in it) or not antisymmetric (some element shares
+    its up mask and its down mask with another)."""
+    n = len(up)
+    down = [0] * n
+    for i, ui in enumerate(up):
+        above = 0
+        for j in _bits(ui):
+            down[j] |= 1 << i
+            above |= up[j]
+        if above != ui:
+            return None
+    if any([u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))]):
+        return None
+    return down
+
+
+def _transitivity_scan(names: tuple[str, ...], up: list[int]) -> None:
+    """Raise NotAPartialOrder naming the first i <= j <= k, in index order,
+    with i <= k missing."""
+    for i in range(len(up)):
+        for j in _bits(up[i]):
+            missing = up[j] & ~up[i]
+            if missing:
+                k = next(_bits(missing))
+                raise NotAPartialOrder(
+                    f"relation is not transitive: {names[i]!r} <= {names[j]!r} <= "
+                    f"{names[k]!r} but {names[i]!r} <= {names[k]!r} is missing")
+
+
+def _antisymmetry_scan(names: tuple[str, ...], up: list[int], what: str) -> None:
+    """Raise NotAPartialOrder naming the first i, then the first j != i,
+    with i <= j <= i in the relation ``up``."""
+    for i in range(len(up)):
+        for j in _bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                raise NotAPartialOrder(
+                    f"relation {what} through {names[i]!r} and {names[j]!r}")
+
+
 def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
                   kind: str = "covers") -> Lattice:
     """Build and fully validate a bounded lattice from an order relation.
@@ -232,37 +361,19 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
         up[index[a]] |= 1 << index[b]
 
     if kind == "covers":
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                for j in _bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-
-    for i in range(n):
-        for j in _bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                what = "contains a cycle" if kind == "covers" else "violates antisymmetry"
-                raise NotAPartialOrder(
-                    f"relation {what} through {names[i]!r} and {names[j]!r}")
-    if kind == "leq":
-        for i in range(n):
-            for j in _bits(up[i]):
-                missing = up[j] & ~up[i]
-                if missing:
-                    k = next(_bits(missing))
-                    raise NotAPartialOrder(
-                        f"relation is not transitive: {names[i]!r} <= {names[j]!r} <= "
-                        f"{names[k]!r} but {names[i]!r} <= {names[k]!r} is missing")
-
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+        down = _close_acyclic(up)
+        if down is None:
+            _close_by_fixpoint(up)
+            _antisymmetry_scan(names, up, "contains a cycle")
+            raise SelfCheckError("the closure pass found a cycle that the "
+                                 "antisymmetry scan does not")
+    else:
+        down = _order_down_masks(up)
+        if down is None:
+            _antisymmetry_scan(names, up, "violates antisymmetry")
+            _transitivity_scan(names, up)
+            raise SelfCheckError("the order walk rejected a relation that the "
+                                 "antisymmetry and transitivity scans accept")
 
     bottoms = [i for i in range(n) if up[i] == full]
     tops = [i for i in range(n) if down[i] == full]
@@ -276,14 +387,17 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
     # (dually for upper bounds), so a missing key means no meet (join).
     by_down = {d: m for m, d in enumerate(down)}
     by_up = {u: m for m, u in enumerate(up)}
+    # Both tables are symmetric: row i is looked up from the diagonal on,
+    # and left of it copied from column i of the earlier rows.  An earlier
+    # row with a missing entry has already raised, so the copy holds no None.
     meet_rows: list[tuple[int, ...]] = []
     join_rows: list[tuple[int, ...]] = []
     for i in range(n):
         di, ui = down[i], up[i]
-        mrow = [by_down.get(di & d) for d in down]
-        jrow = [by_up.get(ui & u) for u in up]
+        mrow = [row[i] for row in meet_rows] + [by_down.get(di & d) for d in down[i:]]
+        jrow = [row[i] for row in join_rows] + [by_up.get(ui & u) for u in up[i:]]
         if None in mrow or None in jrow:
-            for j in range(n):
+            for j in range(i, n):
                 if mrow[j] is None:
                     raise NotALattice(
                         f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
@@ -338,21 +452,6 @@ def is_modular(lat: Lattice) -> bool:
     return lat._n5_witness is None
 
 
-def _covers(lat: Lattice) -> tuple[list[list[int]], list[list[int]]]:
-    """(upper covers, lower covers) of every element: the minimal elements
-    strictly above it and the maximal ones strictly below it."""
-    n, up, down = lat.n, lat.up, lat.down
-    upper: list[list[int]] = [[] for _ in range(n)]
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        above = up[x] ^ 1 << x
-        for y in _bits(above):
-            if down[y] & above == 1 << y:
-                upper[x].append(y)
-                lower[y].append(x)
-    return upper, lower
-
-
 def _covers_semimodular(lat: Lattice) -> bool:
     """Whether the lattice is upper and lower semimodular, by Birkhoff's
     condition on covering pairs: any two upper covers a, b of one element
@@ -362,7 +461,11 @@ def _covers_semimodular(lat: Lattice) -> bool:
     + r(a ^ b) (<= for the lower half), so equality holds, and that rules
     out a pentagon."""
     up, down, meet, join = lat.up, lat.down, lat.meet, lat.join
-    upper, lower = _covers(lat)
+    lower = lat._lower_covers
+    upper: list[list[int]] = [[] for _ in range(lat.n)]
+    for y, covers in enumerate(lower):
+        for x in covers:
+            upper[x].append(y)
     for x in range(lat.n):
         covers = upper[x]
         for i, a in enumerate(covers):

@@ -9,11 +9,14 @@ attach time:
   M4  below the meet         a.b <= a ^ b
   M5  top is a unit          a.1 = a
 
-The check is exact but does not visit all n^3 triples.  Every element is a
-join of join-irreducibles, and a product that distributes over joins is
-fixed by its values on them, so M3 is checked with c ranging over the
-join-irreducibles J only, in O(n^2 |J|), and M2 on J^3 only (see
-``_verify_axioms`` for why that suffices).  On top of the verified table
+The check is exact but does not visit all n^3 triples.  M1, M4 and M5,
+which imply a.0 = 0, are whole-row tests in O(n^2).  M3 is checked on the
+cover graph: a.(b v j) = a.b v a.j for a and j among the join-irreducibles
+J, in O(|J|^2 n), and each other nonzero row against the join of the rows
+of two of its lower covers, in O(n^2) over all rows; M2 is checked on J^3
+only (see ``_verify_axioms`` for why that suffices).  The tests compare
+whole rows; a failed test hands over to a scan that names the witness an
+element-by-element check would name.  On top of the verified table
 this module computes powers, nilpotents, annihilators, residuals and prime
 elements.
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import Sequence
 
 from .errors import AxiomViolation, IncompleteTable, SelfCheckError
@@ -87,56 +91,149 @@ class MultLattice:
 def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
     """Raise AxiomViolation unless ``product`` satisfies M1-M5 on ``lat``.
 
-    M5, a.0 = 0, M1 and M4 are checked on all pairs.  M3 is then checked as
-    a.(b v j) = a.b v a.j for every a, b and every join-irreducible j.  That
-    implies M3 for every c, in any finite lattice: c is 0 or a join
-    c' v j with j join-irreducible, and by induction on such a decomposition
-    a.(b v c' v j) = a.(b v c') v a.j = a.b v a.c' v a.j = a.b v a.c, with
-    a.(b v 0) = a.b v a.0 from a.0 = 0.  With M1 and M3 in hand, (a.b).c and
-    a.(b.c) both preserve joins and 0 in each argument, so agreeing on J^3
-    means agreeing everywhere, and M2 is checked on J^3 only.  The cost is
-    O(n^2 |J|), and every witness violates the axiom it is reported under.
+    The pair axioms are whole-row tests: M1 is the table equal to its
+    transpose; M4 is every value in row a lying in down(a), which with M1
+    gives a.b = b.a <= a ^ b; M5 is read off the column of 1.  a.0 = 0
+    needs no test of its own: M4 puts row 0 inside down(0) = {0}, and M1
+    carries that to column 0.
+
+    M3 is checked on the cover graph, in two phases, with J the
+    join-irreducibles:
+
+    (i)  a.(b v j) = a.b v a.j for a and j in J and every b, in |J|^2 n;
+    (ii) for every c != 0 outside J, row c is the elementwise join of the
+         rows of two of its lower covers, in (n - |J| - 1) n.
+
+    Call row a good when a.(b v j) = a.b v a.j for every b and every j in J.
+    Every row good implies M3: each c is 0 or a join c' v j with j in J, and
+    by induction on such a decomposition a.(b v c' v j) = a.(b v c') v a.j =
+    a.b v a.c' v a.j = a.b v a.c, with a.(b v 0) = a.b v a.0 from a.0 = 0.
+    Row 0 is good, as 0.x = x.0 = 0 by M1.  A row in J that passes (i) is
+    good by definition.  A row c that is the elementwise join of two good
+    rows d and e is good: c.(b v j) = d.(b v j) v e.(b v j) = d.b v d.j v
+    e.b v e.j = c.b v c.j.  So, going up the cover graph from 0, (i) and
+    (ii) make every row good, and M3 holds.  Conversely M3 implies both: (i)
+    is a case of it, and a nonzero c outside J has two or more lower
+    covers, any two of which, d and e, join to c (d < d v e <= c, and c
+    covers d), so c.x = x.(d v e) = x.d v x.e.  The two phases therefore
+    decide M3 exactly.  (A row c in J also lies above the row of its one
+    lower cover, but that follows from M3, so it is not checked.)
+
+    With M1 and M3 in hand, (a.b).c and a.(b.c) both preserve joins and 0 in
+    each argument, so agreeing on J^3 means agreeing everywhere, and M2 is
+    checked on J^3 only.
+
+    When a test fails, the scan that it stands for runs to name the
+    witness, so the axiom and the witness are those the scans alone would
+    report: the pair scan in row order, then the M3 scan of the rows that
+    the phases left uncertified, in index order.  Phase (ii) certifies a
+    row from two certified lower covers, so every certified row is good, and
+    the first row the scan rejects is the first row that is not good.  A
+    failed test whose scan finds nothing raises SelfCheckError.
     """
-    n = lat.n
-    names = lat.names
-    bot, top = lat.bottom, lat.top
-    up, meet, join = lat.up, lat.meet, lat.join
-
-    def fail(axiom: str, witness: tuple[int, ...], text: str) -> None:
-        wnames = tuple(names[w] for w in witness)
-        raise AxiomViolation(axiom, wnames, f"{axiom} fails at {wnames}: {text}")
-
-    for a in range(n):
-        pa = product[a]
-        if pa[top] != a:
-            fail("M5", (a,), f"{names[a]}*1 = {names[pa[top]]}")
-        if pa[bot] != bot:
-            fail("M3", (a, bot), f"{names[a]}*0 = {names[pa[bot]]}")
-        ma = meet[a]
-        for b in range(a, n):
-            p = pa[b]
-            if p != product[b][a]:
-                fail("M1", (a, b), "products differ under swap")
-            if not up[p] >> ma[b] & 1:
-                fail("M4", (a, b), "product is not below the meet")
-    irreducibles = lat.join_irreducibles()
-    for a in range(n):
-        pa = product[a]
-        for j in irreducibles:
-            # join is symmetric, so join[j] is the column b -> b v j.
-            jj, jpa = join[j], join[pa[j]]
-            lhs = [pa[x] for x in jj]     # a.(b v j) for every b
-            rhs = [jpa[x] for x in pa]    # a.b v a.j for every b
-            if lhs != rhs:
-                b = next(b for b in range(n) if lhs[b] != rhs[b])
-                fail("M3", (a, b, j), "product does not distribute over join")
+    rows = tuple([tuple(row) for row in product])
+    if not _pair_axioms_hold(lat, rows):
+        _pair_axiom_scan(lat, rows)
+        raise SelfCheckError("the whole-row pair tests reject a table that "
+                             "the pair scan accepts")
+    uncertified = _m3_uncertified_rows(lat, rows)
+    if uncertified:
+        _m3_scan(lat, rows, uncertified)
+        raise SelfCheckError("the cover-graph M3 phases reject a table that "
+                             "the M3 scan accepts")
+    irreducibles = lat._join_irreducibles
     for a in irreducibles:
-        pa = product[a]
+        pa = rows[a]
         for b in irreducibles:
-            pab, pb = product[pa[b]], product[b]
+            pab, pb = rows[pa[b]], rows[b]
             for c in irreducibles:
                 if pab[c] != pa[pb[c]]:
-                    fail("M2", (a, b, c), "associativity fails")
+                    _fail(lat, "M2", (a, b, c), "associativity fails")
+
+
+def _fail(lat: Lattice, axiom: str, witness: tuple[int, ...], text: str) -> None:
+    wnames = tuple(lat.names[w] for w in witness)
+    raise AxiomViolation(axiom, wnames, f"{axiom} fails at {wnames}: {text}")
+
+
+def _pair_axioms_hold(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> bool:
+    """M1, M4 and M5, each as a test on whole rows or columns; together
+    they imply a.0 = 0."""
+    return (all(map(eq, rows, zip(*rows)))
+            and [pa[lat.top] for pa in rows] == [*range(lat.n)]
+            # the mask of the values in row a lies inside down(a)
+            and all([sum(map((1).__lshift__, set(pa))) & ~d == 0
+                     for d, pa in zip(lat.down, rows)]))
+
+
+def _pair_axiom_scan(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise for the first pair-axiom failure, with a <= b in row order:
+    M5 and a.0 = 0 for a, then M1 and M4 for each b."""
+    names, bot, top = lat.names, lat.bottom, lat.top
+    up, meet = lat.up, lat.meet
+    for a in range(lat.n):
+        pa = rows[a]
+        if pa[top] != a:
+            _fail(lat, "M5", (a,), f"{names[a]}*1 = {names[pa[top]]}")
+        if pa[bot] != bot:
+            _fail(lat, "M3", (a, bot), f"{names[a]}*0 = {names[pa[bot]]}")
+        ma = meet[a]
+        for b in range(a, lat.n):
+            p = pa[b]
+            if p != rows[b][a]:
+                _fail(lat, "M1", (a, b), "products differ under swap")
+            if not up[p] >> ma[b] & 1:
+                _fail(lat, "M4", (a, b), "product is not below the meet")
+
+
+def _distributes(pa: tuple[int, ...], jj: tuple[int, ...], jpa: tuple[int, ...]) -> bool:
+    """a.(b v j) = a.b v a.j for every b, given row a, the column
+    b -> b v j and the row of a.j in the join table."""
+    return [pa[x] for x in jj] == [jpa[x] for x in pa]
+
+
+def _m3_uncertified_rows(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The rows that phases (i) and (ii) do not certify as good, ascending;
+    empty exactly when M3 holds (see ``_verify_axioms``).  Phase (ii) joins
+    the rows of the first two certified lower covers of c, so that one bad
+    row below c does not leave c uncertified."""
+    join, down = lat.join, lat.down
+    irreducibles = lat._join_irreducibles
+    lower = lat._lower_covers
+    good = [False] * lat.n
+    good[lat.bottom] = True
+    for a in irreducibles:
+        pa = rows[a]
+        # join is symmetric, so join[j] is the column b -> b v j.
+        good[a] = all(_distributes(pa, join[j], join[pa[j]]) for j in irreducibles)
+    # Lower covers have fewer elements below them, so they come first.
+    for c in sorted(range(lat.n), key=lambda c: down[c].bit_count()):
+        if len(lower[c]) < 2:
+            continue  # 0 or a join-irreducible
+        certified = [d for d in lower[c] if good[d]]
+        if len(certified) >= 2:
+            d, e = certified[0], certified[1]
+            good[c] = [join[x][y] for x, y in zip(rows[d], rows[e])] == [*rows[c]]
+    return [a for a, ok in enumerate(good) if not ok]
+
+
+def _m3_scan(lat: Lattice, rows: tuple[tuple[int, ...], ...], scan: list[int]) -> None:
+    """Raise for the first a in ``scan``, then the first j in J, then the
+    first b with a.(b v j) != a.b v a.j."""
+    join = lat.join
+    for a in scan:
+        pa = rows[a]
+        for j in lat._join_irreducibles:
+            jj, jpa = join[j], join[pa[j]]
+            if not _distributes(pa, jj, jpa):
+                b = next(b for b, x in enumerate(jj) if pa[x] != jpa[pa[b]])
+                _fail(lat, "M3", (a, b, j), "product does not distribute over join")
+
+
+def _checked(lat: Lattice, product: tuple[tuple[int, ...], ...]) -> MultLattice:
+    """``product`` attached to ``lat`` once every axiom holds on it."""
+    _verify_axioms(lat, product)
+    return MultLattice(lat, product)
 
 
 def attach_multiplication(lat: Lattice, kind: str = "meet",
@@ -173,20 +270,17 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             if len(row) != n:
                 raise IncompleteTable(
                     f"table row {i} has {len(row)} entries, expected {n}")
-            out = []
-            for j, name in enumerate(row):
-                try:
-                    out.append(index[name])
-                except (KeyError, TypeError):  # TypeError: unhashable entry
-                    raise IncompleteTable(
-                        f"table entry ({i},{j}) names unknown element {name!r}") from None
-            rows.append(tuple(out))
+            try:
+                rows.append(tuple([index[name] for name in row]))
+            except (KeyError, TypeError):  # TypeError: unhashable entry
+                j, name = next((j, x) for j, x in enumerate(row)
+                               if not isinstance(x, str) or x not in index)
+                raise IncompleteTable(
+                    f"table entry ({i},{j}) names unknown element {name!r}") from None
         product = tuple(rows)
     else:
         raise ValueError(f"unknown multiplication kind {kind!r}")
-
-    _verify_axioms(lat, product)
-    return MultLattice(lat, product)
+    return _checked(lat, product)
 
 
 # ---------------------------------------------------------------------------

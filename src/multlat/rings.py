@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidModulus, SelfCheckError
 from .lattice import Lattice, build_lattice, is_modular
-from .multiplication import MultLattice, attach_multiplication
+from .multiplication import MultLattice, _checked
 from .report import BeckReport, analyze
 from .solvers import DEFAULT_SOLVER_BUDGET
 
@@ -83,7 +83,8 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     order, so the whole ring (1) is the top and the zero ideal (n) is the
     bottom.  The order is built from its cover pairs, (d*p) below (d) for
     each prime p dividing n/d, and checked against lcm and gcd.  Products
-    are computed in unbounded integers.
+    are computed in unbounded integers and handed to the axiom check as an
+    index table, with no round trip through the element names.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
@@ -103,8 +104,9 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
         if [divs[j] for j in lat.join[i]] != [math.gcd(d1, d2) for d2 in divs]:
             raise SelfCheckError(f"join table of Id(Z_{n}) is not gcd")
 
-    table = [[names[position[math.gcd(d1 * d2, n)]] for d2 in divs] for d1 in divs]
-    ml = attach_multiplication(lat, "table", table)
+    product = tuple([tuple([position[math.gcd(d1 * d2, n)] for d2 in divs])
+                     for d1 in divs])
+    ml = _checked(lat, product)
     if not is_modular(lat):
         raise SelfCheckError(f"Id(Z_{n}) reports non-modular; divisor lattices "
                              "are distributive")

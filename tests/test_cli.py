@@ -269,6 +269,39 @@ def test_analyze_mult_override(tmp_path, capsys):
     assert report["chi"] == report["omega"] == 2
 
 
+B2_BAD_TABLE = dict(B2_MEET, multiplication={"kind": "table", "table": [
+    ["0", "0", "0", "0"], ["0", "a", "0", "a"],
+    ["0", "0", "b", "b"], ["0", "a", "b", "a"]]})  # 1*1 = a breaks M5
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["graph", "--sense", "mult"]])
+def test_mult_override_does_not_check_the_files_own_table(tmp_path, capsys, command):
+    """--mult meet or trivial replaces the file's table, so that table is
+    neither resolved nor verified; without the override it still is."""
+    path = write(tmp_path, B2_BAD_TABLE)
+    code, _, _ = run_cli([*command, path, "--mult", "meet"], capsys)
+    assert code == 0
+    code, _, err = run_cli([*command, path], capsys)
+    assert code == 2
+    assert "M5 fails at ('1',)" in err
+    code, _, err = run_cli([*command, path, "--mult", "table"], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("multiplication", [
+    {"kind": "table", "table": [["0", 0, "0", "0"]]},
+    {"kind": "table", "table": "no"},
+    {"kind": "table"},
+    {"kind": "magic"},
+    {"kind": "meet", "table": []},
+])
+def test_mult_override_still_checks_the_schema(tmp_path, capsys, multiplication):
+    path = write(tmp_path, dict(B2_MEET, multiplication=multiplication))
+    for mult in ("meet", "trivial"):
+        code, _, _ = run_cli(["analyze", path, "--mult", mult], capsys)
+        assert code == 3
+
+
 def test_analyze_timeout_partial_report(capsys):
     code, out, _ = run_cli(["analyze", "--fixture", "fig3",
                             "--timeout", "0"], capsys)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from multlat import (AxiomViolation, LatticeFileError, NotALattice,
+from multlat import (AxiomViolation, IncompleteTable, LatticeFileError, NotALattice,
                      build_lattice, load_lattice_file, parse_lattice_data)
 from multlat.cli import main
 
@@ -43,6 +43,35 @@ def test_load_lattice_with_table(tmp_path):
     }
     lat, ml = load_lattice_file(write(tmp_path, data))
     assert ml.prod(1, 1) == 1
+
+
+TABLE_SHAPE = '"table" must be a list of lists of names'
+
+
+@pytest.mark.parametrize("table, error, message", [
+    # A non-string entry is a schema error wherever it is and whatever else
+    # is wrong with the table: exit 3, as when every entry was type-checked
+    # before any was resolved.
+    ([["0", 0], ["0", "1"]], LatticeFileError, TABLE_SHAPE),
+    ([["0", "0"], ["0", ["1"]]], LatticeFileError, TABLE_SHAPE),
+    ([["0", "0"], ["0", None]], LatticeFileError, TABLE_SHAPE),
+    ([["0"], ["0", 1]], LatticeFileError, TABLE_SHAPE),
+    ([["0", "0"], ["0", "1"], [{}]], LatticeFileError, TABLE_SHAPE),
+    # Strings only: resolving them names the fault, exit 2.
+    ([["0", "0"], ["0", "one"]], IncompleteTable,
+     "table entry (1,1) names unknown element 'one'"),
+    ([["0", "0"], ["0"]], IncompleteTable, "table row 1 has 1 entries, expected 2"),
+    ([["0", "0"]], IncompleteTable, "table has 1 rows, expected 2"),
+])
+def test_table_faults_keep_their_kind_and_message(tmp_path, capsys, table, error,
+                                                  message):
+    data = {"elements": ["0", "1"], "order": {"kind": "covers", "pairs": [["0", "1"]]},
+            "multiplication": {"kind": "table", "table": table}}
+    with pytest.raises(error) as exc:
+        parse_lattice_data(data)
+    assert str(exc.value) == message
+    assert main(["validate", write(tmp_path, data)]) == (3 if error is LatticeFileError else 2)
+    capsys.readouterr()
 
 
 def test_leq_kind(tmp_path):

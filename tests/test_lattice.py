@@ -73,7 +73,8 @@ def test_missing_bottom_is_rejected():
 
 
 def test_cycle_is_rejected():
-    with pytest.raises(NotAPartialOrder):
+    with pytest.raises(NotAPartialOrder,
+                       match="^relation contains a cycle through 'a' and 'b'$"):
         build_lattice(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "covers")
 
 
@@ -331,6 +332,124 @@ def test_random_cover_relations(n, raw_pairs):
         assert is_zero_distributive(lat)
 
 
+def seeded_relations(seed: int, count: int):
+    """(n, index pairs) for seeded relations in any element order, with
+    cycles, self-pairs, pairs that are not covers and some bowties, most
+    with a bottom and a top added."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 10)
+        index_pairs = [(rng.randrange(n), rng.randrange(n))
+                       for _ in range(rng.randrange(2 * n))]
+        if rng.random() < 0.7:  # keep the pairs that go up a random order
+            rank = rng.sample(range(n), n)
+            index_pairs = [(a, b) for a, b in index_pairs if rank[a] <= rank[b]]
+        picks = rng.sample(range(n), n)
+        if n >= 6 and rng.random() < 0.4:  # a bowtie: a, b below both c and d
+            a, b, c, d = picks[2:6]
+            index_pairs += [(a, c), (a, d), (b, c), (b, d)]
+        if rng.random() < 0.8:
+            bot, top = picks[:2]
+            index_pairs += [(bot, x) for x in range(n)] + [(x, top) for x in range(n)]
+        yield n, index_pairs
+
+
+def build_outcome(names, pairs, kind, up, down) -> str:
+    """Build, and check the lattice or the error against the oracles on
+    the closed order (up, down), which the relation is known to match up
+    to the error cases the caller checks; returns the kind of outcome."""
+    n = len(names)
+    try:
+        lat = build_lattice(names, pairs, kind)
+    except NoBoundedStructure:
+        full = (1 << n) - 1
+        assert full not in up or full not in down
+        return "unbounded"
+    except NotALattice as exc:
+        with pytest.raises(NotALattice) as ref:
+            bit_scan_meet_join(names, up, down)
+        assert str(exc) == str(ref.value)
+        return "not a lattice"
+    assert (list(lat.up), list(lat.down)) == (up, down)
+    assert (lat.meet, lat.join) == bit_scan_meet_join(names, up, down)
+    return "lattice"
+
+
+def first_cycle(up: list[int]) -> tuple[int, int] | None:
+    """The first i, then j != i, with j in up[i] and i in up[j]."""
+    n = len(up)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if j != i and up[i] >> j & 1 and up[j] >> i & 1), None)
+
+
+def test_seeded_cover_relations_close_like_warshall():
+    """The one-pass closure gives Warshall's up and down masks, a cyclic
+    relation raises with the first cycle pair the pairwise scan names, and
+    the tables or the NotALattice pair match the bit-scan oracle."""
+    outcomes = []
+    for n, index_pairs in seeded_relations(10, 600):
+        names = [f"v{i}" for i in range(n)]
+        pairs = [(names[a], names[b]) for a, b in index_pairs]
+        up, down = cover_closure(n, index_pairs)
+        cycle = first_cycle(up)
+        if cycle is not None:
+            i, j = cycle
+            with pytest.raises(NotAPartialOrder) as exc:
+                build_lattice(names, pairs, "covers")
+            assert str(exc.value) == (f"relation contains a cycle through "
+                                      f"{names[i]!r} and {names[j]!r}")
+            outcomes.append("cycle")
+            continue
+        outcomes.append(build_outcome(names, pairs, "covers", up, down))
+    kinds = ("cycle", "unbounded", "not a lattice", "lattice")
+    assert min(map(outcomes.count, kinds)) >= 20
+
+
+def test_seeded_order_relations_match_the_pairwise_scans():
+    """Each seeded relation given as "leq", as it is and closed (where
+    acyclic), so that some are orders: the one walk that checks
+    transitivity and antisymmetry raises what the pairwise scans name,
+    first antisymmetry, then transitivity, and an order builds as the
+    bit-scan oracle says."""
+    outcomes = []
+    for n, index_pairs in seeded_relations(11, 300):
+        names = [f"v{i}" for i in range(n)]
+        closed_up, _ = cover_closure(n, index_pairs)
+        relations = [index_pairs]
+        if first_cycle(closed_up) is None:
+            relations.append([(i, j) for i in range(n) for j in range(n)
+                              if closed_up[i] >> j & 1])
+        for rel in relations:
+            pairs = [(names[a], names[b]) for a, b in rel]
+            up = [1 << i for i in range(n)]
+            for a, b in rel:
+                up[a] |= 1 << b
+            cycle = first_cycle(up)
+            broken = next(((i, j, k) for i in range(n) for j in range(n)
+                           if up[i] >> j & 1
+                           for k in range(n) if up[j] >> k & 1 and not up[i] >> k & 1),
+                          None)
+            if cycle is not None or broken is not None:
+                if cycle is not None:
+                    i, j = cycle
+                    message = (f"relation violates antisymmetry through "
+                               f"{names[i]!r} and {names[j]!r}")
+                else:
+                    i, j, k = broken
+                    message = (f"relation is not transitive: {names[i]!r} <= "
+                               f"{names[j]!r} <= {names[k]!r} but {names[i]!r} <= "
+                               f"{names[k]!r} is missing")
+                with pytest.raises(NotAPartialOrder) as exc:
+                    build_lattice(names, pairs, "leq")
+                assert str(exc.value) == message
+                outcomes.append("cycle" if cycle else "not transitive")
+                continue
+            down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+            outcomes.append(build_outcome(names, pairs, "leq", up, down))
+    kinds = ("cycle", "not transitive", "unbounded", "not a lattice", "lattice")
+    assert min(map(outcomes.count, kinds)) >= 10
+
+
 @given(st.sets(st.integers(1, 30), min_size=3, max_size=10), st.booleans())
 def test_random_subset_orders_match_bit_scan_oracle(middle, reverse):
     """Bounded families of subsets of a 5-set, ordered by inclusion or its
@@ -365,6 +484,7 @@ def test_join_irreducibles_have_one_lower_cover():
                          and not any(strict[z] >> y & 1 for z in range(lat.n)
                                      if strict[x] >> z & 1)]
                         for x in range(lat.n)]
+        assert lat._lower_covers == tuple(map(tuple, lower_covers))
         irreducibles = lat.join_irreducibles()
         assert irreducibles == [x for x in range(lat.n) if len(lower_covers[x]) == 1]
         for x in range(lat.n):

@@ -1,7 +1,10 @@
 """Multiplication axioms and the multiplicative notions built on them."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,12 +17,14 @@ from multlat import (AxiomViolation, IncompleteTable, MultLattice,
                      is_prime_element, is_reduced, is_zero_distributive,
                      maximal_annihilator_elements, minimal_prime_elements,
                      nilpotency_witness, power, prime_elements, residual)
+from multlat import multiplication
 from multlat.multiplication import _verify_axioms, stable_power
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
 from helpers import (axiom_holds_at, exhaustive_axiom_violation,
-                     random_closure_lattice, trivial_product)
+                     join_irreducible_axiom_violation, random_closure_lattice,
+                     trivial_product)
 from test_lattice import diamond_lattice, pentagon_lattice
 
 
@@ -110,14 +115,18 @@ def test_exhaustive_axiom_scan_on_fig3():
 
 
 def assert_matches_oracle(lat, product) -> str | None:
-    """The fast check and the exhaustive one agree on accept or reject, and
-    each reported witness violates the axiom it is reported under.  Returns
-    the axiom the fast check reported, or None."""
+    """The fast check and the exhaustive one agree on accept or reject, each
+    reported witness violates the axiom it is reported under, and the fast
+    check names the same axiom and witness as the element-wise
+    join-irreducible scan.  Returns the axiom the fast check reported, or
+    None."""
     reference = exhaustive_axiom_violation(lat, product)
+    scanned = join_irreducible_axiom_violation(lat, product)
     try:
         _verify_axioms(lat, product)
     except AxiomViolation as exc:
         witness = tuple(lat.index(w) for w in exc.witness)
+        assert (exc.axiom, witness) == scanned
         assert reference is not None, f"{exc} but every triple satisfies M1-M5"
         assert not axiom_holds_at(lat, product, exc.axiom, witness)
         assert not axiom_holds_at(lat, product, *reference)
@@ -128,6 +137,7 @@ def assert_matches_oracle(lat, product) -> str | None:
             assert witness[2] in irreducibles
         return exc.axiom
     assert reference is None, f"accepted, but the oracle finds {reference}"
+    assert scanned is None
     return None
 
 
@@ -217,6 +227,94 @@ def test_axiom_check_matches_oracle_on_every_chain_table():
                 table = [[0, 0, 0, 0], [0, aa, ab, 1], [0, ab, bb, 2], [0, 1, 2, 3]]
                 accepted += assert_matches_oracle(lat, table) is None
     assert 0 < accepted < 12
+
+
+def m3_phases(lat, product) -> tuple[bool, bool]:
+    """Whether the table passes phase (i) and phase (ii) of the cover-graph
+    M3 check, restated from their definitions: (i) a.(b v j) = a.b v a.j for
+    a, j join-irreducible and every b; (ii) every nonzero c outside J has
+    its row equal to the elementwise join of the rows of its first two
+    lower covers."""
+    n, join = lat.n, lat.join
+    irreducibles = lat.join_irreducibles()
+    phase_one = all(product[a][join[b][j]] == join[product[a][b]][product[a][j]]
+                    for a in irreducibles for j in irreducibles for b in range(n))
+    strict = [lat.down[c] & ~(1 << c) for c in range(n)]
+    phase_two = True
+    for c in range(n):
+        covers = [d for d in range(n) if strict[c] >> d & 1
+                  and not any(strict[c] >> e & 1 and lat.leq(d, e) and e != d
+                              for e in range(n))]
+        if len(covers) >= 2:
+            d, e = covers[:2]
+            phase_two &= all(product[c][x] == join[product[d][x]][product[e][x]]
+                             for x in range(n))
+    return phase_one, phase_two
+
+
+def test_each_m3_phase_rejects_a_table_the_other_accepts():
+    """The pentagon under its meet fails only phase (i), and boolean:3
+    under its meet but with {1,2}.{1,2} = {1} fails only phase (ii), so
+    neither phase can be dropped; both are rejected under M3 with the
+    witness of the element-wise scan.  (The diamond under its meet fails
+    both: the rows of two of its atoms join to 0 at the third.)"""
+    pentagon, diamond = pentagon_lattice(), diamond_lattice()
+    b3 = boolean_lattice(3)
+    x = b3.index("{1,2}")
+    squashed = [list(row) for row in b3.meet]
+    squashed[x][x] = b3.index("{1}")
+    cases = [(pentagon, pentagon.meet, (False, True)),
+             (b3, squashed, (True, False)),
+             (diamond, diamond.meet, (False, False))]
+    for lat, product, phases in cases:
+        assert m3_phases(lat, product) == phases
+        assert assert_matches_oracle(lat, product) == "M3"
+
+
+def test_a_row_above_an_uncertified_row_is_scanned():
+    """Id(Z_12) under its meet but with (2).(3) = (3).(6) = 0: row (2) is
+    still the join of the rows of its lower covers (4) and (6), but row (6)
+    fails phase (i), so row (2) is not certified from it.  It is scanned,
+    and named, as the element-wise scan names it."""
+    lat = ideal_lattice_zn(12).lattice
+    table = [list(row) for row in lat.meet]
+    for x, y in (("(2)", "(3)"), ("(3)", "(6)")):
+        i, j = lat.index(x), lat.index(y)
+        table[i][j] = table[j][i] = lat.bottom
+    with pytest.raises(AxiomViolation) as exc:
+        _verify_axioms(lat, table)
+    assert exc.value.witness == ("(2)", "(4)", "(3)")
+    assert assert_matches_oracle(lat, table) == "M3"
+
+
+def test_a_fast_test_its_scan_contradicts_is_a_self_check_error(monkeypatch):
+    """A whole-row test or an M3 phase that rejects a table its scan then
+    accepts raises SelfCheckError, not an AxiomViolation or nothing."""
+    lat = chain_lattice(2)
+    monkeypatch.setattr(multiplication, "_pair_axiom_scan", lambda lat, rows: None)
+    with pytest.raises(SelfCheckError, match="pair scan accepts"):
+        _verify_axioms(lat, [[0, 1], [0, 1]])  # breaks M1
+    lat = diamond_lattice()
+    monkeypatch.setattr(multiplication, "_m3_scan", lambda lat, rows, scan: None)
+    with pytest.raises(SelfCheckError, match="M3 scan accepts"):
+        _verify_axioms(lat, lat.meet)
+
+
+def test_self_check_survives_python_optimize():
+    """The same contradiction still raises under python -O, which strips
+    assert statements."""
+    code = (
+        "from multlat import multiplication as m, SelfCheckError\n"
+        "from multlat.search import chain_lattice\n"
+        "m._pair_axiom_scan = lambda lat, rows: None\n"
+        "try:\n"
+        "    m._verify_axioms(chain_lattice(2), [[0, 1], [0, 1]])\n"
+        "except SelfCheckError:\n"
+        "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_residual_adjunction_is_checked_at_run_time():

@@ -15,7 +15,8 @@ errors from the core modules (CLI exit 2).
 
 This module checks only the JSON shape.  The rules on names and the order
 kind (no name declared twice, a kind of "covers" or "leq", no pair naming an
-undeclared element) live in ``build_lattice``, whose ValueError is re-raised
+undeclared element) live in ``build_lattice``, and the rule on the
+multiplication kind in ``check_mult_kind``; their ValueError is re-raised
 here as LatticeFileError with the same message.  A table's entries are read
 once, by ``attach_multiplication``, which looks each one up by name; only
 when that fails is the table searched for an entry that is not a string,
@@ -28,7 +29,7 @@ from typing import Any
 
 from .errors import IncompleteTable, LatticeFileError
 from .lattice import Lattice, build_lattice
-from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
+from .multiplication import MultLattice, attach_multiplication, check_mult_kind
 
 
 def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -85,9 +86,10 @@ def parse_lattice_data(data: Any, attach: bool = True
     if not isinstance(mult, dict):
         raise LatticeFileError('"multiplication" must be an object')
     mkind = mult.get("kind")
-    if mkind not in MULT_KINDS:
-        raise LatticeFileError(
-            f'multiplication kind must be one of {MULT_KINDS}, got {mkind!r}')
+    try:
+        check_mult_kind(mkind)
+    except ValueError as exc:
+        raise LatticeFileError(str(exc)) from exc
     if mkind != "table":
         _expect_keys(mult, {"kind"}, {"kind"}, '"multiplication"')
         return lat, attach_multiplication(lat, mkind) if attach else None

@@ -49,6 +49,13 @@ from .lattice import Lattice
 MULT_KINDS = ("table", "meet", "trivial")
 
 
+def check_mult_kind(kind: object) -> None:
+    """Raise ValueError unless ``kind`` is one of ``MULT_KINDS``."""
+    if kind not in MULT_KINDS:
+        raise ValueError(
+            f"multiplication kind must be one of {MULT_KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class MultLattice:
     """A lattice together with a verified multiplication table.
@@ -245,9 +252,11 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
     on distributive lattices.  kind="trivial" uses x.y = 0 for x, y != 1 and
     x.1 = x, admissible exactly when the top is join-irreducible.
 
-    Raises IncompleteTable for a malformed table and AxiomViolation (with the
-    axiom id and a witness) when verification fails.
+    Raises ValueError for any other kind, IncompleteTable for a malformed
+    table and AxiomViolation (with the axiom id and a witness) when
+    verification fails.
     """
+    check_mult_kind(kind)
     n = lat.n
     if kind == "meet":
         product = lat.meet
@@ -259,7 +268,7 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             else:
                 rows.append(tuple(i if j == lat.top else lat.bottom for j in range(n)))
         product = tuple(rows)
-    elif kind == "table":
+    else:
         if table is None:
             raise IncompleteTable("table mode requires a multiplication table")
         if len(table) != n:
@@ -278,8 +287,6 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
                 raise IncompleteTable(
                     f"table entry ({i},{j}) names unknown element {name!r}") from None
         product = tuple(rows)
-    else:
-        raise ValueError(f"unknown multiplication kind {kind!r}")
     return _checked(lat, product)
 
 
@@ -340,6 +347,16 @@ def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
 def is_reduced(ml: MultLattice) -> bool:
     """Whether the only nilpotent element is 0."""
     return ml._nilpotency_witness is None
+
+
+def is_semiprime(ml: MultLattice, i: int) -> bool:
+    """Whether a.a <= i implies a <= i.  At the bottom this is reducedness,
+    read off the diagonal as ``nilpotency_witness`` says."""
+    if i == ml.lattice.bottom:
+        return is_reduced(ml)
+    below = ml.lattice.down[i]
+    return not any(below >> ml.product[a][a] & 1
+                   for a in range(ml.n) if not below >> a & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
-from .multiplication import MultLattice, nilpotency_witness
+from .multiplication import MultLattice, is_semiprime, nilpotency_witness
 from .primes import LemmaReport, check_lemma_suite, prime_structure
 from .solvers import DEFAULT_SOLVER_BUDGET, chromatic_number, clique_number
 from .zdgraph import mult_zero_divisor_graph
@@ -69,8 +69,19 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     left over.  A solver timeout is folded into the report (timed_out True,
     verdict None) so batch callers can log and continue; chi and its
     coloring are None, and so are omega and its clique unless the clique
-    was solved first.  A reduced instance with chi != omega raises
-    SelfCheckError because the theory proves it impossible.
+    was solved first.
+
+    chi != omega at a semiprime element i (a.a <= i implies a <= i) raises
+    SelfCheckError, because the theory proves it impossible; at the bottom
+    that is a reduced instance.  The reason: [i, 1] with a o b = a.b v i is
+    a multiplicative lattice, and (x v i) o (y v i) = x.y v i, so x.y <= i
+    exactly when (x v i) o (y v i) = i.  So the graph at i is the graph of
+    that quotient at its bottom i, with each vertex c replaced by its class
+    {x : x v i = c}.  The quotient is reduced exactly when i is semiprime,
+    and then no two members of a class are adjacent, so chi and omega are
+    the quotient's and the reduced theory applies to them.  The report's
+    ``reduced`` field and its lemma lines are about the bottom whatever
+    the element.
     """
     start = time.monotonic()
     lat = ml.lattice
@@ -125,9 +136,11 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     else:
         verdict = VERDICT_FAILS
 
-    if reduced and verdict == VERDICT_FAILS:
+    if verdict == VERDICT_FAILS and is_semiprime(ml, i):
+        what = ("reduced instance" if i == lat.bottom
+                else f"semiprime element {lat.names[i]!r}")
         raise SelfCheckError(
-            f"{instance_id}: reduced instance with chi={chi} != omega={omega}; "
+            f"{instance_id}: {what} with chi={chi} != omega={omega}; "
             "this contradicts the reduced theory and means the implementation "
             "is wrong")
 

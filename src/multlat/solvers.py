@@ -3,7 +3,11 @@
 The exact solvers are deterministic: vertices are processed in a fixed order
 (descending degree, ties by position), improvements are strict, and no
 wall-clock or OS entropy enters any decision.  Both carry a configurable time
-budget and abort with SolverTimeout when it runs out.
+budget and abort with SolverTimeout when it runs out.  The kernels read the
+clock on their first search node and on every 64th node after it, so a
+timeout is noticed at most 63 nodes late, and each adds the number of nodes
+it visited to the ``nodes`` count of its deadline, whether it returns or
+raises.  That count is as deterministic as the search.
 
 Both solvers work on bitmasks over one relabelling of the graph: vertex v of
 the new numbering is the v-th vertex of the degree order, so "highest degree,
@@ -49,10 +53,19 @@ ORACLE_CAP = 12
 
 
 class _Deadline:
-    __slots__ = ("limit",)
+    """A time budget shared by the kernels of one solve, and their node count.
+
+    ``check`` reads the clock and raises SolverTimeout once the budget is
+    spent; the kernels call it on nodes 1, 65, 129, ..., not on every node.
+    ``nodes`` is the number of search nodes the kernels have visited under
+    this deadline: clique nodes plus DSATUR nodes over every k tried.
+    """
+
+    __slots__ = ("limit", "nodes")
 
     def __init__(self, seconds: float | None):
         self.limit = None if seconds is None else time.monotonic() + seconds
+        self.nodes = 0
 
     def check(self) -> None:
         if self.limit is not None and time.monotonic() > self.limit:
@@ -81,29 +94,35 @@ class CliqueWitness:
 
 
 def _degree_order(g: ZdGraph) -> list[int]:
-    degs = [g.adj[k].bit_count() for k in range(g.n_vertices)]
-    return sorted(range(g.n_vertices), key=lambda k: (-degs[k], k))
+    # The sort is stable, so ties keep their order by position.
+    keys = [-row.bit_count() for row in g.adj]
+    return sorted(range(g.n_vertices), key=keys.__getitem__)
 
 
 def _relabel(g: ZdGraph) -> tuple[list[int], list[int]]:
     """The degree order and the adjacency masks renumbered along it.
 
-    Vertex v of the new numbering is position ``order[v]`` of ``g``.
+    Vertex v of the new numbering is position ``order[v]`` of ``g``.  The
+    rows, in the new order, are packed into one integer with k bytes per
+    row (8k > n), so bit ``old`` of every row moves to bit ``new`` in one
+    shift-and-mask of the packed integer.  That is n operations on an
+    8kn-bit integer, where renumbering each row bit by bit takes one step
+    per edge end: faster on the graphs of up to a few hundred vertices
+    the solvers meet, slower on large sparse ones such as a long cycle.
     """
     order = _degree_order(g)
-    newbit = [0] * len(order)
+    n = len(order)
+    k = n // 8 + 1
+    adj = g.adj
+    packed = int.from_bytes(b"".join([adj[old].to_bytes(k, "little")
+                                      for old in order]), "little")
+    ones = int.from_bytes((b"\1" + bytes(k - 1)) * n, "little")
+    moved = 0
     for new, old in enumerate(order):
-        newbit[old] = 1 << new
-    adj = []
-    for old in order:
-        rest = g.adj[old]
-        row = 0
-        while rest:
-            low = rest & -rest
-            row |= newbit[low.bit_length() - 1]
-            rest ^= low
-        adj.append(row)
-    return order, adj
+        moved |= (packed >> old & ones) << new
+    rows = moved.to_bytes(n * k, "little")
+    return order, [int.from_bytes(rows[i:i + k], "little")
+                   for i in range(0, n * k, k)]
 
 
 def is_proper(g: ZdGraph, coloring: Coloring) -> bool:
@@ -161,53 +180,60 @@ def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
     vertex, and the first clique of a size wins.  The search runs on an
     explicit stack of [clique mask, clique size, candidates left, classes,
     class number, class bits left] frames, so its depth is not bounded by
-    Python's recursion limit.
+    Python's recursion limit.  Nodes are counted and the clock polled as
+    the module docstring says.
     """
     best_size = best_mask = 0
     stack = []
     rmask, rsize, cand = 0, 0, (1 << len(adj)) - 1
-    while True:
-        # Enter the node (rmask, rsize, cand).
-        deadline.check()
-        classes = []
-        rest = cand
-        while rest:
-            avail = rest
-            cls = 0
-            while avail:
-                low = avail & -avail
-                cls |= low
-                avail &= ~(adj[low.bit_length() - 1] | low)
-            classes.append(cls)
-            rest &= ~cls
-        bound = len(classes)
-        stack.append([rmask, rsize, cand, classes, bound,
-                      classes[-1] if classes else 0])
-        # Scan the top frame until it branches or every frame is done.
-        while stack:
-            frame = stack[-1]
-            rmask, rsize, p, classes, bound, cls = frame
-            if not cls and bound > 1:
-                bound -= 1
-                cls = classes[bound - 1]
-            if not cls or rsize + bound <= best_size:
-                stack.pop()
-                continue
-            v = cls.bit_length() - 1
-            bit = 1 << v
-            frame[2] = p & ~bit
-            frame[4] = bound
-            frame[5] = cls ^ bit
-            cand = p & adj[v]
-            if cand:
-                rmask |= bit
-                rsize += 1
-                break
-            if rsize + 1 > best_size:
-                best_size = rsize + 1
-                best_mask = rmask | bit
-        else:
-            return best_size, best_mask
+    nodes = 0
+    try:
+        while True:
+            # Enter the node (rmask, rsize, cand).
+            nodes += 1
+            if nodes & 63 == 1:
+                deadline.check()
+            classes = []
+            rest = cand
+            while rest:
+                avail = rest
+                cls = 0
+                while avail:
+                    low = avail & -avail
+                    cls |= low
+                    avail &= ~(adj[low.bit_length() - 1] | low)
+                classes.append(cls)
+                rest &= ~cls
+            bound = len(classes)
+            stack.append([rmask, rsize, cand, classes, bound,
+                          classes[-1] if classes else 0])
+            # Scan the top frame until it branches or every frame is done.
+            while stack:
+                frame = stack[-1]
+                rmask, rsize, p, classes, bound, cls = frame
+                if not cls and bound > 1:
+                    bound -= 1
+                    cls = classes[bound - 1]
+                if not cls or rsize + bound <= best_size:
+                    stack.pop()
+                    continue
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                frame[2] = p & ~bit
+                frame[4] = bound
+                frame[5] = cls ^ bit
+                cand = p & adj[v]
+                if cand:
+                    rmask |= bit
+                    rsize += 1
+                    break
+                if rsize + 1 > best_size:
+                    best_size = rsize + 1
+                    best_mask = rmask | bit
+            else:
+                return best_size, best_mask
+    finally:
+        deadline.nodes += nodes
 
 
 def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | None:
@@ -222,10 +248,12 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
     is the lowest set bit of the top layer met by the uncoloured mask.  The
     search runs on an explicit stack of (vertex, colour, colours used, old
     ``seen[c]``, old layers) frames, so its depth is not bounded by Python's
-    recursion limit.
+    recursion limit.  A frame keeps the layer list itself, not a copy: the
+    list is never changed in place, and a colouring that lifts some vertex
+    works on a fresh copy.  Nodes are counted and the clock polled as the
+    module docstring says.
     """
     nv = len(adj)
-    check = deadline.check
     colors = [0] * nv
     seen = [0] * k
     sat = [0] * k
@@ -233,48 +261,59 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
     max_used = -1
     top = k - 1
     stack = []
-    while True:
-        check()
-        if not uncolored:
-            return colors
-        # No vertex sees more colours than are in use, so the scan starts at
-        # layer max_used.
-        cand = uncolored
-        for t in range(max_used, -1, -1):
-            if sat[t] & uncolored:
-                cand = sat[t] & uncolored
-                break
-        v = (cand & -cand).bit_length() - 1
-        c = 0
-        limit = max_used + 1 if max_used < top else top
+    nodes = 0
+    try:
         while True:
-            while c <= limit and seen[c] >> v & 1:
-                c += 1
-            if c <= limit:
-                break
-            # v has no colour left: undo the last assignment, try its next.
-            if not stack:
-                return None
-            v, c, max_used, old, sat = stack.pop()
-            seen[c] = old
-            uncolored |= 1 << v
+            nodes += 1
+            if nodes & 63 == 1:
+                deadline.check()
+            if not uncolored:
+                return colors
+            # No vertex sees more colours than are in use, so the scan starts
+            # at layer max_used.
+            cand = uncolored
+            t = max_used
+            while t >= 0:
+                if sat[t] & uncolored:
+                    cand = sat[t] & uncolored
+                    break
+                t -= 1
+            v = (cand & -cand).bit_length() - 1
+            c = 0
             limit = max_used + 1 if max_used < top else top
-            c += 1
-        old = seen[c]
-        row = adj[v]
-        stack.append((v, c, max_used, old, sat[:]))
-        seen[c] = old | row
-        carry = row & ~old
-        t = 0
-        while carry:
-            nxt = carry & sat[t]
-            sat[t] |= carry
-            carry = nxt
-            t += 1
-        colors[v] = c
-        uncolored ^= 1 << v
-        if c > max_used:
-            max_used = c
+            while True:
+                while c <= limit and seen[c] >> v & 1:
+                    c += 1
+                if c <= limit:
+                    break
+                # v has no colour left: undo the last assignment, try its
+                # next.
+                if not stack:
+                    return None
+                v, c, max_used, old, sat = stack.pop()
+                seen[c] = old
+                uncolored |= 1 << v
+                limit = max_used + 1 if max_used < top else top
+                c += 1
+            old = seen[c]
+            row = adj[v]
+            stack.append((v, c, max_used, old, sat))
+            seen[c] = old | row
+            carry = row & ~old
+            if carry:
+                sat = sat[:]
+                t = 0
+                while carry:
+                    nxt = carry & sat[t]
+                    sat[t] |= carry
+                    carry = nxt
+                    t += 1
+            colors[v] = c
+            uncolored ^= 1 << v
+            if c > max_used:
+                max_used = c
+    finally:
+        deadline.nodes += nodes
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +372,6 @@ def chromatic_number(g: ZdGraph,
     colors = _greedy(adj)
     chi = len(set(colors))
     for k in range(lower, chi):
-        deadline.check()
         found = _k_colorable(adj, k, deadline)
         if found is not None:
             chi, colors = k, found

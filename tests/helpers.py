@@ -5,7 +5,8 @@ import dataclasses
 import random
 
 from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
-                     attach_multiplication, build_lattice)
+                     attach_multiplication, build_lattice, fig3_lattice,
+                     fig3_table)
 from multlat.search import boolean_lattice, chain_lattice
 
 
@@ -269,12 +270,14 @@ def _reference_degree_order(g: ZdGraph) -> list[int]:
     return sorted(range(g.n_vertices), key=lambda k: (-degs[k], k))
 
 
-def reference_k_colorable(g: ZdGraph, k: int) -> dict[int, int] | None:
+def reference_k_colorable(g: ZdGraph, k: int, nodes: list | None = None
+                           ) -> dict[int, int] | None:
     """A proper coloring with at most k colors, or None.
 
     Recursive backtracking with DSATUR selection by a linear scan (max
     saturation, then max degree, then lowest position), per-vertex sets of
-    neighbour colours and new-color symmetry breaking.
+    neighbour colours and new-color symmetry breaking.  The number of
+    colours in use at each node is appended to ``nodes`` when it is given.
     """
     nv = g.n_vertices
     adj = g.adj
@@ -294,6 +297,8 @@ def reference_k_colorable(g: ZdGraph, k: int) -> dict[int, int] | None:
         return best
 
     def run(colored: int, max_used: int) -> bool:
+        if nodes is not None:
+            nodes.append(max_used + 1)
         if colored == nv:
             return True
         v = pick()
@@ -462,6 +467,21 @@ def chain_square_times_two_chain():
     table = [[f"({_CHAIN_SQUARE[i][k]},{min(j, l)})" for k, l in cells]
              for i, j in cells]
     return attach_multiplication(lat, "table", table)
+
+
+def fig3_under_a_new_bottom() -> dict:
+    """The lattice file of fig3 under a new bottom "Z", with Z.x = Z and
+    fig3's product elsewhere: 15 elements.  No a != Z has a.a = Z, so it is
+    reduced, and fig3's bottom "0" is an atom.  Its graph at "0" is fig3's
+    graph, with chi = 4 > omega = 3; "0" is not semiprime, as f.f = 0."""
+    lat = fig3_lattice()
+    names = ["Z", *lat.names]
+    pairs = [["Z", x] for x in lat.names]
+    pairs += [[lat.names[x], lat.names[y]] for x in range(lat.n)
+              for y in range(lat.n) if lat.leq(x, y)]
+    table = [["Z"] * len(names)] + [["Z", *row] for row in fig3_table()]
+    return {"elements": names, "order": {"kind": "leq", "pairs": pairs},
+            "multiplication": {"kind": "table", "table": table}}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from multlat.cli import _exit_status, main
 
+from helpers import fig3_under_a_new_bottom
+
 B2_MEET = {
     "elements": ["0", "a", "b", "1"],
     "order": {"kind": "covers",
@@ -251,6 +253,19 @@ def test_analyze_element_flag(capsys):
     assert report["verdict"] == "empty_graph"
     assert report["element"] == "d"
     assert report["chi"] == 0 and report["omega"] == 0
+
+
+def test_analyze_a_reduced_lattice_at_a_non_semiprime_element_exits_1(
+        tmp_path, capsys):
+    """fig3 under a new bottom is reduced, yet chi = 4 > omega = 3 at its
+    old bottom "0", which is not semiprime: a verdict, not a self-check
+    failure."""
+    path = write(tmp_path, fig3_under_a_new_bottom())
+    code, out, err = run_cli(["analyze", path, "--element", "0"], capsys)
+    assert code == 1 and "FATAL" not in err
+    report = json.loads(out)
+    assert (report["verdict"], report["chi"], report["omega"]) == ("fails", 4, 3)
+    assert report["element"] == "0" and report["reduced"] is True
 
 
 def test_analyze_file_without_multiplication_is_structural_error(tmp_path, capsys):

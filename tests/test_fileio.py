@@ -6,7 +6,8 @@ import json
 import pytest
 
 from multlat import (AxiomViolation, IncompleteTable, LatticeFileError, NotALattice,
-                     build_lattice, load_lattice_file, parse_lattice_data)
+                     attach_multiplication, build_lattice, load_lattice_file,
+                     parse_lattice_data)
 from multlat.cli import main
 
 GOOD = {
@@ -165,6 +166,27 @@ def test_name_and_kind_faults_keep_build_lattice_wording(tmp_path, capsys, doc, 
     with pytest.raises(ValueError) as exc:
         build_lattice(doc["elements"], order["pairs"], order["kind"])
     assert str(exc.value) == message
+    assert main(["validate", write(tmp_path, doc)]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"kind": "parse", "message": message}
+    assert err == message + "\n"
+
+
+def test_an_unknown_multiplication_kind_has_one_wording(tmp_path, capsys):
+    """attach_multiplication and the file reader state the kind rule in the
+    same words: a ValueError from the API, a LatticeFileError from the file
+    whether or not the multiplication is attached, and exit 3 from
+    validate."""
+    message = ("multiplication kind must be one of ('table', 'meet', "
+               "'trivial'), got 'magic'")
+    doc = dict(GOOD, multiplication={"kind": "magic"})
+    with pytest.raises(ValueError) as exc:
+        attach_multiplication(parse_lattice_data(GOOD)[0], "magic")
+    assert str(exc.value) == message
+    for attach in (True, False):
+        with pytest.raises(LatticeFileError) as exc:
+            parse_lattice_data(doc, attach=attach)
+        assert str(exc.value) == message
     assert main(["validate", write(tmp_path, doc)]) == 3
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == {"kind": "parse", "message": message}

@@ -5,10 +5,13 @@ import pytest
 
 import multlat.report
 from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
-                     is_reduced, mult_zero_divisor_graph,
-                     search_counterexamples)
+                     ideal_lattice_zn, is_reduced, mult_zero_divisor_graph,
+                     parse_lattice_data, search_counterexamples)
+from multlat.multiplication import is_semiprime
 from multlat.search import (MAX_RANDOM_SIZE, MIN_RANDOM_SIZE, generate,
                             random_poset_down_set_lattice)
+
+from helpers import fig3_under_a_new_bottom
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,50 @@ def test_reduced_violation_is_fatal(monkeypatch):
     monkeypatch.setattr(multlat.report, "chromatic_number", broken)
     with pytest.raises(SelfCheckError):
         search_counterexamples(["boolean:2"], seed=0)
+
+
+def test_chi_above_omega_at_a_semiprime_element_is_fatal(monkeypatch):
+    """The same misreport at a semiprime element of a non-reduced lattice:
+    (6) in Id(Z_12), where (6).(6) = 0.  The quotient above (6) is reduced,
+    so the theory still forbids chi != omega there."""
+    real = multlat.report.chromatic_number
+
+    def broken(graph, budget=None, lower=None):
+        chi, coloring = real(graph, budget, lower)
+        return chi + 1, coloring
+
+    ml = ideal_lattice_zn(12).embedded
+    six = ml.lattice.index("(6)")
+    assert not is_reduced(ml) and is_semiprime(ml, six)
+    assert analyze(ml, element=six).verdict == "holds"
+    monkeypatch.setattr(multlat.report, "chromatic_number", broken)
+    with pytest.raises(SelfCheckError, match="semiprime element '\\(6\\)'"):
+        analyze(ml, element=six)
+
+
+def test_a_reduced_lattice_fails_at_an_element_that_is_not_semiprime():
+    """fig3 under a new bottom is reduced, but its old bottom "0" is not
+    semiprime (f.f = 0): chi = 4 > omega = 3 there is a genuine failure,
+    not a self-check alarm.  The report's ``reduced`` stays about the
+    bottom."""
+    ml = parse_lattice_data(fig3_under_a_new_bottom())[1]
+    zero = ml.lattice.index("0")
+    assert ml.n == 15 and is_reduced(ml) and not is_semiprime(ml, zero)
+    report = analyze(ml, element=zero)
+    assert (report.verdict, report.chi, report.omega) == ("fails", 4, 3)
+    assert report.reduced is True and report.nilpotent_witness is None
+    assert analyze(ml).verdict == "empty_graph"
+
+
+def test_semiprime_elements_by_definition():
+    """is_semiprime against a.a <= i implies a <= i over every a."""
+    for ml in [ideal_lattice_zn(n).embedded for n in (12, 36, 60, 72)] + [
+            parse_lattice_data(fig3_under_a_new_bottom())[1]]:
+        lat = ml.lattice
+        for i in range(ml.n):
+            assert is_semiprime(ml, i) == all(
+                lat.leq(a, i) for a in range(ml.n)
+                if lat.leq(ml.prod(a, a), i))
 
 
 def test_analyze_assigns_instance_ids():

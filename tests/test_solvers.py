@@ -305,36 +305,27 @@ def kneser_graph(n: int, k: int):
     return make_graph(len(subsets), edges)
 
 
-class _CountingDeadline(_Deadline):
-    """A deadline that never expires and counts its checks: one per node of
-    the clique search."""
-
-    def __init__(self):
-        super().__init__(None)
-        self.checks = 0
-
-    def check(self) -> None:
-        self.checks += 1
-
-
 def assert_same_as_reference(g):
     """Same clique witness after as many search nodes, and the same coloring
-    or None for every k from the clique number up to the greedy bound, which
-    always succeeds."""
+    or None after as many nodes for every k from the clique number up to the
+    greedy bound, which always succeeds."""
     omega, witness = clique_number(g, budget=None)
     nodes = []
     assert (omega, witness.vertices) == reference_clique(g, nodes)
     if g.n_vertices == 0:
         return
     order, adj = _relabel(g)
-    deadline = _CountingDeadline()
+    deadline = _Deadline(None)
     assert _max_clique(adj, deadline)[0] == omega
-    assert deadline.checks == len(nodes)
+    assert deadline.nodes == len(nodes)
     for k in range(omega, greedy_coloring(g).color_count + 1):
-        found = _k_colorable(adj, k, _Deadline(None))
+        deadline = _Deadline(None)
+        found = _k_colorable(adj, k, deadline)
         ours = None if found is None else {
             g.vertices[order[v]]: c for v, c in enumerate(found)}
-        assert ours == reference_k_colorable(g, k), k
+        nodes = []
+        assert ours == reference_k_colorable(g, k, nodes), k
+        assert deadline.nodes == len(nodes), k
 
 
 def test_known_graphs_match_the_reference_solvers():
@@ -343,6 +334,17 @@ def test_known_graphs_match_the_reference_solvers():
                for n, k in ((7, 2), (8, 2), (9, 2), (8, 3), (9, 3))]
     for g in graphs:
         assert_same_as_reference(g)
+
+
+def test_fig3_node_counts():
+    """3 clique nodes and 6 nodes to refute k = 3, and one deadline sums the
+    nodes of every kernel run under it."""
+    _, adj = _relabel(fig3_graph())
+    deadline = _Deadline(None)
+    assert _max_clique(adj, deadline)[0] == 3
+    assert deadline.nodes == 3
+    assert _k_colorable(adj, 3, deadline) is None
+    assert deadline.nodes == 3 + 6
 
 
 def test_mycielski_and_kneser_values():
@@ -378,6 +380,20 @@ def test_small_graphs_match_the_reference_solvers(case):
     assert_same_as_reference(
         make_graph(n, sorted({(min(a, b), max(a, b)) for a, b in pairs
                               if a != b})))
+
+
+def test_relabel_renumbers_every_pair():
+    """v, w are adjacent in the relabelled masks exactly when positions
+    order[v], order[w] are adjacent in g, at sizes on both sides of a byte
+    boundary of the packed rows."""
+    rng = random.Random(37)
+    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+        g = random_graph(rng, n, 0.5)
+        order, adj = _relabel(g)
+        assert sorted(order) == list(range(n)) and len(adj) == n
+        assert all(adj[v] >> w & 1 == g.adj[order[v]] >> order[w] & 1
+                   for v in range(n) for w in range(n))
+        assert all(row >> n == 0 for row in adj)
 
 
 def test_greedy_matches_first_fit_in_degree_order():
@@ -455,14 +471,51 @@ def test_large_clique_needs_no_recursion():
 
 
 def test_kernel_honours_an_expired_budget():
+    """The first node reads the clock, so an expired deadline raises before
+    any search, and the raising node is counted."""
     g = cycle_graph(5)
-    with pytest.raises(SolverTimeout):
-        _k_colorable(_relabel(g)[1], 3, _Deadline(-1.0))
-    with pytest.raises(SolverTimeout):
-        _max_clique(_relabel(g)[1], _Deadline(-1.0))
+    for kernel in (lambda adj, d: _k_colorable(adj, 3, d), _max_clique):
+        deadline = _Deadline(-1.0)
+        with pytest.raises(SolverTimeout):
+            kernel(_relabel(g)[1], deadline)
+        assert deadline.nodes == 1
     with pytest.raises(SolverTimeout):
         chromatic_number(g, budget=0.0, lower=2)
     assert chromatic_number(g, budget=None, lower=2)[0] == 3
+
+
+class _ExpiringClock:
+    """A monotonic clock that reads 100.0 twice, when a deadline is set and
+    on the first search node, and a time past any budget after that."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return 100.0 if self.reads <= 2 else 1e9
+
+
+def test_a_deadline_expiring_mid_search_is_noticed_within_64_nodes(monkeypatch):
+    """The kernels read the clock on nodes 1, 65, 129, ...: a budget that
+    runs out just after node 1 is noticed on node 65, by the third read.
+    Both searches on K(9, 2) are longer than that: 161 clique nodes, 1368
+    to refute k = 6."""
+    _, adj = _relabel(kneser_graph(9, 2))
+    for kernel in (_max_clique, lambda adj, d: _k_colorable(adj, 6, d)):
+        clock = _ExpiringClock()
+        monkeypatch.setattr(multlat.solvers, "time", clock)
+        deadline = _Deadline(1.0)
+        with pytest.raises(SolverTimeout):
+            kernel(adj, deadline)
+        assert deadline.nodes == 65 and clock.reads == 3
+    monkeypatch.undo()
+    deadline = _Deadline(None)
+    _max_clique(adj, deadline)
+    assert deadline.nodes == 161
+    deadline = _Deadline(None)
+    assert _k_colorable(adj, 6, deadline) is None
+    assert deadline.nodes == 1368
 
 
 def test_coloring_count_is_checked_under_python_O():

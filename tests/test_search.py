@@ -181,9 +181,8 @@ def test_search_skips_timeouts():
     assert result.skipped == ["boolean:4+meet"]
 
 
-def test_reduced_violation_is_fatal(monkeypatch):
-    """Force the solver to misreport chi on a reduced instance: the analysis
-    must abort with SelfCheckError instead of emitting a finding."""
+def misreport_chi(monkeypatch):
+    """Make analyze's chromatic solver report chi one too high."""
     real = multlat.report.chromatic_number
 
     def broken(graph, budget=None, lower=None):
@@ -191,6 +190,12 @@ def test_reduced_violation_is_fatal(monkeypatch):
         return chi + 1, coloring
 
     monkeypatch.setattr(multlat.report, "chromatic_number", broken)
+
+
+def test_reduced_violation_is_fatal(monkeypatch):
+    """Force the solver to misreport chi on a reduced instance: the analysis
+    must abort with SelfCheckError instead of emitting a finding."""
+    misreport_chi(monkeypatch)
     with pytest.raises(SelfCheckError):
         search_counterexamples(["boolean:2"], seed=0)
 
@@ -199,17 +204,11 @@ def test_chi_above_omega_at_a_semiprime_element_is_fatal(monkeypatch):
     """The same misreport at a semiprime element of a non-reduced lattice:
     (6) in Id(Z_12), where (6).(6) = 0.  The quotient above (6) is reduced,
     so the theory still forbids chi != omega there."""
-    real = multlat.report.chromatic_number
-
-    def broken(graph, budget=None, lower=None):
-        chi, coloring = real(graph, budget, lower)
-        return chi + 1, coloring
-
     ml = ideal_lattice_zn(12).embedded
     six = ml.lattice.index("(6)")
     assert not is_reduced(ml) and is_semiprime(ml, six)
     assert analyze(ml, element=six).verdict == "holds"
-    monkeypatch.setattr(multlat.report, "chromatic_number", broken)
+    misreport_chi(monkeypatch)
     with pytest.raises(SelfCheckError, match="semiprime element '\\(6\\)'"):
         analyze(ml, element=six)
 

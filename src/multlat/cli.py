@@ -7,7 +7,7 @@ go to stderr.  Exit codes are stable:
   0  success / verdict holds
   1  analysis succeeded and the verdict is "fails" (or a search found one)
   2  invalid structure (order, lattice, ideal, or multiplication axioms)
-  3  I/O or parse error
+  3  I/O or parse error, including a closed standard output
   4  solver timeout (a partial report is still printed)
 
 A sweep or a search exits 1 if any verdict fails or any finding exists,
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .errors import (LatticeError, LatticeFileError, SelfCheckError,
@@ -296,6 +297,15 @@ def main(argv: list[str] | None = None) -> int:
     except LatticeError as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID
+    except BrokenPipeError:
+        # The reader closed stdout.  Point its descriptor at the null device,
+        # so the interpreter's final flush of what is buffered cannot fail
+        # and print an "Exception ignored" line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _diag("error: standard output was closed")
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -12,23 +12,33 @@ successors', and one pass back builds the down-masks the same way: one mask
 union per pair each way.  A pass that finds no cycle proves antisymmetry, so
 the pairwise antisymmetry scan runs only when it finds one, to name it.
 
-The tables are built by lookup, not by search: the lower bounds
-``down[i] & down[j]`` of a pair have a greatest element exactly when they
-equal some ``down[m]``, and then m is the meet, so each meet is one dict
-lookup keyed by the down-mask and each join one lookup keyed by the up-mask.
-Both tables are symmetric, so only the n(n+1)/2 entries on and right of the
-diagonal are looked up; the rest are copied from earlier rows.
+The tables are built from a core of looked-up rows, and every other row is
+composed from two rows already built.  A pair's lower bounds
+``down[i] & down[j]`` have a greatest element exactly when they equal some
+``down[m]``, and then m is the meet, so a meet is one dict lookup keyed by
+the down-mask and a join one lookup keyed by the up-mask.  Only the join
+rows of the join-irreducibles (one lower cover) and the meet rows of the
+meet-irreducibles (one upper cover) are looked up; the rows of 0 and 1 are
+the identity, and a row c with two lower covers d and e is the join row of
+d composed with that of e, as c v x = d v (e v x), which
+``operator.itemgetter`` builds in C (dually for meets).  A missing entry
+in a looked-up join row means the order is not a lattice, and a scan of
+every pair in row order then names the pair the error reports; a complete
+set of join-irreducible rows proves that every join and every meet exists.
+``build_lattice`` gives both proofs.
 
 Facts about a lattice that several layers ask for are computed once per
 ``Lattice`` object and cached on it with ``functools.cached_property``: the
-join-irreducibles, the lower covers (shared by the modularity test and the
+join-irreducibles and the lower covers (seeded by ``build_lattice`` from
+the walk its tables use, and shared by the modularity test and the
 multiplication's axiom check), the N5 witness and the 0-distributivity
 witness.  The public functions return a fresh list each call (witnesses
 are tuples), so a caller that mutates a result cannot change the next one.
 Each fact is decided on its smallest exact core before any cubic scan runs:
 
-* the join-irreducibles are the x whose strictly-lower elements form a
-  principal down-set, one set lookup each;
+* the join-irreducibles are the x with one lower cover, read off the
+  cover walk (for a ``Lattice`` made directly, the x whose strictly-lower
+  elements form a principal down-set, one set lookup each);
 * modularity is decided as upper plus lower semimodularity on covering
   pairs (Birkhoff's condition: two covers of one element have a join that
   covers both, and dually), which is exact for finite lattices (Gratzer,
@@ -38,16 +48,18 @@ Each fact is decided on its smallest exact core before any cubic scan runs:
   in O(n) per atom; the triple scan runs only when that fails, to name the
   first witness.
 
-The toolkit targets lattices of up to ~64 elements; Python's unbounded ints
-make the bitmask representation work beyond that (Id(Z_n) with 768 elements
-builds, with its multiplication checked, in about 0.6 s), but distributivity
-is still a cubic scan.
+Python's unbounded ints make the bitmask representation work for lattices
+of a few hundred elements.  Measured on a shared 2-core Xeon (best of 7),
+a 256-element boolean lattice builds from its covers in 5-8 ms, and
+Id(Z_n) with 768 elements builds, with its multiplication checked, in
+0.33-0.53 s; distributivity is still a cubic scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder, SelfCheckError
 
@@ -161,29 +173,8 @@ class Lattice:
     @cached_property
     def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
         """The lower covers of every element, ascending: the maximal
-        elements strictly below it.
-
-        Each is found by walking up from the lowest-indexed element left
-        below y to a maximal one, which is a cover; its down-set is then
-        dropped.  The cost is a walk per cover, not a test per element
-        below y.
-        """
-        up, down = self.up, self.down
-        out = []
-        for y in range(self.n):
-            rest = down[y] ^ 1 << y
-            covers = []
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                above = rest & up[x] ^ 1 << x
-                while above:
-                    x = (above & -above).bit_length() - 1
-                    above &= up[x] ^ 1 << x
-                covers.append(x)
-                rest &= ~down[x]
-            covers.sort()
-            out.append(tuple(covers))
-        return tuple(out)
+        elements strictly below it.  ``build_lattice`` seeds this."""
+        return _lower_covers_of(self.up, self.down)
 
     @cached_property
     def _n5_witness(self) -> tuple[int, int, int, int, int] | None:
@@ -231,6 +222,43 @@ class Lattice:
                     law(meet[m][z] == meet[x][meet[y][z]], "associativity")
                     law(join[j][z] == join[x][join[y][z]], "associativity (dual)")
         law(up[self.bottom] == full and down[self.top] == full, "bounds")
+
+
+def _lower_covers_of(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The lower covers of every element of the order with these masks,
+    ascending: the maximal elements strictly below it.
+
+    Each is found by walking up from the lowest-indexed element left below
+    y to a maximal one, which is a cover; its down-set is then dropped.
+    The cost is a walk per cover, not a test per element below y.  Each
+    step goes to the highest-indexed element above, so that where the
+    index order extends the order, as in chains, the first step lands on
+    a maximal element; where it reverses it, the walk starts on one.
+    """
+    out = []
+    for y, dy in enumerate(down):
+        rest = dy ^ 1 << y
+        covers = []
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            above = rest & up[x] ^ 1 << x
+            while above:
+                x = above.bit_length() - 1
+                above &= up[x] ^ 1 << x
+            covers.append(x)
+            rest &= ~down[x]
+        covers.sort()
+        out.append(tuple(covers))
+    return tuple(out)
+
+
+def _upper_covers_of(lower: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The upper covers of every element, ascending, from its lower covers."""
+    upper: list[list[int]] = [[] for _ in lower]
+    for y, covers in enumerate(lower):
+        for x in covers:
+            upper[x].append(y)
+    return upper
 
 
 def _close_acyclic(up: list[int]) -> list[int] | None:
@@ -340,6 +368,34 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
     undeclared element: the lattice-file rules, which ``parse_lattice_data``
     reports in these words.  Raises NotAPartialOrder, NoBoundedStructure or
     NotALattice; never returns a partially validated object.
+
+    The tables are built up from a core (module docstring): the join rows
+    of the join-irreducibles J, those with one lower cover, are looked up,
+    and going up by down-set size each row c with two or more lower covers
+    is composed from the rows of its first two, d and e; the meet table is
+    the dual, going down.  Two facts make this exact.
+
+    1. A finite bounded poset in which j v x exists for every j in J and
+       every x is a lattice.  Let J(a) be the members of J below a.  First,
+       by induction on down-set size, each a is the join of J(a); that join
+       exists, as (...((0 v j1) v j2)...) over J(a) is a least upper bound
+       of j1, ..., jk at each step.  It is 0 for a = 0 and a for a in J.
+       Otherwise a has two or more lower covers; if s = V J(a) < a, then
+       s <= some lower cover c of a, and another lower cover c' has
+       J(c') in J(a), so c' = V J(c') <= s <= c, which is impossible for
+       two covers of a.  Then a v b = (...((b v j1) v j2)...) over J(a):
+       the right side is above b and every ji, so above a, and every upper
+       bound of a and b is above it.  So all joins exist, and a finite
+       join-semilattice with a bottom has every meet, the join of the
+       common lower bounds.
+    2. In a lattice two distinct lower covers d and e of c join to c
+       (d < d v e <= c, and c covers d), so c v x = d v (e v x): row c is
+       row d composed with row e.  The meet table is the dual.
+
+    So a complete set of looked-up join rows proves the order a lattice and
+    every composed row right; a missing entry proves it is not, and the
+    pair scan then names the first pair in row order with no meet, or else
+    no join.
     """
     names = tuple(names)
     if not names:
@@ -383,34 +439,69 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
         raise NoBoundedStructure("order has no global maximum element")
     bottom, top = bottoms[0], tops[0]
 
+    lower = _lower_covers_of(up, down)
+    upper = _upper_covers_of(lower)
     # A lower-bound set has a greatest element m exactly when it is down[m]
     # (dually for upper bounds), so a missing key means no meet (join).
     by_down = {d: m for m, d in enumerate(down)}
     by_up = {u: m for m, u in enumerate(up)}
-    # Both tables are symmetric: row i is looked up from the diagonal on,
-    # and left of it copied from column i of the earlier rows.  An earlier
-    # row with a missing entry has already raised, so the copy holds no None.
-    meet_rows: list[tuple[int, ...]] = []
-    join_rows: list[tuple[int, ...]] = []
-    for i in range(n):
-        di, ui = down[i], up[i]
-        mrow = [row[i] for row in meet_rows] + [by_down.get(di & d) for d in down[i:]]
-        jrow = [row[i] for row in join_rows] + [by_up.get(ui & u) for u in up[i:]]
-        if None in mrow or None in jrow:
-            for j in range(i, n):
-                if mrow[j] is None:
-                    raise NotALattice(
-                        f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
-                        pair=(names[i], names[j]))
-                if jrow[j] is None:
-                    raise NotALattice(
-                        f"elements {names[i]!r} and {names[j]!r} have no least upper bound",
-                        pair=(names[i], names[j]))
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
+    # Covers below c have smaller down-sets, so they come before c here,
+    # and the covers above c come before it in the reverse order.
+    order = sorted(range(n), key=lambda c: down[c].bit_count())
+    identity = tuple(range(n))
+    join_rows: list[tuple[int, ...]] = [identity] * n
+    for c in order:
+        covers = lower[c]
+        if len(covers) == 1:
+            uc = up[c]
+            row = [by_up.get(uc & u) for u in up]
+            if None in row:
+                _meet_join_scan(names, up, down)
+                raise SelfCheckError("a join-irreducible row of the join table "
+                                     "misses an entry that the pair scan finds")
+            join_rows[c] = tuple(row)
+        elif covers:  # c = d v e, so c v x = d v (e v x)
+            join_rows[c] = itemgetter(*join_rows[covers[1]])(join_rows[covers[0]])
+    # Every join exists, so the order is a lattice (build_lattice's
+    # docstring) and each looked-up meet row is complete.
+    meet_rows: list[tuple[int, ...]] = [identity] * n
+    for c in reversed(order):
+        covers = upper[c]
+        if len(covers) == 1:
+            dc = down[c]
+            row = [by_down.get(dc & d) for d in down]
+            if None in row:
+                raise SelfCheckError("the join table is complete but a "
+                                     "meet-irreducible row misses a meet")
+            meet_rows[c] = tuple(row)
+        elif covers:  # c = d ^ e, so c ^ x = d ^ (e ^ x)
+            meet_rows[c] = itemgetter(*meet_rows[covers[1]])(meet_rows[covers[0]])
 
-    return Lattice(names, tuple(up), tuple(down), tuple(meet_rows), tuple(join_rows),
-                   bottom, top)
+    lat = Lattice(names, tuple(up), tuple(down), tuple(meet_rows), tuple(join_rows),
+                  bottom, top)
+    # Seed the cached facts read off the same walk; the dataclass is frozen,
+    # so they go straight into the instance dict, as cached_property does.
+    vars(lat).update(_lower_covers=lower, _join_irreducibles=tuple(
+        [c for c in range(n) if len(lower[c]) == 1]))
+    return lat
+
+
+def _meet_join_scan(names: tuple[str, ...], up: list[int], down: list[int]) -> None:
+    """Raise NotALattice for the first pair i <= j, in row order, with no
+    meet, or else no join: the meet is looked up first."""
+    by_down = {d: m for m, d in enumerate(down)}
+    by_up = {u: m for m, u in enumerate(up)}
+    n = len(names)
+    for i in range(n):
+        for j in range(i, n):
+            if down[i] & down[j] not in by_down:
+                raise NotALattice(
+                    f"elements {names[i]!r} and {names[j]!r} have no greatest lower bound",
+                    pair=(names[i], names[j]))
+            if up[i] & up[j] not in by_up:
+                raise NotALattice(
+                    f"elements {names[i]!r} and {names[j]!r} have no least upper bound",
+                    pair=(names[i], names[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +553,7 @@ def _covers_semimodular(lat: Lattice) -> bool:
     out a pentagon."""
     up, down, meet, join = lat.up, lat.down, lat.meet, lat.join
     lower = lat._lower_covers
-    upper: list[list[int]] = [[] for _ in range(lat.n)]
-    for y, covers in enumerate(lower):
-        for x in covers:
-            upper[x].append(y)
+    upper = _upper_covers_of(lower)
     for x in range(lat.n):
         covers = upper[x]
         for i, a in enumerate(covers):

@@ -15,10 +15,13 @@ cover graph: a.(b v j) = a.b v a.j for a and j among the join-irreducibles
 J, in O(|J|^2 n), and each other nonzero row against the join of the rows
 of two of its lower covers, in O(n^2) over all rows; M2 is checked on J^3
 only (see ``_verify_axioms`` for why that suffices).  The tests compare
-whole rows; a failed test hands over to a scan that names the witness an
-element-by-element check would name.  On top of the verified table
-this module computes powers, nilpotents, annihilators, residuals and prime
-elements.
+whole rows, and the M3 test on J compares two compositions of rows: with
+pa the row of a, jj the column b -> b v j and jpa the join row of a.j,
+b -> pa[jj[b]] is a.(b v j) and b -> jpa[pa[b]] is a.j v a.b, and
+``operator.itemgetter`` builds each in C.  A failed test hands over to a
+scan that names the witness an element-by-element check would name.  On
+top of the verified table this module computes powers, nilpotents,
+annihilators, residuals and prime elements.
 
 The facts the analysis asks for more than once are computed once per
 ``MultLattice`` and cached on it with ``functools.cached_property``: the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .errors import AxiomViolation, IncompleteTable, SelfCheckError
@@ -107,7 +110,9 @@ def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
     M3 is checked on the cover graph, in two phases, with J the
     join-irreducibles:
 
-    (i)  a.(b v j) = a.b v a.j for a and j in J and every b, in |J|^2 n;
+    (i)  a.(b v j) = a.b v a.j for a and j in J and every b, in |J|^2 n,
+         as row a composed with the column of j against the join row of
+         a.j composed with row a;
     (ii) for every c != 0 outside J, row c is the elementwise join of the
          rows of two of its lower covers, in (n - |J| - 1) n.
 
@@ -195,8 +200,10 @@ def _pair_axiom_scan(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> None:
 
 def _distributes(pa: tuple[int, ...], jj: tuple[int, ...], jpa: tuple[int, ...]) -> bool:
     """a.(b v j) = a.b v a.j for every b, given row a, the column
-    b -> b v j and the row of a.j in the join table."""
-    return [pa[x] for x in jj] == [jpa[x] for x in pa]
+    b -> b v j and the row of a.j in the join table, as two compositions
+    of rows (module docstring).  J is empty when n = 1, so the rows here
+    have two or more entries and itemgetter returns tuples."""
+    return itemgetter(*jj)(pa) == itemgetter(*pa)(jpa)
 
 
 def _m3_uncertified_rows(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -280,12 +287,14 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
                 raise IncompleteTable(
                     f"table row {i} has {len(row)} entries, expected {n}")
             try:
-                rows.append(tuple([index[name] for name in row]))
+                resolved = itemgetter(*row)(index)
             except (KeyError, TypeError):  # TypeError: unhashable entry
                 j, name = next((j, x) for j, x in enumerate(row)
                                if not isinstance(x, str) or x not in index)
                 raise IncompleteTable(
                     f"table entry ({i},{j}) names unknown element {name!r}") from None
+            # With one name, itemgetter returns the bare index.
+            rows.append(resolved if n > 1 else (resolved,))
         product = tuple(rows)
     return _checked(lat, product)
 

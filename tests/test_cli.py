@@ -48,10 +48,30 @@ def run_cli(args, capsys):
 # validate
 
 
+ONE_ELEMENT_TABLE = {
+    "elements": ["0"],
+    "order": {"kind": "covers", "pairs": []},
+    "multiplication": {"kind": "table", "table": [["0"]]},
+}
+TWO_CHAIN_TABLE = {
+    "elements": ["0", "1"],
+    "order": {"kind": "covers", "pairs": [["0", "1"]]},
+    "multiplication": {"kind": "table", "table": [["0", "0"], ["0", "1"]]},
+}
+
+
 def test_validate_good_file(tmp_path, capsys):
     code, out, _ = run_cli(["validate", write(tmp_path, B2_MEET)], capsys)
     assert code == 0
     assert json.loads(out) == {"valid": True, "elements": 4,
+                               "multiplication": True}
+
+
+@pytest.mark.parametrize("doc", [ONE_ELEMENT_TABLE, TWO_CHAIN_TABLE])
+def test_the_smallest_files_validate_with_a_table(tmp_path, capsys, doc):
+    code, out, _ = run_cli(["validate", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "elements": len(doc["elements"]),
                                "multiplication": True}
 
 
@@ -524,6 +544,20 @@ def test_cmd_analyze_byte_identical_across_runs():
     assert r1.returncode == r2.returncode == 1
     assert r1.stdout == r2.stdout
     assert r1.stdout.encode() == r2.stdout.encode()
+
+
+def test_a_closed_stdout_exits_3_with_one_line():
+    """A reader that stops after the first line of a sweep ends the run in
+    exit 3 and one line on stderr, with no traceback."""
+    with subprocess.Popen([sys.executable, "-m", "multlat", "ring", "--sweep", "2..1000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["instance"] == "ring:2"
+    assert proc.returncode == 3
+    assert err == "error: standard output was closed\n"
 
 
 def test_cmd_search_byte_identical_across_runs():

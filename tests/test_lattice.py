@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multlat
+from multlat import lattice as lattice_module
 from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
                      NotAPartialOrder, SelfCheckError, build_lattice, distributivity_witness,
                      fig2_lattice, fig3_lattice, is_distributive, is_modular,
@@ -104,21 +106,37 @@ def test_non_lattice_pair_is_named():
     assert exc.value.pair == ("a", "b")
 
 
-def test_pair_without_meet_or_join_reports_the_meet():
-    # a and b have lower bounds 0, e, f and upper bounds c, d, 1; listed
-    # first, they are the first failing pair in row order.
-    names = ["a", "b", "0", "e", "f", "c", "d", "1"]
-    covers = [("0", "e"), ("0", "f"), ("e", "a"), ("e", "b"), ("f", "a"),
-              ("f", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-              ("c", "1"), ("d", "1")]
-    with pytest.raises(NotALattice, match="no greatest lower bound") as exc:
+def check_first_failing_pair(names, covers, pair, message):
+    """build_lattice names ``pair`` in a NotALattice that matches
+    ``message`` and is the error the bit-scan oracle raises."""
+    with pytest.raises(NotALattice, match=message) as exc:
         build_lattice(names, covers, "covers")
-    assert exc.value.pair == ("a", "b")
+    assert exc.value.pair == pair
     index = {nm: i for i, nm in enumerate(names)}
     up, down = cover_closure(len(names), [(index[x], index[y]) for x, y in covers])
     with pytest.raises(NotALattice) as ref:
         bit_scan_meet_join(names, up, down)
     assert str(ref.value) == str(exc.value)
+
+
+def test_pair_without_meet_or_join_reports_the_meet():
+    # a and b have lower bounds 0, e, f and upper bounds c, d, 1; listed
+    # first, they are the first failing pair in row order.
+    check_first_failing_pair(
+        ["a", "b", "0", "e", "f", "c", "d", "1"],
+        [("0", "e"), ("0", "f"), ("e", "a"), ("e", "b"), ("f", "a"), ("f", "b"),
+         ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+        ("a", "b"), "no greatest lower bound")
+
+
+def test_first_failing_pair_need_not_hold_a_join_irreducible():
+    # The join-irreducible rows first miss a v b, but x ^ y is the first
+    # missing entry in row order, and neither x nor y is join-irreducible.
+    check_first_failing_pair(
+        ["x", "y", "0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "x"), ("b", "x"), ("a", "y"),
+         ("b", "y"), ("x", "1"), ("y", "1"), ("c", "1")],
+        ("x", "y"), "^elements 'x' and 'y' have no greatest lower bound$")
 
 
 def test_bad_arguments():
@@ -133,6 +151,16 @@ def test_bad_arguments():
     with pytest.raises(ValueError) as exc:
         build_lattice(["a"], [], "weird")
     assert str(exc.value) == 'order kind must be "covers" or "leq", got \'weird\''
+
+
+def test_assert_is_n5_rejects_a_wrong_witness():
+    """The helper's asserts are live, also under python -O: conftest.py
+    has pytest rewrite them."""
+    lat = pentagon_lattice()
+    b, u, v, y, t = modularity_witness(lat)
+    assert_is_n5(lat, (b, u, v, y, t))
+    with pytest.raises(AssertionError):
+        assert_is_n5(lat, (b, v, u, y, t))
 
 
 def test_assert_valid_names_the_broken_law():
@@ -182,6 +210,18 @@ def test_boolean_meets_are_intersections():
             assert members(lat.meet_of(i, j)) == members(i) & members(j)
             assert members(lat.join_of(i, j)) == members(i) | members(j)
     assert lat.meet_of(lat.index("{1,2}"), lat.index("{2,3}")) == lat.index("{2}")
+
+
+def test_boolean_7_from_covers_matches_the_bit_scan_oracle():
+    """128 elements, listed in a shuffled order, so that the composed rows
+    come from covers at every position."""
+    masks = list(range(1 << 7))
+    random.Random(7).shuffle(masks)
+    names = [f"s{m}" for m in masks]
+    covers = [(f"s{m}", f"s{m | 1 << i}") for m in masks for i in range(7)
+              if not m >> i & 1]
+    lat = build_lattice(names, covers, "covers")
+    assert (lat.meet, lat.join) == bit_scan_meet_join(names, lat.up, lat.down)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +394,45 @@ def seeded_relations(seed: int, count: int):
         yield n, index_pairs
 
 
+@contextmanager
+def counted_pair_scans():
+    """The list of calls, while the block runs, of the pair scan that
+    build_lattice runs when a join-irreducible row misses an entry."""
+    calls = []
+    scan = lattice_module._meet_join_scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "_meet_join_scan", counted)
+        yield calls
+
+
 def build_outcome(names, pairs, kind, up, down) -> str:
     """Build, and check the lattice or the error against the oracles on
     the closed order (up, down), which the relation is known to match up
-    to the error cases the caller checks; returns the kind of outcome."""
+    to the error cases the caller checks; returns the kind of outcome.
+    The pair scan runs exactly when the order is not a lattice."""
     n = len(names)
     try:
-        lat = build_lattice(names, pairs, kind)
+        with counted_pair_scans() as scans:
+            lat = build_lattice(names, pairs, kind)
     except NoBoundedStructure:
         full = (1 << n) - 1
         assert full not in up or full not in down
+        assert scans == []
         return "unbounded"
     except NotALattice as exc:
         with pytest.raises(NotALattice) as ref:
             bit_scan_meet_join(names, up, down)
         assert str(exc) == str(ref.value)
+        assert len(scans) == 1
         return "not a lattice"
     assert (list(lat.up), list(lat.down)) == (up, down)
     assert (lat.meet, lat.join) == bit_scan_meet_join(names, up, down)
+    assert scans == []
     return "lattice"
 
 
@@ -463,14 +524,17 @@ def test_random_subset_orders_match_bit_scan_oracle(middle, reverse):
     pairs = [(names[i], names[j]) for i in range(n) for j in range(n)
              if i != j and le[i][j]]
     try:
-        lat = build_lattice(names, pairs, "leq")
+        with counted_pair_scans() as scans:
+            lat = build_lattice(names, pairs, "leq")
     except NotALattice as exc:
         with pytest.raises(NotALattice) as ref:
             bit_scan_meet_join(names, up, down)
         assert exc.pair == ref.value.pair
         assert str(exc) == str(ref.value)
+        assert len(scans) == 1
         return
     assert (lat.meet, lat.join) == bit_scan_meet_join(names, up, down)
+    assert scans == []
 
 
 def test_join_irreducibles_have_one_lower_cover():

@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (analyze, attach_multiplication, check_lemma_suite,
+from multlat import (Lattice, analyze, attach_multiplication, check_lemma_suite,
                      fig2_lattice, fig3_lattice, fixture, is_distributive,
                      is_reduced,
                      minimal_prime_elements, minimal_prime_ideals,
@@ -139,6 +139,21 @@ def test_closed_form_matches_down_set_oracle():
     assert checked > 900
     # The non-distributive lattices reach the case where the two differ.
     assert distinct_counts > 0
+
+
+def test_seeded_covers_and_join_irreducibles_match_their_definitions():
+    """build_lattice seeds the lower covers and the join-irreducibles from
+    its cover walk: y is a lower cover of x when y < x with nothing between,
+    and x != 0 is join-irreducible when the elements strictly below it
+    form a principal down-set, the cached property's own definition."""
+    for lat in _oracle_lattices():
+        seeded = vars(lat)
+        strict = [d ^ 1 << x for x, d in enumerate(lat.down)]
+        assert seeded["_lower_covers"] == tuple(
+            tuple(y for y in range(lat.n)
+                  if strict[x] >> y & 1 and strict[x] & lat.up[y] == 1 << y)
+            for x in range(lat.n))
+        assert seeded["_join_irreducibles"] == Lattice._join_irreducibles.func(lat)
 
 
 def test_minimal_and_maximal_match_the_quadratic_definition():

@@ -13,17 +13,14 @@ from .errors import (AxiomViolation, ImproperIdeal,
                      SelfCheckError, SolverTimeout, TooLarge)
 from .fileio import load_lattice_file, parse_lattice_data
 from .fixtures import FIXTURE_NAMES, fig2_lattice, fig3_lattice, fig3_table, fixture
-from .lattice import (ElementSubset, Lattice, build_lattice,
-                      distributivity_witness, is_distributive, is_modular,
+from .lattice import (ElementSubset, Lattice, build_lattice, is_modular,
                       is_zero_distributive, modularity_witness,
-                      principal_down_set, principal_up_set,
                       zero_distributivity_witness)
 from .multiplication import (MultLattice, annihilator_star,
-                             attach_multiplication, is_nilpotent,
-                             is_prime_element, is_reduced,
-                             maximal_annihilator_elements,
+                             attach_multiplication, is_prime_element,
+                             is_reduced, maximal_annihilator_elements,
                              minimal_prime_elements, nilpotency_witness,
-                             power, prime_elements, residual)
+                             prime_elements)
 from .primes import (LemmaCheck, LemmaReport, PrimeStructure,
                      check_lemma_suite, minimal_prime_ideals,
                      minimal_prime_semi_ideals, prime_structure)
@@ -33,7 +30,7 @@ from .search import (SearchResult, boolean_lattice, chain_lattice, generate,
                      random_poset_down_set_lattice, search_counterexamples)
 from .solvers import (Coloring, CliqueWitness, beck_coloring,
                       brute_force_chromatic, brute_force_clique,
-                      chromatic_number, clique_number, greedy_coloring)
+                      chromatic_number, clique_number)
 from .zdgraph import (ZdGraph, export_dot, mult_zero_divisor_graph,
                       order_zero_divisor_graph)
 

@@ -52,7 +52,7 @@ Python's unbounded ints make the bitmask representation work for lattices
 of a few hundred elements.  Measured on a shared 2-core Xeon (best of 7),
 a 256-element boolean lattice builds from its covers in 5-8 ms, and
 Id(Z_n) with 768 elements builds, with its multiplication checked, in
-0.33-0.53 s; distributivity is still a cubic scan.
+0.33-0.53 s.
 """
 from __future__ import annotations
 
@@ -147,10 +147,6 @@ class Lattice:
         """Elements covering bottom."""
         b = self.bottom
         return [x for x in range(self.n) if x != b and self.down[x] == (1 << b | 1 << x)]
-
-    def coatoms(self) -> list[int]:
-        t = self.top
-        return [x for x in range(self.n) if x != t and self.up[x] == (1 << t | 1 << x)]
 
     def join_irreducibles(self) -> list[int]:
         """Elements x != 0 that are not the join of the elements strictly
@@ -508,25 +504,6 @@ def _meet_join_scan(names: tuple[str, ...], up: list[int], down: list[int]) -> N
 # Structural predicates
 
 
-def distributivity_witness(lat: Lattice) -> tuple[int, int, int] | None:
-    """First triple (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), or None."""
-    n, meet, join = lat.n, lat.meet, lat.join
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            jy = join[y]
-            mxy = mx[y]
-            jm = join[mxy]
-            for z in range(n):
-                if mx[jy[z]] != jm[mx[z]]:
-                    return (x, y, z)
-    return None
-
-
-def is_distributive(lat: Lattice) -> bool:
-    return distributivity_witness(lat) is None
-
-
 def modularity_witness(lat: Lattice) -> tuple[int, int, int, int, int] | None:
     """Return a pentagon sublattice as (bottom, low, high, side, top), or None.
 
@@ -633,20 +610,17 @@ def _zero_distributivity_scan(lat: Lattice) -> tuple[int, int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Element subsets (semi-ideals, ideals, filters)
+# Element subsets (semi-ideals and ideals)
 
 
 class ElementSubset:
     """A subset of lattice elements with lazily computed structure flags.
 
-    The membership is a bitmask over element indices.  ``is_minimal`` is not
-    intrinsic: the prime-structure routines set it on the subsets they
-    certify as inclusion-minimal prime semi-ideals or ideals.  Tuples are
-    built from lists so they are allocated at their exact size.
+    The membership is a bitmask over element indices.  Tuples are built
+    from lists so they are allocated at their exact size.
     """
 
-    def __init__(self, lattice: Lattice, members: int | Iterable[int], *,
-                 is_minimal: bool = False):
+    def __init__(self, lattice: Lattice, members: int | Iterable[int]):
         self.lattice = lattice
         if isinstance(members, int):
             self.mask = members
@@ -657,7 +631,6 @@ class ElementSubset:
             self.mask = mask
         if self.mask >> lattice.n:
             raise ValueError("subset mask has bits outside the lattice")
-        self.is_minimal = is_minimal
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -698,11 +671,6 @@ class ElementSubset:
         return all(lat.down[x] & ~self.mask == 0 for x in _bits(self.mask))
 
     @cached_property
-    def is_up_set(self) -> bool:
-        lat = self.lattice
-        return all(lat.up[x] & ~self.mask == 0 for x in _bits(self.mask))
-
-    @cached_property
     def is_ideal(self) -> bool:
         """Non-empty down-set closed under binary join."""
         if self.is_empty or not self.is_down_set:
@@ -710,15 +678,6 @@ class ElementSubset:
         lat = self.lattice
         ms = self.members
         return all(self.mask >> lat.join[a][b] & 1 for a in ms for b in ms)
-
-    @cached_property
-    def is_filter(self) -> bool:
-        """Non-empty up-set closed under binary meet."""
-        if self.is_empty or not self.is_up_set:
-            return False
-        lat = self.lattice
-        ms = self.members
-        return all(self.mask >> lat.meet[a][b] & 1 for a in ms for b in ms)
 
     @cached_property
     def is_prime(self) -> bool:
@@ -734,16 +693,3 @@ class ElementSubset:
                 if self.mask >> row[b] & 1:
                     return False
         return True
-
-    def complement(self) -> "ElementSubset":
-        return ElementSubset(self.lattice, ((1 << self.lattice.n) - 1) & ~self.mask)
-
-
-def principal_down_set(lat: Lattice, a: int) -> ElementSubset:
-    """The principal down-set of ``a``: every element <= a."""
-    return ElementSubset(lat, lat.down[a])
-
-
-def principal_up_set(lat: Lattice, a: int) -> ElementSubset:
-    """The principal up-set of ``a``: every element >= a."""
-    return ElementSubset(lat, lat.up[a])

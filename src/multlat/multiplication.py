@@ -20,16 +20,15 @@ pa the row of a, jj the column b -> b v j and jpa the join row of a.j,
 b -> pa[jj[b]] is a.(b v j) and b -> jpa[pa[b]] is a.j v a.b, and
 ``operator.itemgetter`` builds each in C.  A failed test hands over to a
 scan that names the witness an element-by-element check would name.  On
-top of the verified table this module computes powers, nilpotents,
-annihilators, residuals and prime elements.
+top of the verified table this module computes reducedness, annihilators
+and prime elements.
 
 The facts the analysis asks for more than once are computed once per
 ``MultLattice`` and cached on it with ``functools.cached_property``: the
-stable power of each element (read by ``stable_power``, ``is_nilpotent``
-and the annihilators), the nilpotency witness, the annihilator of every
-element and the prime elements.  The public functions return a fresh list
-each call.  Reducedness is read off the diagonal of the table, with no
-power walk (see ``nilpotency_witness``).
+nilpotency witness, the annihilator of every element (each from one walk
+of that element's powers) and the prime elements.  The public functions
+return a fresh list each call.  Reducedness is read off the diagonal of
+the table, with no power walk (see ``nilpotency_witness``).
 
 Primality is decided on J x J.  An element p != 1 is prime exactly when
 a.b is not below p for all join-irreducibles a, b not below p.  Any x not
@@ -80,10 +79,6 @@ class MultLattice:
 
     def prod(self, x: int, y: int) -> int:
         return self.product[x][y]
-
-    @cached_property
-    def _stable_powers(self) -> tuple[int, ...]:
-        return tuple([_power_walk(self.product, a) for a in range(self.n)])
 
     @cached_property
     def _nilpotency_witness(self) -> tuple[int, int] | None:
@@ -303,16 +298,6 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
 # Powers, nilpotents, reducedness
 
 
-def power(ml: MultLattice, a: int, k: int) -> int:
-    """a^k for k >= 1 by iterated product."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    acc = a
-    for _ in range(k - 1):
-        acc = ml.product[acc][a]
-    return acc
-
-
 def _power_walk(product: Sequence[Sequence[int]], a: int) -> int:
     """The stable power of a: the first a^k with a^(k+1) = a^k.
 
@@ -323,17 +308,6 @@ def _power_walk(product: Sequence[Sequence[int]], a: int) -> int:
     while (q := product[p][a]) != p:
         p = q
     return p
-
-
-def stable_power(ml: MultLattice, a: int) -> int:
-    """The limit of the decreasing power sequence a, a^2, a^3, ..., which
-    is 0 precisely for nilpotent elements.  Read off the cached walk."""
-    return ml._stable_powers[a]
-
-
-def is_nilpotent(ml: MultLattice, a: int) -> bool:
-    """Whether a^k = 0 for some k >= 1."""
-    return stable_power(ml, a) == ml.lattice.bottom
 
 
 def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
@@ -369,7 +343,7 @@ def is_semiprime(ml: MultLattice, i: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Annihilators and residuals
+# Annihilators
 
 
 def annihilator_star(ml: MultLattice, a: int) -> int:
@@ -378,26 +352,11 @@ def annihilator_star(ml: MultLattice, a: int) -> int:
     Computed as the join of {x | p.x = 0} where p is the stable power of a
     (powers decrease, so annihilating any power is annihilating the stable
     one).  For reduced lattices this coincides with the join of
-    {x | x.a = 0}.
+    {x | x.a = 0}.  ``annihilator_map`` caches it for every element.
     """
     lat = ml.lattice
-    row = ml.product[stable_power(ml, a)]
+    row = ml.product[_power_walk(ml.product, a)]
     return lat.join_all(x for x in range(ml.n) if row[x] == lat.bottom)
-
-
-def residual(ml: MultLattice, a: int, b: int) -> int:
-    """The residual (a : b): the largest x with x.b <= a."""
-    lat = ml.lattice
-    col = ml.product[b]
-    r = lat.join_all(x for x in range(ml.n) if lat.leq(col[x], a))
-    # The defining set is join-closed by M3, so the adjunction must hold.
-    for x in range(ml.n):
-        if lat.leq(col[x], a) != lat.leq(x, r):
-            raise SelfCheckError(
-                f"residual ({ml.names[a]} : {ml.names[b]}) = {ml.names[r]} breaks "
-                f"the adjunction at {ml.names[x]}; the product does not "
-                "distribute over joins")
-    return r
 
 
 # ---------------------------------------------------------------------------

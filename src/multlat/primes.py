@@ -51,7 +51,7 @@ def minimal_prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
     """Inclusion-minimal prime semi-ideals, sorted by member bitmask: the
     complements of up(a) for the atoms a."""
     full = (1 << lat.n) - 1
-    return [ElementSubset(lat, m, is_minimal=True)
+    return [ElementSubset(lat, m)
             for m in sorted(full & ~lat.up[a] for a in lat.atoms())]
 
 
@@ -66,7 +66,7 @@ def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
     """
     generator = {d: m for m, d in enumerate(lat.down)}
     tops = [generator[d] for d in _candidate_masks(lat) if d in generator]
-    return [ElementSubset(lat, m, is_minimal=True)
+    return [ElementSubset(lat, m)
             for m in sorted(lat.down[t] for t in lat.minimal(tops))]
 
 

@@ -71,10 +71,6 @@ class ZnIdealLattice:
     def lattice(self) -> Lattice:
         return self.embedded.lattice
 
-    def element_of(self, d: int) -> int:
-        """Index of the ideal generated by divisor d."""
-        return self.divisors.index(d)
-
 
 def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     """Build Id(Z_n) with full axiom validation.

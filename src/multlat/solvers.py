@@ -27,8 +27,8 @@ search nor the size of a clique is bounded by Python's recursion limit:
 relabels once for the greedy bound, every k and, when no lower bound is
 given, the clique kernel, all under one deadline.  The greedy bound and the
 k-search give colour lists in the new numbering; only the one that wins is
-mapped back, by the helper ``greedy_coloring`` uses.  Every clique used as
-a bound has its witness checked against the original graph.
+mapped back, by ``_coloring``.  Every clique used as a bound has its
+witness checked against the original graph.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -157,12 +157,6 @@ def _coloring(g: ZdGraph, order: list[int], colors: list[int]) -> Coloring:
     """Map colours of the relabelled numbering back to a Coloring of ``g``."""
     return Coloring({g.vertices[old]: c for old, c in zip(order, colors)},
                     len(set(colors)))
-
-
-def greedy_coloring(g: ZdGraph) -> Coloring:
-    """Largest-degree-first greedy coloring (deterministic upper bound)."""
-    order, adj = _relabel(g)
-    return _coloring(g, order, _greedy(adj))
 
 
 # ---------------------------------------------------------------------------

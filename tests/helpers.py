@@ -8,6 +8,7 @@ from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
                      attach_multiplication, build_lattice, fig3_lattice,
                      fig3_table)
 from multlat.search import boolean_lattice, chain_lattice
+from multlat.solvers import Coloring, _coloring, _greedy, _relabel
 
 
 def make_graph(n: int, edges: list[tuple[int, int]]) -> ZdGraph:
@@ -415,6 +416,31 @@ def reference_mult_graph(ml, i: int):
 
 # ---------------------------------------------------------------------------
 # Reference deciders for the facts cached on Lattice and MultLattice
+
+
+def is_distributive(lat: Lattice) -> bool:
+    """Whether x ^ (y v z) = (x ^ y) v (x ^ z) for every triple: the
+    definition, checked over all n^3 triples.  The tests use it to pick the
+    lattices on which the meet is an admissible product."""
+    meet, join = lat.meet, lat.join
+    xs = range(lat.n)
+    return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+               for x in xs for y in xs for z in xs)
+
+
+def power(ml, a: int, k: int) -> int:
+    """a^k for k >= 1 by k - 1 products."""
+    acc = a
+    for _ in range(k - 1):
+        acc = ml.product[acc][a]
+    return acc
+
+
+def greedy_coloring(g: ZdGraph) -> Coloring:
+    """First fit in the solvers' largest-degree-first order: the greedy
+    bound that ``chromatic_number`` starts from, mapped back to ``g``."""
+    order, adj = _relabel(g)
+    return _coloring(g, order, _greedy(adj))
 
 
 def scan_join_irreducibles(lat: Lattice) -> list[int]:

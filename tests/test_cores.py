@@ -10,8 +10,7 @@ import multlat.lattice
 import multlat.multiplication
 from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_star,
                      check_lemma_suite,
-                     attach_multiplication, fixture, is_distributive,
-                     is_prime_element, maximal_annihilator_elements,
+                     attach_multiplication, fixture, is_prime_element, maximal_annihilator_elements,
                      minimal_prime_elements, modularity_witness,
                      nilpotency_witness, prime_elements,
                      zero_distributivity_witness)
@@ -23,9 +22,9 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     random_closure_lattice, scan_has_nonzero_zero_divisor,
-                     scan_is_prime_element, scan_join_irreducibles,
-                     two_walk_nilpotency_scan)
+                     is_distributive, random_closure_lattice,
+                     scan_has_nonzero_zero_divisor, scan_is_prime_element,
+                     scan_join_irreducibles, two_walk_nilpotency_scan)
 from test_lattice import diamond_lattice, pentagon_lattice
 from test_primes import _oracle_lattices
 

@@ -28,12 +28,12 @@ import random
 
 from multlat import (FIXTURE_NAMES, BeckReport, analyze, analyze_ring,
                      beck_coloring, chromatic_number, clique_number, fixture,
-                     generate, greedy_coloring, is_reduced,
+                     generate, is_reduced,
                      mult_zero_divisor_graph, nilpotency_witness,
                      search_counterexamples)
 from multlat.multiplication import annihilator_map
 
-from helpers import make_graph
+from helpers import greedy_coloring, make_graph
 
 GOLDEN_SHA256 = "ea224f7ee3c835468cc0cd97fbe5edfee6da5e694c963b6dcc091212d782771b"
 EXTENDED_SHA256 = "dccc9a143313625df5bd9417ae000f6473f544098ed6198aa499fefed8b447f5"

@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 import multlat
 from multlat import lattice as lattice_module
 from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
-                     NotAPartialOrder, SelfCheckError, build_lattice, distributivity_witness,
-                     fig2_lattice, fig3_lattice, is_distributive, is_modular,
+                     NotAPartialOrder, SelfCheckError, build_lattice,
+                     fig2_lattice, fig3_lattice, is_modular,
                      is_zero_distributive, modularity_witness,
-                     principal_down_set, principal_up_set,
                      zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
 from helpers import (assert_is_n5, bit_scan_meet_join, boolean_2_with_a_wrong_meet,
-                     cover_closure, enumerate_down_sets, random_closure_lattice)
+                     cover_closure, enumerate_down_sets, is_distributive,
+                     random_closure_lattice)
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
@@ -243,7 +243,6 @@ def test_diamond_is_modular_not_distributive():
     lat = diamond_lattice()
     assert is_modular(lat)
     assert not is_distributive(lat)
-    assert distributivity_witness(lat) is not None
 
 
 def test_diamond_is_not_zero_distributive():
@@ -279,18 +278,20 @@ def test_fig2_is_zero_distributive_by_scan():
 
 def test_principal_sets():
     lat = fig2_lattice()
-    assert principal_down_set(lat, lat.top).names == lat.names
-    assert principal_down_set(lat, lat.bottom).names == ("0",)
-    assert principal_down_set(lat, lat.index("d")).names == ("0", "a", "b", "c", "d")
-    assert principal_up_set(lat, lat.index("d")).names == ("d", "1")
+    def down(name):
+        return ElementSubset(lat, lat.down[lat.index(name)])
+    assert down("1").names == lat.names
+    assert down("0").names == ("0",)
+    assert down("d").names == ("0", "a", "b", "c", "d")
+    assert ElementSubset(lat, lat.up[lat.index("d")]).names == ("d", "1")
 
 
 def test_subset_flags():
     lat = fig2_lattice()
-    down_d = principal_down_set(lat, lat.index("d"))
+    down_d = ElementSubset(lat, lat.down[lat.index("d")])
     assert down_d.is_down_set and down_d.is_ideal and down_d.is_proper
-    up_d = principal_up_set(lat, lat.index("d"))
-    assert up_d.is_up_set and up_d.is_filter and not up_d.is_down_set
+    up_d = ElementSubset(lat, lat.up[lat.index("d")])
+    assert not up_d.is_down_set
     ab = ElementSubset(lat, [lat.index("a"), lat.index("b")])
     assert not ab.is_down_set and not ab.is_ideal
     whole = ElementSubset(lat, (1 << lat.n) - 1)

@@ -10,21 +10,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (AxiomViolation, IncompleteTable, MultLattice,
-                     SelfCheckError, annihilator_star,
-                     attach_multiplication, fig2_lattice,
-                     fig3_lattice, fig3_table, fixture, is_nilpotent,
-                     is_prime_element, is_reduced, is_zero_distributive,
+from multlat import (AxiomViolation, IncompleteTable, SelfCheckError,
+                     annihilator_star, attach_multiplication, fig2_lattice,
+                     fig3_lattice, fig3_table, fixture, is_prime_element,
+                     is_reduced, is_zero_distributive,
                      maximal_annihilator_elements, minimal_prime_elements,
-                     nilpotency_witness, power, prime_elements, residual)
+                     nilpotency_witness, prime_elements)
 from multlat import multiplication
-from multlat.multiplication import _verify_axioms, stable_power
+from multlat.multiplication import _power_walk, _verify_axioms
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
 from helpers import (axiom_holds_at, exhaustive_axiom_violation,
-                     join_irreducible_axiom_violation, random_closure_lattice,
-                     trivial_product)
+                     join_irreducible_axiom_violation, power,
+                     random_closure_lattice, trivial_product)
 from test_lattice import diamond_lattice, pentagon_lattice
 
 
@@ -317,15 +316,6 @@ def test_self_check_survives_python_optimize():
     assert out.stdout == "raised\n"
 
 
-def test_residual_adjunction_is_checked_at_run_time():
-    """A product that skips attach-time verification breaks the residual's
-    adjunction; the check raises even under python -O."""
-    lat = diamond_lattice()
-    ml = MultLattice(lat, lat.meet)  # the meet is not admissible on M3
-    with pytest.raises(SelfCheckError, match="adjunction"):
-        residual(ml, lat.bottom, lat.index("x"))
-
-
 # ---------------------------------------------------------------------------
 # Powers, nilpotents, reducedness
 
@@ -335,7 +325,6 @@ def test_fig3_nilpotents():
     lat = ml.lattice
     f = lat.index("f")
     assert power(ml, f, 2) == lat.bottom
-    assert is_nilpotent(ml, f)
     assert not is_reduced(ml)
     witness = nilpotency_witness(ml)
     assert (lat.names[witness[0]], witness[1]) == ("f", 2)
@@ -356,23 +345,17 @@ def test_fig2_trivial_is_not_reduced():
     assert not is_reduced(ml)
 
 
-def test_power_validates_exponent():
-    ml = b3_meet()
-    with pytest.raises(ValueError):
-        power(ml, 0, 0)
-
-
 def test_power_sequence_stabilizes_within_n_steps():
     for ml in (fixture("fig3"), fixture("fig2"), b3_meet()):
         n = ml.n
         for a in range(n):
             assert power(ml, a, n) == power(ml, a, n + 1) or \
                 power(ml, a, n) == ml.lattice.bottom
-            assert stable_power(ml, a) == power(ml, a, n)
+            assert _power_walk(ml.product, a) == power(ml, a, n)
 
 
 # ---------------------------------------------------------------------------
-# Annihilators and residuals
+# Annihilators
 
 
 def test_annihilator_of_bottom_is_top():
@@ -398,33 +381,6 @@ def test_reduced_annihilator_matches_single_power_form():
             direct = lat.join_all(x for x in range(ml.n)
                                   if ml.prod(x, a) == lat.bottom)
             assert annihilator_star(ml, a) == direct
-
-
-def test_residual_identities():
-    ml = b3_meet()
-    lat = ml.lattice
-    for a in range(ml.n):
-        assert residual(ml, a, lat.top) == a
-        assert residual(ml, lat.top, a) == lat.top
-        for b in range(ml.n):
-            assert lat.leq(a, residual(ml, a, b))
-
-
-def test_residual_b3_example():
-    ml = b3_meet()
-    lat = ml.lattice
-    r = residual(ml, lat.index("{1}"), lat.index("{1,2}"))
-    assert lat.names[r] == "{1,3}"
-
-
-def test_residual_adjunction_exhaustive():
-    for ml in (b3_meet(), fixture("fig3"), ideal_lattice_zn(12).embedded):
-        lat = ml.lattice
-        for a in range(ml.n):
-            for b in range(ml.n):
-                r = residual(ml, a, b)
-                for x in range(ml.n):
-                    assert lat.leq(ml.prod(x, b), a) == lat.leq(x, r)
 
 
 def test_reduced_zero_products_match_zero_meets():

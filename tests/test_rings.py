@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import multlat.rings
 from multlat import (InvalidModulus, analyze_ring, ideal_lattice_zn,
-                     is_distributive, is_modular, is_reduced,
-                     minimal_prime_elements, mult_zero_divisor_graph)
+                     is_modular, is_reduced, minimal_prime_elements,
+                     mult_zero_divisor_graph)
 from multlat.rings import divisors_of, is_squarefree, prime_factors
 from multlat.solvers import DEFAULT_SOLVER_BUDGET
+
+from helpers import is_distributive
 
 
 def test_divisor_helpers():
@@ -129,8 +131,3 @@ def test_analyze_ring_passes_its_budget_through(monkeypatch):
     analyze_ring(6)
     analyze_ring(6, solver_budget=2.5)
     assert budgets == [None, DEFAULT_SOLVER_BUDGET, 2.5]
-
-
-def test_divisor_element_lookup():
-    zn = ideal_lattice_zn(18)
-    assert zn.element_of(6) == zn.lattice.index("(6)")

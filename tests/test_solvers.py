@@ -20,12 +20,12 @@ from multlat import (NotReduced, SelfCheckError, SolverTimeout, TooLarge,
                      chromatic_number, clique_number, fixture, is_reduced,
                      mult_zero_divisor_graph)
 from multlat.solvers import (Coloring, _Deadline, _k_colorable, _max_clique,
-                             _relabel, greedy_coloring, is_proper)
+                             _relabel, is_proper)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
-from helpers import (complete_graph, cycle_graph, make_graph, random_graph,
-                     reference_clique, reference_k_colorable)
+from helpers import (complete_graph, cycle_graph, greedy_coloring, make_graph,
+                     random_graph, reference_clique, reference_k_colorable)
 
 
 def fig3_graph():

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from multlat import (Coloring, ElementSubset, ImproperIdeal, NotAnIdeal,
                      attach_multiplication, chromatic_number, export_dot,
-                     fig2_lattice, fig3_lattice, fixture, is_distributive,
-                     is_reduced,
-                     mult_zero_divisor_graph, order_zero_divisor_graph,
-                     principal_down_set)
+                     fig2_lattice, fig3_lattice, fixture, is_reduced,
+                     mult_zero_divisor_graph, order_zero_divisor_graph)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
-from helpers import (chain_square_mult, random_closure_lattice,
+from helpers import (chain_square_mult, is_distributive, random_closure_lattice,
                      reference_mult_graph, reference_order_graph)
 
 # The 21 edges of the bundled 14-element counterexample graph, derived by
@@ -64,7 +62,7 @@ def test_b3_order_graph_is_disjointness():
 
 def test_order_graph_wrt_bigger_ideal():
     lat = fig2_lattice()
-    ideal = principal_down_set(lat, lat.index("a"))  # {0, a}
+    ideal = ElementSubset(lat, lat.down[lat.index("a")])  # {0, a}
     g = order_zero_divisor_graph(lat, ideal)
     # b ^ c = 0 in the ideal; both outside it
     assert "b" in g.vertex_names() and "c" in g.vertex_names()
@@ -132,7 +130,7 @@ def test_edge_monotonicity(n):
     ml = zn.embedded
     lat = ml.lattice
     for i in range(lat.n):
-        ideal = principal_down_set(lat, i)
+        ideal = ElementSubset(lat, lat.down[i])
         if not ideal.is_proper:
             continue
         go = order_zero_divisor_graph(lat, ideal)
@@ -192,7 +190,7 @@ def test_both_senses_match_the_pairwise_definitions():
                 graphs.append((mult_zero_divisor_graph(ml, i),
                                reference_mult_graph(ml, i)))
             if i != lat.top:
-                graphs.append((order_zero_divisor_graph(lat, principal_down_set(lat, i)),
+                graphs.append((order_zero_divisor_graph(lat, ElementSubset(lat, lat.down[i])),
                                reference_order_graph(lat, lat.down[i])))
             for g, (verts, edges) in graphs:
                 assert g.vertices == tuple(verts)

@@ -32,7 +32,7 @@ from .errors import (LatticeError, LatticeFileError, SelfCheckError,
 from .fileio import load_lattice_file
 from .fixtures import FIXTURE_NAMES, fixture
 from .lattice import ElementSubset
-from .multiplication import attach_multiplication
+from .multiplication import MULT_KINDS, attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import analyze_ring
 from .search import search_counterexamples
@@ -88,7 +88,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", help="lattice file (JSON)")
     p.add_argument("--fixture", choices=FIXTURE_NAMES,
                    help="use a bundled fixture instead of a file")
-    p.add_argument("--mult", choices=("table", "meet", "trivial"),
+    p.add_argument("--mult", choices=MULT_KINDS,
                    help="override the multiplication")
 
 

@@ -11,7 +11,9 @@ The on-disk format is UTF-8 JSON:
 
 Pairs [x, y] mean x <= y.  Unknown keys are rejected.  Schema problems raise
 LatticeFileError (CLI exit 3); order/axiom problems raise the structural
-errors from the core modules (CLI exit 2).
+errors from the core modules (CLI exit 2).  A file that declares more than
+``MAX_INPUT_ELEMENTS`` elements is a schema problem, rejected before the
+lattice is built.
 
 This module checks only the JSON shape.  The rules on names and the order
 kind (no name declared twice, a kind of "covers" or "leq", no pair naming an
@@ -28,7 +30,7 @@ import json
 from typing import Any
 
 from .errors import IncompleteTable, LatticeFileError
-from .lattice import Lattice, build_lattice
+from .lattice import MAX_INPUT_ELEMENTS, Lattice, build_lattice
 from .multiplication import MultLattice, attach_multiplication, check_mult_kind
 
 
@@ -64,6 +66,9 @@ def parse_lattice_data(data: Any, attach: bool = True
     if (not isinstance(elements, list) or not elements
             or not all(isinstance(e, str) for e in elements)):
         raise LatticeFileError('"elements" must be a non-empty list of strings')
+    if len(elements) > MAX_INPUT_ELEMENTS:
+        raise LatticeFileError(f'"elements" lists {len(elements)} names; at '
+                               f'most {MAX_INPUT_ELEMENTS} are accepted')
 
     order = data["order"]
     if not isinstance(order, dict):

@@ -136,6 +136,12 @@ def mult_zero_divisor_graph(ml: MultLattice, element: int | None = None) -> ZdGr
     return _assemble(lat, ml.product, lat.down[i], ("mult", i))
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a double-quoted DOT ID: a backslash is doubled and a
+    double quote escaped, so the ID ends at the closing quote."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
                coloring=None) -> str:
     """Deterministic DOT text for a graph.
@@ -144,8 +150,12 @@ def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
     endpoints ascending, edges sorted by their position pair.  When a
     coloring is supplied, nodes are filled from the fixed 12-color palette
     indexed by color class; a coloring with more classes raises TooLarge.
+    Each name is one double-quoted DOT ID (``_dot_id``), so a name holding
+    a double quote or a backslash cannot end it early; any other name
+    appears as it is.
     """
     names = labels if labels is not None else graph.vertex_names()
+    names = [_dot_id(nm) for nm in names]
     if len(names) != graph.n_vertices:
         raise ValueError("label count does not match vertex count")
     color_of = {}
@@ -158,10 +168,11 @@ def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
     lines = ["graph G {"]
     for k, v in enumerate(graph.vertices):
         if v in color_of:
-            lines.append(f'  "{names[k]}" [style=filled,fillcolor={color_of[v]}];')
+            lines.append(f'  {names[k]} [style=filled,fillcolor={color_of[v]}];')
         else:
-            lines.append(f'  "{names[k]}";')
+            lines.append(f'  {names[k]};')
     for i, j in graph.edges():
-        lines.append(f'  "{names[i]}" -- "{names[j]}";')
+        lines.append(f'  {names[i]} -- {names[j]};')
     lines.append("}")
     return "\n".join(lines) + "\n"
+

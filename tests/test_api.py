@@ -1,0 +1,57 @@
+"""The public API, pinned: the names ``multlat`` exports, and README's
+library example run as it is written."""
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+
+import multlat
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+# Every name in multlat.__all__: the package's functions and classes, and the
+# submodules its __init__ imports.  A new export, or a deleted one, must be
+# added here or removed here on purpose.
+PUBLIC_NAMES = [
+    "AxiomViolation", "BeckReport", "CliqueWitness", "Coloring",
+    "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
+    "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
+    "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
+    "NoBoundedStructure", "NoPrimesFound", "NotALattice", "NotAPartialOrder",
+    "NotAnIdeal", "NotReduced", "PrimeStructure", "SearchResult",
+    "SelfCheckError", "SolverTimeout", "TooLarge", "ZdGraph", "ZnIdealLattice",
+    "analyze", "analyze_ring", "annihilator_star", "attach_multiplication",
+    "beck_coloring", "boolean_lattice", "brute_force_chromatic",
+    "brute_force_clique", "build_lattice", "chain_lattice",
+    "check_lemma_suite", "chromatic_number", "clique_number", "errors",
+    "export_dot", "fig2_lattice", "fig3_lattice", "fig3_table", "fileio",
+    "fixture", "fixtures", "generate", "ideal_lattice_zn", "is_modular",
+    "is_prime_element", "is_reduced", "is_zero_distributive", "lattice",
+    "load_lattice_file", "maximal_annihilator_elements",
+    "minimal_prime_elements", "minimal_prime_ideals",
+    "minimal_prime_semi_ideals", "modularity_witness",
+    "mult_zero_divisor_graph", "multiplication", "nilpotency_witness",
+    "order_zero_divisor_graph", "parse_lattice_data", "prime_elements",
+    "prime_structure", "primes", "random_poset_down_set_lattice", "report",
+    "rings", "search", "search_counterexamples", "solvers", "zdgraph",
+    "zero_distributivity_witness",
+]
+
+
+def test_the_exported_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 79
+    assert sorted(multlat.__all__) == PUBLIC_NAMES
+
+
+def test_the_readme_library_example_runs():
+    """README's one python block runs in a fresh interpreter and prints the
+    fig3 verdict, so it names no function that is gone."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "fails\n"

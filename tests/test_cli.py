@@ -411,6 +411,22 @@ def test_graph_empty_chain(tmp_path, capsys):
     assert out == "graph G {\n}\n"
 
 
+def test_graph_quotes_names_with_quotes_and_backslashes(tmp_path, capsys):
+    """Each name is one quoted DOT ID: a double quote and a backslash in a
+    name are escaped, so the ID does not end inside the name."""
+    data = {"elements": ["0", 'a"x', "b\\", "1"],
+            "order": {"kind": "covers", "pairs": [
+                ["0", 'a"x'], ["0", "b\\"], ['a"x', "1"], ["b\\", "1"]]}}
+    code, out, _ = run_cli(["graph", write(tmp_path, data), "--sense", "order"],
+                           capsys)
+    assert code == 0
+    assert out == ('graph G {\n'
+                   '  "a\\"x";\n'
+                   '  "b\\\\";\n'
+                   '  "a\\"x" -- "b\\\\";\n'
+                   '}\n')
+
+
 def test_graph_dot_to_an_unwritable_path_exits_3(tmp_path, capsys):
     target = tmp_path / "missing" / "x.dot"
     code, out, err = run_cli(["graph", "--fixture", "fig3", "--dot", str(target)],
@@ -580,6 +596,10 @@ def test_cmd_search_byte_identical_across_runs():
     (["search", "--families", "random:3x0"], "random size must be 4..40"),
     (["search", "--families", "chain:4", "--budget", "0"],
      "budget must be positive"),
+    (["ring", "--modulus", "1000000000001"],
+     "modulus must be at most 1000000000000, got 1000000000001"),
+    (["search", "--families", "divisor:735134400"],
+     "Id(Z_735134400) has 1344 elements; at most 1024 are accepted"),
 ])
 def test_input_errors_exit_2_with_one_line(args, message, capsys):
     code, out, err = run_cli(args, capsys)

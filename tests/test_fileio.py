@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+import multlat.fileio
 from multlat import (AxiomViolation, IncompleteTable, LatticeFileError, NotALattice,
                      attach_multiplication, build_lattice, load_lattice_file,
                      parse_lattice_data)
 from multlat.cli import main
+from multlat.lattice import MAX_INPUT_ELEMENTS
 
 GOOD = {
     "elements": ["0", "a", "b", "1"],
@@ -204,6 +206,30 @@ def test_a_non_lattice_file_is_a_structural_error(tmp_path, capsys):
     assert not isinstance(exc.value, ValueError)
     assert main(["validate", write(tmp_path, doc)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "NotALattice"
+
+
+class _BuildReached(Exception):
+    """Raised by a stand-in for build_lattice, so no lattice is built."""
+
+
+def test_a_file_past_the_element_cap_is_rejected_before_building(
+        tmp_path, capsys, monkeypatch):
+    """A file with more than MAX_INPUT_ELEMENTS names is a parse error
+    (exit 3) and build_lattice never runs; a file at the cap reaches it."""
+    def stand_in(*args):
+        raise _BuildReached
+
+    monkeypatch.setattr(multlat.fileio, "build_lattice", stand_in)
+    message = (f'"elements" lists {MAX_INPUT_ELEMENTS + 1} names; at most '
+               f'{MAX_INPUT_ELEMENTS} are accepted')
+    names = [str(i) for i in range(MAX_INPUT_ELEMENTS + 1)]
+    over = order_document(names, "covers", [])
+    with pytest.raises(LatticeFileError, match=message):
+        parse_lattice_data(over)
+    assert main(["validate", write(tmp_path, over)]) == 3
+    assert capsys.readouterr().err == message + "\n"
+    with pytest.raises(_BuildReached):
+        parse_lattice_data(order_document(names[:-1], "covers", []))
 
 
 def test_axiom_violation_passes_through(tmp_path):

@@ -11,7 +11,8 @@ import multlat.rings
 from multlat import (InvalidModulus, analyze_ring, ideal_lattice_zn,
                      is_modular, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
-from multlat.rings import divisors_of, is_squarefree, prime_factors
+from multlat.lattice import MAX_INPUT_ELEMENTS
+from multlat.rings import MAX_MODULUS, divisors_of, is_squarefree, prime_factors
 from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
 from helpers import is_distributive
@@ -28,6 +29,31 @@ def test_invalid_modulus():
     for bad in (1, 0, -5, 2.5, "6"):
         with pytest.raises(InvalidModulus):
             ideal_lattice_zn(bad)
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for a step of ideal_lattice_zn."""
+
+
+def test_moduli_past_the_caps_are_rejected_before_building(monkeypatch):
+    """A modulus above MAX_MODULUS is rejected before its divisors are
+    sought, and one with more than MAX_INPUT_ELEMENTS divisors before its
+    lattice is built; at either cap the build is reached."""
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(multlat.rings, "build_lattice", reached)
+    with pytest.raises(_Reached):
+        ideal_lattice_zn(MAX_MODULUS)
+    assert len(divisors_of(349188840)) == MAX_INPUT_ELEMENTS
+    with pytest.raises(_Reached):
+        ideal_lattice_zn(349188840)
+    with pytest.raises(InvalidModulus, match="has 1344 elements; at most 1024"):
+        ideal_lattice_zn(735134400)
+    monkeypatch.setattr(multlat.rings, "divisors_of", reached)
+    for n in (MAX_MODULUS + 1, 10**30):
+        with pytest.raises(InvalidModulus, match=f"at most {MAX_MODULUS}, got {n}"):
+            ideal_lattice_zn(n)
 
 
 def test_z6_structure():

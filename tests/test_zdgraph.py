@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multlat import (Coloring, ElementSubset, ImproperIdeal, NotAnIdeal,
-                     attach_multiplication, chromatic_number, export_dot,
-                     fig2_lattice, fig3_lattice, fixture, is_reduced,
-                     mult_zero_divisor_graph, order_zero_divisor_graph)
+                     attach_multiplication, build_lattice, chromatic_number,
+                     export_dot, fig2_lattice, fig3_lattice, fixture,
+                     is_reduced, mult_zero_divisor_graph,
+                     order_zero_divisor_graph)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
@@ -190,7 +192,8 @@ def test_both_senses_match_the_pairwise_definitions():
                 graphs.append((mult_zero_divisor_graph(ml, i),
                                reference_mult_graph(ml, i)))
             if i != lat.top:
-                graphs.append((order_zero_divisor_graph(lat, ElementSubset(lat, lat.down[i])),
+                ideal = ElementSubset(lat, lat.down[i])
+                graphs.append((order_zero_divisor_graph(lat, ideal),
                                reference_order_graph(lat, lat.down[i])))
             for g, (verts, edges) in graphs:
                 assert g.vertices == tuple(verts)
@@ -268,3 +271,57 @@ def test_dot_custom_labels_and_palette_limit():
     big.color_count = 13  # simulate an over-wide coloring
     with pytest.raises(ValueError):
         export_dot(g, coloring=big)
+
+
+# A DOT double-quoted ID: any character but " and \, or \ and one character.
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(rf"  {DOT_ID}( \[style=filled,fillcolor=[a-z]+\])?;")
+DOT_EDGE = re.compile(rf"  {DOT_ID} -- {DOT_ID};")
+
+
+def _dot_names(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The node names and edge name pairs of export_dot's text, unescaped;
+    every line between the braces must be one node or one edge line."""
+    lines = text.splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    def unescape(dot_id: str) -> str:
+        return re.sub(r"\\(.)", r"\1", dot_id)
+
+    nodes, edges = [], []
+    for line in lines[1:-1]:
+        node, edge = DOT_NODE.fullmatch(line), DOT_EDGE.fullmatch(line)
+        assert node or edge, line
+        if node:
+            nodes.append(unescape(node.group(1)))
+        else:
+            edges.append((unescape(edge.group(1)), unescape(edge.group(2))))
+    return nodes, edges
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    """A name holding a double quote or a backslash is one quoted ID that
+    reads back as the name; the node and edge lines stay well formed."""
+    names = ["0", 'a"x', "b\\", 'c\\"', "1"]
+    lat = build_lattice(names, [("0", n) for n in names[1:4]]
+                        + [(n, "1") for n in names[1:4]])
+    g = order_zero_divisor_graph(lat, zero_ideal(lat))
+    _, coloring = chromatic_number(g)
+    for colored in (None, coloring):
+        nodes, edges = _dot_names(export_dot(g, coloring=colored))
+        assert nodes == names[1:4]
+        assert edges == [(a, b) for i, a in enumerate(names[1:4])
+                         for b in names[i + 2:4]]
+    assert '  "a\\"x" -- "b\\\\";' in export_dot(g)
+
+
+def test_dot_of_plain_names_is_unchanged():
+    """Names with no quote or backslash are written as they are: the DOT of
+    every fixture graph is the unescaped text, byte for byte."""
+    for name in ("fig2", "fig3"):
+        ml = fixture(name)
+        g = mult_zero_divisor_graph(ml)
+        names = g.vertex_names()
+        expected = ["graph G {"] + [f'  "{nm}";' for nm in names] + [
+            f'  "{names[i]}" -- "{names[j]}";' for i, j in g.edges()] + ["}"]
+        assert export_dot(g) == "\n".join(expected) + "\n"
+        assert _dot_names(export_dot(g))[0] == list(names)

@@ -36,4 +36,25 @@ from .zdgraph import (ZdGraph, export_dot, mult_zero_divisor_graph,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AxiomViolation", "BeckReport", "CliqueWitness", "Coloring",
+    "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
+    "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
+    "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
+    "NoBoundedStructure", "NoPrimesFound", "NotALattice", "NotAPartialOrder",
+    "NotAnIdeal", "NotReduced", "PrimeStructure", "SearchResult",
+    "SelfCheckError", "SolverTimeout", "TooLarge", "ZdGraph", "ZnIdealLattice",
+    "analyze", "analyze_ring", "annihilator_star", "attach_multiplication",
+    "beck_coloring", "boolean_lattice", "brute_force_chromatic",
+    "brute_force_clique", "build_lattice", "chain_lattice",
+    "check_lemma_suite", "chromatic_number", "clique_number", "export_dot",
+    "fig2_lattice", "fig3_lattice", "fig3_table", "fixture", "generate",
+    "ideal_lattice_zn", "is_modular", "is_prime_element", "is_reduced",
+    "is_zero_distributive", "load_lattice_file",
+    "maximal_annihilator_elements", "minimal_prime_elements",
+    "minimal_prime_ideals", "minimal_prime_semi_ideals", "modularity_witness",
+    "mult_zero_divisor_graph", "nilpotency_witness",
+    "order_zero_divisor_graph", "parse_lattice_data", "prime_elements",
+    "prime_structure", "random_poset_down_set_lattice",
+    "search_counterexamples", "zero_distributivity_witness",
+]

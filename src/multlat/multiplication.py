@@ -30,13 +30,14 @@ of that element's powers) and the prime elements.  The public functions
 return a fresh list each call.  Reducedness is read off the diagonal of
 the table, with no power walk (see ``nilpotency_witness``).
 
-Primality is decided on J x J.  An element p != 1 is prime exactly when
-a.b is not below p for all join-irreducibles a, b not below p.  Any x not
-below p is the join of the join-irreducibles below it, so one of them, a,
-is not below p either; M3 makes the product monotone in each argument
-(x = x v a gives x.y = x.y v a.y), so x, y not below p with x.y <= p give
-a <= x and b <= y in J, not below p, with a.b <= x.y <= p.  The cost per
-element is O(|J|^2) instead of O(n^2).
+Primality, semiprimeness and the annihilators are decided on J.  An element
+p != 1 is prime exactly when a.b is not below p for all join-irreducibles
+a, b not below p.  Any x not below p is the join of the join-irreducibles
+below it, so one of them, a, is not below p either; M3 makes the product
+monotone in each argument (x = x v a gives x.y = x.y v a.y), so x, y not
+below p with x.y <= p give a <= x and b <= y in J, not below p, with
+a.b <= x.y <= p: O(|J|^2) per element, not O(n^2).  Semiprimeness is O(|J|)
+by the same argument, and so is each annihilator (``annihilator_star``).
 """
 from __future__ import annotations
 
@@ -333,13 +334,11 @@ def is_reduced(ml: MultLattice) -> bool:
 
 
 def is_semiprime(ml: MultLattice, i: int) -> bool:
-    """Whether a.a <= i implies a <= i.  At the bottom this is reducedness,
-    read off the diagonal as ``nilpotency_witness`` says."""
-    if i == ml.lattice.bottom:
-        return is_reduced(ml)
+    """Whether a.a <= i implies a <= i; at the bottom, reducedness.  Tested
+    on the squares of the j in J not below i (module docstring)."""
     below = ml.lattice.down[i]
-    return not any(below >> ml.product[a][a] & 1
-                   for a in range(ml.n) if not below >> a & 1)
+    return not any(below >> ml.product[j][j] & 1
+                   for j in ml.lattice._join_irreducibles if not below >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +348,16 @@ def is_semiprime(ml: MultLattice, i: int) -> bool:
 def annihilator_star(ml: MultLattice, a: int) -> int:
     """Join of every x killed by some power of a.
 
-    Computed as the join of {x | p.x = 0} where p is the stable power of a
-    (powers decrease, so annihilating any power is annihilating the stable
-    one).  For reduced lattices this coincides with the join of
-    {x | x.a = 0}.  ``annihilator_map`` caches it for every element.
+    That is the join of S = {x | p.x = 0}, p the stable power of a (powers
+    decrease, so annihilating any power is annihilating the stable one).
+    For reduced lattices this coincides with the join of {x | x.a = 0}.
+    By M3, S is a down-set closed under joins, so it is down(V S), and
+    only its join-irreducibles are joined.  ``annihilator_map`` caches it
+    for every element.
     """
     lat = ml.lattice
     row = ml.product[_power_walk(ml.product, a)]
-    return lat.join_all(x for x in range(ml.n) if row[x] == lat.bottom)
+    return lat.join_all([j for j in lat._join_irreducibles if row[j] == lat.bottom])
 
 
 # ---------------------------------------------------------------------------

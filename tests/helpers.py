@@ -436,6 +436,23 @@ def power(ml, a: int, k: int) -> int:
     return acc
 
 
+def scan_annihilator_star(ml, a: int) -> int:
+    """a*, read off its definition: the join of every x that some power
+    a^k kills, k = 1..n.  The powers of a fall strictly until they stop, so
+    by a^n they have stopped."""
+    powers = {power(ml, a, k) for k in range(1, ml.n + 1)}
+    bot = ml.lattice.bottom
+    return ml.lattice.join_all(x for x in range(ml.n)
+                               if any(ml.product[p][x] == bot for p in powers))
+
+
+def scan_is_semiprime(ml, i: int) -> bool:
+    """Whether a.a <= i implies a <= i, checked at every element a."""
+    lat = ml.lattice
+    return all(lat.leq(a, i) or not lat.leq(ml.product[a][a], i)
+               for a in range(ml.n))
+
+
 def greedy_coloring(g: ZdGraph) -> Coloring:
     """First fit in the solvers' largest-degree-first order: the greedy
     bound that ``chromatic_number`` starts from, mapped back to ``g``."""

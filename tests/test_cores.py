@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain
 
 import multlat.lattice
 import multlat.multiplication
@@ -16,14 +17,15 @@ from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_
                      zero_distributivity_witness)
 from multlat.lattice import (_covers_semimodular, _modularity_scan,
                              _zero_distributive, _zero_distributivity_scan)
-from multlat.multiplication import annihilator_map
+from multlat.multiplication import annihilator_map, is_semiprime
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
                      is_distributive, random_closure_lattice,
-                     scan_has_nonzero_zero_divisor, scan_is_prime_element,
+                     scan_annihilator_star, scan_has_nonzero_zero_divisor,
+                     scan_is_prime_element, scan_is_semiprime,
                      scan_join_irreducibles, two_walk_nilpotency_scan)
 from test_lattice import diamond_lattice, pentagon_lattice
 from test_primes import _oracle_lattices
@@ -220,9 +222,8 @@ def test_lemma_suite_on_a_non_reduced_lattice_reads_no_annihilator_or_prime(
 
 
 def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
-    """The stable power, nilpotency and the annihilators all read one
-    cached walk of each element's powers; the nilpotency witness reads
-    none."""
+    """Each annihilator walks its element's powers once, cached through
+    ``annihilator_map``; the nilpotency witness walks none."""
     counts: Counter = Counter()
     original = multlat.multiplication._power_walk
 
@@ -281,3 +282,19 @@ def test_power_walk_and_annihilator_test_match_their_scans():
     # least exponent is always 2 and the witness is decided by the index.
     assert witnesses[None] > 900 and witnesses[2] > 400
     assert zero_divisors[True] > 800 and zero_divisors[False] > 100
+
+
+def test_annihilators_and_semiprimeness_match_their_definitions():
+    """annihilator_map, which joins only the join-irreducibles that the
+    stable power kills, and is_semiprime, which squares only the
+    join-irreducibles outside down(i), equal the scans of every element at
+    every element of both instance sets, non-reduced ones included."""
+    outcomes = Counter()
+    for ml in chain(_walk_instances(), (ml for _, ml in _mult_instances())):
+        assert annihilator_map(ml) == [scan_annihilator_star(ml, a)
+                                       for a in range(ml.n)], ml.names
+        for i in range(ml.n):
+            semiprime = scan_is_semiprime(ml, i)
+            assert is_semiprime(ml, i) == semiprime, (ml.names, ml.names[i])
+            outcomes[semiprime] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000

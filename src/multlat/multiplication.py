@@ -374,7 +374,7 @@ def is_prime_element(ml: MultLattice, p: int) -> bool:
     if p == lat.top:
         return False
     below = lat.down[p]
-    outside = [a for a in lat.join_irreducibles() if not below >> a & 1]
+    outside = [a for a in lat._join_irreducibles if not below >> a & 1]
     for i, a in enumerate(outside):
         row = ml.product[a]
         for b in outside[i:]:

@@ -15,7 +15,7 @@ from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
 from .multiplication import MultLattice, is_semiprime, nilpotency_witness
 from .primes import LemmaReport, check_lemma_suite, prime_structure
-from .solvers import DEFAULT_SOLVER_BUDGET, chromatic_number, clique_number
+from .solvers import DEFAULT_SOLVER_BUDGET, _solve
 from .zdgraph import mult_zero_divisor_graph
 
 VERDICT_HOLDS = "holds"
@@ -64,12 +64,12 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
 
     Builds the graph at ``element`` (default: bottom), computes exact chi and
     omega with witnesses, the prime structure, structural flags, and the
-    lemma suite, then renders the verdict.  ``solver_budget`` bounds both
-    exact solves together: the chromatic search gets what the clique search
-    left over.  A solver timeout is folded into the report (timed_out True,
-    verdict None) so batch callers can log and continue; chi and its
-    coloring are None, and so are omega and its clique unless the clique
-    was solved first.
+    lemma suite, then renders the verdict.  Both invariants come from one
+    solve: one relabelling of the graph and one deadline of
+    ``solver_budget`` seconds, omega first.  A solver timeout is folded into
+    the report (timed_out True, verdict None) so batch callers can log and
+    continue; chi and its coloring are None, and so are omega and its
+    clique unless the clique was solved first.
 
     chi != omega at a semiprime element i (a.a <= i implies a <= i) raises
     SelfCheckError, because the theory proves it impossible; at the bottom
@@ -92,13 +92,10 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     chi = omega = None
     clique_names = coloring_names = None
     try:
-        solve_start = time.monotonic()
-        omega, clique = clique_number(graph, solver_budget)
+        solve = _solve(graph, solver_budget)
+        omega, clique = next(solve)
         clique_names = [lat.names[v] for v in clique.vertices]
-        left = solver_budget
-        if left is not None:
-            left = max(0.0, left - (time.monotonic() - solve_start))
-        chi, coloring = chromatic_number(graph, left, lower=omega)
+        chi, coloring = next(solve)
         coloring_names = {lat.names[v]: c for v, c in coloring.assignment.items()}
         if omega > chi:
             raise SelfCheckError(

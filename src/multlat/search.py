@@ -20,14 +20,16 @@ self-test available.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .errors import InvalidSpec, SelfCheckError
 from .fixtures import FIXTURE_MULTS, FIXTURE_NAMES, fixture
 from .lattice import Lattice, build_lattice
 from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
 from .report import VERDICT_FAILS, analyze
-from .rings import ideal_lattice_zn
+from .rings import MAX_MODULUS, ideal_lattice_zn
 from .solvers import (DEFAULT_SOLVER_BUDGET, ORACLE_CAP, brute_force_chromatic,
                       brute_force_clique)
 from .zdgraph import mult_zero_divisor_graph
@@ -108,14 +110,11 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
 
 
 _DEFAULT_MULTS = {"divisor": "ring", **FIXTURE_MULTS}
-
-
-def _with_mult(lat: Lattice, mult: str) -> MultLattice:
-    if mult == "ring":
-        raise InvalidSpec("ring multiplication only applies to divisor lattices")
-    if mult == "table":
-        raise InvalidSpec("table multiplication needs an explicit table")
-    return attach_multiplication(lat, mult)
+# The families with one integer argument: its name, its range, the lattice.
+_ONE_ARG = {"chain": ("size", 1, None, chain_lattice),
+            "boolean": ("rank", 0, MAX_BOOLEAN_RANK, boolean_lattice),
+            "divisor": ("modulus", 2, MAX_MODULUS,
+                        lambda n: ideal_lattice_zn(n).lattice)}
 
 
 def _int_arg(text: str, spec: str, what: str, low: int | None = None,
@@ -132,62 +131,65 @@ def _int_arg(text: str, spec: str, what: str, low: int | None = None,
     return value
 
 
+def _instances(spec: str, seed: int = 0) -> Iterator[tuple[str, MultLattice]]:
+    """Check one family spec now; build its instances only when asked.
+
+    Every InvalidSpec is raised here, before anything is built.  The
+    (instance_id, MultLattice) pairs come from a generator expression, one
+    at a time, so what only building shows comes as each is built:
+    InvalidModulus for Id(Z_n) with too many elements, AxiomViolation for
+    an inadmissible multiplication.
+    """
+    family, *args = spec.split(":")
+    if family not in (*FIXTURE_NAMES, *_ONE_ARG, "random"):
+        raise InvalidSpec(f"unknown family {family!r} in spec {spec!r}")
+    mult = args.pop() if args and args[-1] in (*MULT_KINDS, "ring") else None
+    kind = mult or _DEFAULT_MULTS.get(family, "meet")
+    # ring and table apply only to the families that have them by default.
+    owners = [f for f, m in _DEFAULT_MULTS.items() if m == kind]
+    if kind in ("ring", "table") and family not in owners:
+        raise InvalidSpec(f"{kind} multiplication only applies to "
+                          f"{' and '.join(owners)} specs: {spec!r}")
+
+    if family in FIXTURE_NAMES:
+        if args:
+            raise InvalidSpec(f"fixture spec takes no arguments: {spec!r}")
+        return ((f"{family}+{kind}", fixture(family, kind)) for _ in range(1))
+
+    if family in _ONE_ARG:
+        what, low, high, make = _ONE_ARG[family]
+        if len(args) != 1:
+            raise InvalidSpec(f"{family} spec needs one {what} argument: {spec!r}")
+        k = _int_arg(args[0], spec, f"{family} {what}", low, high)
+        if kind == "ring":
+            return ((f"divisor:{k}+ring", ideal_lattice_zn(k).embedded)
+                    for _ in range(1))
+        return ((f"{family}:{k}+{kind}", attach_multiplication(make(k), kind))
+                for _ in range(1))
+
+    if len(args) != 1 or "x" not in args[0]:
+        raise InvalidSpec(f"random spec must look like random:CxS: {spec!r}")
+    count_s, size_s = args[0].split("x", 1)
+    count = _int_arg(count_s, spec, "random count", 0)
+    size = _int_arg(size_s, spec, "random size", MIN_RANDOM_SIZE,
+                    MAX_RANDOM_SIZE)
+    first = seed * 1_000_003
+    return ((f"random:seed={s},max={size}+{kind}",
+             attach_multiplication(random_poset_down_set_lattice(s, size), kind))
+            for s in range(first, first + count))
+
+
 def generate(spec: str, seed: int = 0) -> list[tuple[str, MultLattice]]:
     """Expand one family spec into (instance_id, MultLattice) pairs.
 
     The optional trailing ":MULT" field of the spec picks the multiplication
     in place of the family's default.  ``seed`` seeds the random family.
     Raises InvalidSpec (a ValueError) on malformed or out-of-range specs,
-    InvalidModulus on a divisor modulus below 2, and propagates
-    AxiomViolation when a requested multiplication is inadmissible on the
-    generated lattice.
+    InvalidModulus when Id(Z_n) has more than ``MAX_INPUT_ELEMENTS`` elements,
+    and propagates AxiomViolation when a requested multiplication is
+    inadmissible on the generated lattice.
     """
-    family, *args = spec.split(":")
-    mult = args.pop() if args and args[-1] in (*MULT_KINDS, "ring") else None
-    kind = mult or _DEFAULT_MULTS.get(family, "meet")
-
-    if family in FIXTURE_NAMES:
-        if args:
-            raise InvalidSpec(f"fixture spec takes no arguments: {spec!r}")
-        return [(f"{family}+{kind}", fixture(family, kind))]
-
-    if family == "chain":
-        if len(args) != 1:
-            raise InvalidSpec(f"chain spec needs one size argument: {spec!r}")
-        k = _int_arg(args[0], spec, "chain size", 1)
-        return [(f"chain:{k}+{kind}", _with_mult(chain_lattice(k), kind))]
-
-    if family == "boolean":
-        if len(args) != 1:
-            raise InvalidSpec(f"boolean spec needs one rank argument: {spec!r}")
-        k = _int_arg(args[0], spec, "boolean rank", 0, MAX_BOOLEAN_RANK)
-        return [(f"boolean:{k}+{kind}", _with_mult(boolean_lattice(k), kind))]
-
-    if family == "divisor":
-        if len(args) != 1:
-            raise InvalidSpec(f"divisor spec needs one modulus argument: {spec!r}")
-        n = _int_arg(args[0], spec, "divisor modulus")
-        if kind == "ring":
-            return [(f"divisor:{n}+ring", ideal_lattice_zn(n).embedded)]
-        return [(f"divisor:{n}+{kind}",
-                 _with_mult(ideal_lattice_zn(n).lattice, kind))]
-
-    if family == "random":
-        if len(args) != 1 or "x" not in args[0]:
-            raise InvalidSpec(f"random spec must look like random:CxS: {spec!r}")
-        count_s, size_s = args[0].split("x", 1)
-        count = _int_arg(count_s, spec, "random count", 0)
-        size = _int_arg(size_s, spec, "random size", MIN_RANDOM_SIZE,
-                        MAX_RANDOM_SIZE)
-        out = []
-        for i in range(count):
-            inst_seed = seed * 1_000_003 + i
-            lat = random_poset_down_set_lattice(inst_seed, size)
-            out.append((f"random:seed={inst_seed},max={size}+{kind}",
-                        _with_mult(lat, kind)))
-        return out
-
-    raise InvalidSpec(f"unknown family {family!r} in spec {spec!r}")
+    return list(_instances(spec, seed))
 
 
 @dataclass
@@ -205,17 +207,18 @@ def search_counterexamples(families: list[str], budget: int = 1000,
                            ) -> SearchResult:
     """Analyze generated instances and collect every chi != omega finding.
 
-    Instances are processed in config order up to ``budget`` many; per-
+    Every spec is checked first, so a malformed one raises InvalidSpec
+    before any analysis.  Instances are then built and analyzed one at a
+    time, in config order, up to ``budget`` many: an instance past the
+    budget is never built, so its multiplication is never checked.  Per-
     instance solver timeouts are skipped and logged.  Findings on graphs of
     at most 12 vertices are re-verified against the brute-force oracles.
     """
     if budget <= 0:
         raise InvalidSpec(f"budget must be positive, got {budget}")
-    instances: list[tuple[str, MultLattice]] = []
-    for spec in families:
-        instances.extend(generate(spec, seed=seed))
+    instances = [_instances(spec, seed) for spec in families]
     result = SearchResult()
-    for instance_id, ml in instances[:budget]:
+    for instance_id, ml in islice(chain.from_iterable(instances), budget):
         report = analyze(ml, instance_id=instance_id,
                          solver_budget=solver_budget)
         result.analyzed += 1

@@ -23,12 +23,12 @@ search nor the size of a clique is bounded by Python's recursion limit:
   colours.  The DSATUR choice is then the lowest set bit of the top
   non-empty layer among the uncoloured vertices.
 
-``clique_number`` relabels and runs the clique kernel; ``chromatic_number``
-relabels once for the greedy bound, every k and, when no lower bound is
-given, the clique kernel, all under one deadline.  The greedy bound and the
-k-search give colour lists in the new numbering; only the one that wins is
-mapped back, by ``_coloring``.  Every clique used as a bound has its
-witness checked against the original graph.
+``_solve`` relabels the graph once and makes one deadline.  It yields omega
+with its checked clique first, then chi with its checked colouring, so a
+timeout in the colouring search still leaves omega.  The greedy bound and
+the k-search give colour lists in the new numbering; only the one that wins
+is mapped back, by ``_coloring``.  ``clique_number`` and
+``chromatic_number`` are thin wrappers over it.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -37,6 +37,7 @@ branch-and-bound solvers they cross-check.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (NoPrimesFound, NotReduced, SelfCheckError, SolverTimeout,
@@ -327,45 +328,25 @@ def _clique_witness(g: ZdGraph, order: list[int], size: int,
     return CliqueWitness(tuple(sorted(g.vertices[k] for k in positions)))
 
 
-def clique_number(g: ZdGraph,
-                  budget: float | None = DEFAULT_SOLVER_BUDGET
-                  ) -> tuple[int, CliqueWitness]:
-    """Exact maximum clique size and a checked witness.
+def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
+           ) -> Iterator[tuple[int, CliqueWitness | Coloring]]:
+    """Yield (omega, clique witness), then (chi, proper colouring).
 
-    Relabels the graph, runs ``_max_clique`` and maps its clique back.
-    Returns (0, empty witness) for the empty graph.
+    chi is proved by sandwiching: omega is a lower bound, a greedy colouring
+    an upper bound, and each k in between is settled by ``_k_colorable``.
+    One deadline counts the nodes of both kernels.
     """
     if g.n_vertices == 0:
-        return 0, CliqueWitness(())
-    order, adj = _relabel(g)
-    size, mask = _max_clique(adj, _Deadline(budget))
-    return size, _clique_witness(g, order, size, mask)
-
-
-def chromatic_number(g: ZdGraph,
-                     budget: float | None = DEFAULT_SOLVER_BUDGET,
-                     lower: int | None = None) -> tuple[int, Coloring]:
-    """Exact chromatic number with a proper witness coloring.
-
-    Optimality is proved by sandwiching: the clique number is a lower bound,
-    a greedy largest-degree-first coloring an upper bound, and each k in
-    between is settled by an exhaustive k-colorability search.  A caller
-    that has already solved the clique number passes it as ``lower``; the
-    clique is solved here, and its witness checked, only when ``lower`` is
-    None.  The graph is relabelled once, for the clique, the greedy bound
-    and every k, and one deadline covers them all.  Returns
-    (0, empty coloring) for the empty graph.
-    """
-    if g.n_vertices == 0:
-        return 0, Coloring({}, 0)
+        yield 0, CliqueWitness(())
+        yield 0, Coloring({}, 0)
+        return
     deadline = _Deadline(budget)
     order, adj = _relabel(g)
-    if lower is None:
-        lower, mask = _max_clique(adj, deadline)
-        _clique_witness(g, order, lower, mask)
+    omega, mask = _max_clique(adj, deadline)
+    yield omega, _clique_witness(g, order, omega, mask)
     colors = _greedy(adj)
     chi = len(set(colors))
-    for k in range(lower, chi):
+    for k in range(omega, chi):
         found = _k_colorable(adj, k, deadline)
         if found is not None:
             chi, colors = k, found
@@ -375,7 +356,24 @@ def chromatic_number(g: ZdGraph,
         raise SelfCheckError("chromatic witness is not proper")
     if witness.color_count != chi:
         raise SelfCheckError("chromatic witness wastes colors")
-    return chi, witness
+    yield chi, witness
+
+
+def clique_number(g: ZdGraph,
+                  budget: float | None = DEFAULT_SOLVER_BUDGET
+                  ) -> tuple[int, CliqueWitness]:
+    """Exact maximum clique size and a checked witness: the first half of
+    ``_solve``."""
+    return next(_solve(g, budget))
+
+
+def chromatic_number(g: ZdGraph,
+                     budget: float | None = DEFAULT_SOLVER_BUDGET
+                     ) -> tuple[int, Coloring]:
+    """Exact chromatic number with a proper witness colouring: the second
+    half of ``_solve``."""
+    _, solved = _solve(g, budget)
+    return solved
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,7 @@ def test_cmd_search_byte_identical_across_runs():
      "modulus must be at most 1000000000000, got 1000000000001"),
     (["search", "--families", "divisor:735134400"],
      "Id(Z_735134400) has 1344 elements; at most 1024 are accepted"),
+    (["search", "--families", "fig3,chain:x"], "chain size must be an integer"),
 ])
 def test_input_errors_exit_2_with_one_line(args, message, capsys):
     code, out, err = run_cli(args, capsys)

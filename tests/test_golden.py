@@ -32,6 +32,7 @@ from multlat import (FIXTURE_NAMES, BeckReport, analyze, analyze_ring,
                      mult_zero_divisor_graph, nilpotency_witness,
                      search_counterexamples)
 from multlat.multiplication import annihilator_map
+from multlat.solvers import _solve
 
 from helpers import greedy_coloring, make_graph
 
@@ -86,7 +87,7 @@ def extended_bytes() -> bytes:
                            if rng.random() < p])
         omega, clique = clique_number(g)
         chi, coloring = chromatic_number(g)
-        bounded = chromatic_number(g, lower=omega)
+        _, bounded = _solve(g)
         lines.append(json.dumps([omega, clique.vertices, chi, _coloring(coloring),
                                  bounded[0], _coloring(bounded[1]),
                                  _coloring(greedy_coloring(g))]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import multlat.report
+import multlat.search
 from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
                      ideal_lattice_zn, is_reduced, mult_zero_divisor_graph,
                      parse_lattice_data, search_counterexamples)
@@ -167,6 +168,31 @@ def test_search_budget_limits_instances():
         search_counterexamples(["fig3"], budget=0)
 
 
+def test_search_builds_only_the_instances_it_analyzes(monkeypatch):
+    """A budget of 1 over a hundred thousand random lattices builds one."""
+    built = []
+    real = multlat.search.build_lattice
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(multlat.search, "build_lattice", counted)
+    result = search_counterexamples(["random:100000x40"], budget=1)
+    assert result.analyzed == 1 and len(built) == 1
+
+
+def test_a_bad_last_spec_raises_before_any_analysis(monkeypatch):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analyze called")
+
+    monkeypatch.setattr(multlat.search, "analyze", no_analysis)
+    with pytest.raises(InvalidSpec, match="chain size must be an integer"):
+        search_counterexamples(["fig3", "chain:x"])
+    with pytest.raises(InvalidSpec, match="ring multiplication only applies"):
+        search_counterexamples(["random:5x12", "boolean:2:ring"], budget=1)
+
+
 def test_search_determinism():
     specs = ["random:6x14", "fig3", "divisor:60"]
     r1 = search_counterexamples(specs, seed=11)
@@ -182,14 +208,16 @@ def test_search_skips_timeouts():
 
 
 def misreport_chi(monkeypatch):
-    """Make analyze's chromatic solver report chi one too high."""
-    real = multlat.report.chromatic_number
+    """Make analyze's solve report chi one too high."""
+    real = multlat.report._solve
 
-    def broken(graph, budget=None, lower=None):
-        chi, coloring = real(graph, budget, lower)
-        return chi + 1, coloring
+    def broken(graph, budget=None):
+        solve = real(graph, budget)
+        yield next(solve)
+        chi, coloring = next(solve)
+        yield chi + 1, coloring
 
-    monkeypatch.setattr(multlat.report, "chromatic_number", broken)
+    monkeypatch.setattr(multlat.report, "_solve", broken)
 
 
 def test_reduced_violation_is_fatal(monkeypatch):

@@ -20,7 +20,7 @@ from multlat import (NotReduced, SelfCheckError, SolverTimeout, TooLarge,
                      chromatic_number, clique_number, fixture, is_reduced,
                      mult_zero_divisor_graph)
 from multlat.solvers import (Coloring, _Deadline, _k_colorable, _max_clique,
-                             _relabel, is_proper)
+                             _relabel, _solve, is_proper)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
@@ -129,33 +129,53 @@ def test_determinism():
 
 
 def test_chromatic_with_a_known_clique_bound():
-    """Passing the clique number as the lower bound changes nothing."""
+    """The pair that analyze's solve yields, the clique bound and then chi,
+    is what clique_number and chromatic_number give one at a time."""
     rng = random.Random(17)
-    for g in [fig3_graph()] + [random_graph(rng, 11, 0.5) for _ in range(10)]:
-        omega, _ = clique_number(g)
-        chi, coloring = chromatic_number(g, lower=omega)
-        assert (chi, coloring.assignment) == \
-            (chromatic_number(g)[0], chromatic_number(g)[1].assignment)
+    graphs = [fig3_graph(), make_graph(0, [])]
+    for g in graphs + [random_graph(rng, 11, 0.5) for _ in range(10)]:
+        assert list(_solve(g)) == [clique_number(g), chromatic_number(g)]
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named multlat.solvers function to log its calls."""
+    calls = []
+    for name in names:
+        def counted(*args, _real=getattr(multlat.solvers, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(multlat.solvers, name, counted)
+    return calls
 
 
 def test_analyze_solves_the_clique_once(monkeypatch):
-    calls = []
-    real = multlat.solvers.clique_number
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(multlat.report, "clique_number", counted)
-    monkeypatch.setattr(multlat.solvers, "clique_number", counted)
+    """One relabelling and one clique search serve both invariants."""
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
     report = analyze(fixture("fig3"))
     assert (report.chi, report.omega) == (4, 3)
-    assert len(calls) == 1
+    assert calls == ["_relabel", "_max_clique"]
+
+
+def test_one_deadline_counts_both_kernels(monkeypatch):
+    """analyze on fig3 makes one deadline, and its node count is the
+    clique search's 3 plus the 6 DSATUR nodes that refute k = 3."""
+    deadlines = []
+
+    class Recorded(_Deadline):
+        __slots__ = ()
+
+        def __init__(self, seconds):
+            super().__init__(seconds)
+            deadlines.append(self)
+
+    monkeypatch.setattr(multlat.solvers, "_Deadline", Recorded)
+    assert analyze(fixture("fig3")).chi == 4
+    assert [d.nodes for d in deadlines] == [3 + 6]
 
 
 def test_chromatic_without_a_bound_relabels_once(monkeypatch):
-    """With no lower bound, chromatic_number solves the clique on its own
-    relabelling: one _relabel call, and clique_number is never called."""
+    """chromatic_number solves the clique on its own relabelling: one
+    _relabel call, and clique_number is never called."""
     calls = []
     real = multlat.solvers._relabel
 
@@ -480,8 +500,8 @@ def test_kernel_honours_an_expired_budget():
             kernel(_relabel(g)[1], deadline)
         assert deadline.nodes == 1
     with pytest.raises(SolverTimeout):
-        chromatic_number(g, budget=0.0, lower=2)
-    assert chromatic_number(g, budget=None, lower=2)[0] == 3
+        chromatic_number(g, budget=0.0)
+    assert chromatic_number(g, budget=None)[0] == 3
 
 
 class _ExpiringClock:
@@ -546,37 +566,37 @@ class _Clock:
         return self.now
 
 
-def test_analyze_gives_chi_the_budget_the_clique_left(monkeypatch):
+def _clique_spends(monkeypatch, seconds):
+    """Patch in a still clock that the clique kernel moves by ``seconds``."""
     clock = _Clock()
-    budgets = []
-    real_clique = multlat.report.clique_number
-    real_chromatic = multlat.report.chromatic_number
+    real = multlat.solvers._max_clique
 
-    def slow_clique(graph, budget=None):
-        clock.now += 2.5
-        return real_clique(graph, budget)
+    def slow_clique(adj, deadline):
+        found = real(adj, deadline)
+        clock.now += seconds
+        return found
 
-    def recording_chromatic(graph, budget=None, lower=None):
-        budgets.append(budget)
-        return real_chromatic(graph, budget, lower=lower)
+    monkeypatch.setattr(multlat.solvers, "time", clock)
+    monkeypatch.setattr(multlat.solvers, "_max_clique", slow_clique)
 
-    monkeypatch.setattr(multlat.report, "time", clock)
-    monkeypatch.setattr(multlat.report, "clique_number", slow_clique)
-    monkeypatch.setattr(multlat.report, "chromatic_number", recording_chromatic)
+
+def test_analyze_gives_chi_the_budget_the_clique_left(monkeypatch):
+    """The colouring search runs under the clique's deadline: with 2.5 of 10
+    seconds spent it finishes, with all of them it times out at once."""
+    _clique_spends(monkeypatch, 2.5)
     report = analyze(fixture("fig3"), solver_budget=10.0)
-    assert budgets == [7.5] and (report.chi, report.omega) == (4, 3)
-    analyze(fixture("fig3"), solver_budget=2.0)
-    assert budgets[-1] == 0.0
-    analyze(fixture("fig3"), solver_budget=None)
-    assert budgets[-1] is None
+    assert not report.timed_out and (report.chi, report.omega) == (4, 3)
+    monkeypatch.undo()
+    _clique_spends(monkeypatch, 10.5)
+    report = analyze(fixture("fig3"), solver_budget=10.0)
+    assert report.timed_out and report.chi is None and report.omega == 3
+    report = analyze(fixture("fig3"), solver_budget=None)
+    assert not report.timed_out and (report.chi, report.omega) == (4, 3)
 
 
 def test_chi_timeout_keeps_the_clique(monkeypatch):
-    def timing_out(graph, budget=None, lower=None):
-        raise SolverTimeout("solver exceeded its time budget")
-
-    monkeypatch.setattr(multlat.report, "chromatic_number", timing_out)
-    report = analyze(fixture("fig3"))
+    _clique_spends(monkeypatch, 1.0)
+    report = analyze(fixture("fig3"), solver_budget=0.5)
     omega, clique = clique_number(fig3_graph())
     assert report.timed_out and report.verdict is None
     assert report.chi is None and report.coloring is None

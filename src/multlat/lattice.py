@@ -28,18 +28,16 @@ every pair in row order then names the pair the error reports; a complete
 set of join-irreducible rows proves that every join and every meet exists.
 ``build_lattice`` gives both proofs.
 
-Facts about a lattice that several layers ask for are computed once per
-``Lattice`` object and cached on it with ``functools.cached_property``: the
-join-irreducibles and the lower covers (seeded by ``build_lattice`` from
-the walk its tables use, and shared by the modularity test and the
-multiplication's axiom check), the N5 witness and the 0-distributivity
-witness.  The public functions return a fresh list each call (witnesses
-are tuples), so a caller that mutates a result cannot change the next one.
-Each fact is decided on its smallest exact core before any cubic scan runs:
+The cover structure is part of every ``Lattice``: ``build_lattice`` reads
+the lower covers, the upper covers and the join-irreducibles (the x with
+one lower cover) off the walk its tables use, and stores them as fields
+that take no part in ``==``, hashing or ``repr``.  The modularity test, the
+atoms and the multiplication's axiom check, primality and annihilators all
+read them there.  The N5 witness and the 0-distributivity witness are
+computed on first use and cached on the lattice with
+``functools.cached_property``.  Each is decided on its smallest exact core
+before any cubic scan runs:
 
-* the join-irreducibles are the x with one lower cover, read off the
-  cover walk (for a ``Lattice`` made directly, the x whose strictly-lower
-  elements form a principal down-set, one set lookup each);
 * modularity is decided as upper plus lower semimodularity on covering
   pairs (Birkhoff's condition: two covers of one element have a join that
   covers both, and dually), which is exact for finite lattices (Gratzer,
@@ -57,7 +55,7 @@ Id(Z_n) with 768 elements builds, with its multiplication checked, in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -93,9 +91,12 @@ class Lattice:
 
     ``up[i]`` / ``down[i]`` are bitmasks of the elements weakly above/below
     ``i``; ``meet`` and ``join`` are index tables; ``bottom`` and ``top`` are
-    the indices of the least and greatest elements.  The underscored cached
-    properties hold facts computed on first use; they are not fields, so
-    they take no part in ``==`` or hashing.
+    the indices of the least and greatest elements.  ``lower_covers[x]``
+    and ``upper_covers[x]`` are the elements x covers and is covered by,
+    and ``join_irreducibles`` the x with one lower cover, all ascending;
+    every element is the join of the join-irreducibles below it.  These,
+    and the underscored cached properties, take no part in ``==`` or
+    hashing.
     """
 
     names: tuple[str, ...]
@@ -105,6 +106,9 @@ class Lattice:
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    lower_covers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    upper_covers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    join_irreducibles: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -150,34 +154,9 @@ class Lattice:
         x in S with ``up[x] & S == 1 << x``."""
         return _extremal(xs, self.up)
 
-    def atoms(self) -> list[int]:
-        """Elements covering bottom."""
-        b = self.bottom
-        return [x for x in range(self.n) if x != b and self.down[x] == (1 << b | 1 << x)]
-
-    def join_irreducibles(self) -> list[int]:
-        """Elements x != 0 that are not the join of the elements strictly
-        below them, ascending by index.
-
-        Every element is the join of the join-irreducibles below it (0 is the
-        empty join), which is what lets a join-preserving map be checked on
-        them alone.  In a finite lattice these are exactly the elements with
-        a single lower cover: x is one exactly when the elements strictly
-        below it have a greatest element m, that is when they form down(m).
-        """
-        return list(self._join_irreducibles)
-
-    @cached_property
-    def _join_irreducibles(self) -> tuple[int, ...]:
-        principal = set(self.down)
-        return tuple([x for x in range(self.n)
-                      if x != self.bottom and self.down[x] ^ 1 << x in principal])
-
-    @cached_property
-    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """The lower covers of every element, ascending: the maximal
-        elements strictly below it.  ``build_lattice`` seeds this."""
-        return _lower_covers_of(self.up, self.down)
+    def atoms(self) -> tuple[int, ...]:
+        """Elements covering bottom, ascending."""
+        return self.upper_covers[self.bottom]
 
     @cached_property
     def _n5_witness(self) -> tuple[int, int, int, int, int] | None:
@@ -227,7 +206,7 @@ class Lattice:
         law(up[self.bottom] == full and down[self.top] == full, "bounds")
 
 
-def _lower_covers_of(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _covers_below(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The lower covers of every element of the order with these masks,
     ascending: the maximal elements strictly below it.
 
@@ -253,15 +232,6 @@ def _lower_covers_of(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int,
         covers.sort()
         out.append(tuple(covers))
     return tuple(out)
-
-
-def _upper_covers_of(lower: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The upper covers of every element, ascending, from its lower covers."""
-    upper: list[list[int]] = [[] for _ in lower]
-    for y, covers in enumerate(lower):
-        for x in covers:
-            upper[x].append(y)
-    return upper
 
 
 def _close_acyclic(up: list[int]) -> list[int] | None:
@@ -419,8 +389,11 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
         raise NoBoundedStructure("order has no global maximum element")
     bottom, top = bottoms[0], tops[0]
 
-    lower = _lower_covers_of(up, down)
-    upper = _upper_covers_of(lower)
+    lower = _covers_below(up, down)
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for y, covers in enumerate(lower):
+        for x in covers:
+            upper[x].append(y)  # ascending, as y is
     # A lower-bound set has a greatest element m exactly when it is down[m]
     # (dually for upper bounds), so a missing key means no meet (join).
     by_down = {d: m for m, d in enumerate(down)}
@@ -436,7 +409,7 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
             uc = up[c]
             row = [by_up.get(uc & u) for u in up]
             if None in row:
-                _meet_join_scan(names, up, down)
+                _meet_join_scan(names, up, down, by_up, by_down)
                 raise SelfCheckError("a join-irreducible row of the join table "
                                      "misses an entry that the pair scan finds")
             join_rows[c] = tuple(row)
@@ -457,20 +430,16 @@ def build_lattice(names: Iterable[str], pairs: Iterable[tuple[str, str]],
         elif covers:  # c = d ^ e, so c ^ x = d ^ (e ^ x)
             meet_rows[c] = itemgetter(*meet_rows[covers[1]])(meet_rows[covers[0]])
 
-    lat = Lattice(names, tuple(up), tuple(down), tuple(meet_rows), tuple(join_rows),
-                  bottom, top)
-    # Seed the cached facts read off the same walk; the dataclass is frozen,
-    # so they go straight into the instance dict, as cached_property does.
-    vars(lat).update(_lower_covers=lower, _join_irreducibles=tuple(
-        [c for c in range(n) if len(lower[c]) == 1]))
-    return lat
+    return Lattice(names, tuple(up), tuple(down), tuple(meet_rows), tuple(join_rows),
+                   bottom, top, lower, tuple([tuple(u) for u in upper]),
+                   tuple([c for c in range(n) if len(lower[c]) == 1]))
 
 
-def _meet_join_scan(names: tuple[str, ...], up: list[int], down: list[int]) -> None:
+def _meet_join_scan(names: tuple[str, ...], up: list[int], down: list[int],
+                    by_up: dict[int, int], by_down: dict[int, int]) -> None:
     """Raise NotALattice for the first pair i <= j, in row order, with no
-    meet, or else no join: the meet is looked up first."""
-    by_down = {d: m for m, d in enumerate(down)}
-    by_up = {u: m for m, u in enumerate(up)}
+    meet, or else no join: the meet is looked up first, in ``by_down``,
+    which maps each down-mask to its element (``by_up`` likewise)."""
     n = len(names)
     for i in range(n):
         for j in range(i, n):
@@ -513,8 +482,7 @@ def _covers_semimodular(lat: Lattice) -> bool:
     + r(a ^ b) (<= for the lower half), so equality holds, and that rules
     out a pentagon."""
     up, down, meet, join = lat.up, lat.down, lat.meet, lat.join
-    lower = lat._lower_covers
-    upper = _upper_covers_of(lower)
+    lower, upper = lat.lower_covers, lat.upper_covers
     for x in range(lat.n):
         covers = upper[x]
         for i, a in enumerate(covers):

@@ -149,7 +149,7 @@ def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
         _m3_scan(lat, rows, uncertified)
         raise SelfCheckError("the cover-graph M3 phases reject a table that "
                              "the M3 scan accepts")
-    irreducibles = lat._join_irreducibles
+    irreducibles = lat.join_irreducibles
     for a in irreducibles:
         pa = rows[a]
         for b in irreducibles:
@@ -208,8 +208,8 @@ def _m3_uncertified_rows(lat: Lattice, rows: tuple[tuple[int, ...], ...]) -> lis
     the rows of the first two certified lower covers of c, so that one bad
     row below c does not leave c uncertified."""
     join, down = lat.join, lat.down
-    irreducibles = lat._join_irreducibles
-    lower = lat._lower_covers
+    irreducibles = lat.join_irreducibles
+    lower = lat.lower_covers
     good = [False] * lat.n
     good[lat.bottom] = True
     for a in irreducibles:
@@ -233,7 +233,7 @@ def _m3_scan(lat: Lattice, rows: tuple[tuple[int, ...], ...], scan: list[int]) -
     join = lat.join
     for a in scan:
         pa = rows[a]
-        for j in lat._join_irreducibles:
+        for j in lat.join_irreducibles:
             jj, jpa = join[j], join[pa[j]]
             if not _distributes(pa, jj, jpa):
                 b = next(b for b, x in enumerate(jj) if pa[x] != jpa[pa[b]])
@@ -338,7 +338,7 @@ def is_semiprime(ml: MultLattice, i: int) -> bool:
     on the squares of the j in J not below i (module docstring)."""
     below = ml.lattice.down[i]
     return not any(below >> ml.product[j][j] & 1
-                   for j in ml.lattice._join_irreducibles if not below >> j & 1)
+                   for j in ml.lattice.join_irreducibles if not below >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def annihilator_star(ml: MultLattice, a: int) -> int:
     """
     lat = ml.lattice
     row = ml.product[_power_walk(ml.product, a)]
-    return lat.join_all([j for j in lat._join_irreducibles if row[j] == lat.bottom])
+    return lat.join_all([j for j in lat.join_irreducibles if row[j] == lat.bottom])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def is_prime_element(ml: MultLattice, p: int) -> bool:
     if p == lat.top:
         return False
     below = lat.down[p]
-    outside = [a for a in lat._join_irreducibles if not below >> a & 1]
+    outside = [a for a in lat.join_irreducibles if not below >> a & 1]
     for i, a in enumerate(outside):
         row = ml.product[a]
         for b in outside[i:]:

@@ -215,7 +215,7 @@ def join_irreducible_axiom_violation(lat: Lattice, product
                 return "M1", (a, b)
             if not lat.leq(pa[b], lat.meet[a][b]):
                 return "M4", (a, b)
-    irreducibles = lat.join_irreducibles()
+    irreducibles = lat.join_irreducibles
     for a in range(n):
         pa = product[a]
         for j in irreducibles:
@@ -460,11 +460,20 @@ def greedy_coloring(g: ZdGraph) -> Coloring:
     return _coloring(g, order, _greedy(adj))
 
 
-def scan_join_irreducibles(lat: Lattice) -> list[int]:
+def principal_join_irreducibles(lat: Lattice) -> tuple[int, ...]:
+    """Elements x != 0 whose strictly-lower elements form a principal
+    down-set, one set lookup each: in a finite lattice, those below x then
+    have a greatest element m, and x is not their join."""
+    principal = set(lat.down)
+    return tuple(x for x in range(lat.n)
+                 if x != lat.bottom and lat.down[x] ^ 1 << x in principal)
+
+
+def scan_join_irreducibles(lat: Lattice) -> tuple[int, ...]:
     """Elements x != 0 that differ from the join of everything strictly
     below them, found by taking that join for each x."""
-    return [x for x in range(lat.n)
-            if x != lat.bottom and lat.join_all(_mask_bits(lat.down[x] & ~(1 << x))) != x]
+    return tuple(x for x in range(lat.n)
+                 if x != lat.bottom and lat.join_all(_mask_bits(lat.down[x] & ~(1 << x))) != x)
 
 
 def scan_is_prime_element(ml, p: int) -> bool:

@@ -43,6 +43,21 @@ def test_the_exported_names_are_pinned():
     assert sorted(multlat.__all__) == PUBLIC_NAMES
 
 
+def test_no_module_reads_a_private_lattice_attribute():
+    """The cover structure is read through the public ``Lattice`` fields:
+    the old private names appear nowhere in the package, and no module but
+    lattice.py reads an underscored attribute of a lattice."""
+    src = os.path.dirname(multlat.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "_join_irreducibles" not in text, name
+            assert "_lower_covers" not in text, name
+            if name != "lattice.py":
+                assert not re.search(r"\b(lat|lattice)\._", text), name
+
+
 def test_the_readme_library_example_runs():
     """README's one python block runs in a fresh interpreter and prints the
     fig3 verdict, so it names no function that is gone."""

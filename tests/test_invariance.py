@@ -53,7 +53,7 @@ def _original(instance_id: str):
     lat = ml.lattice
     names = lat.names
     covers = [(names[x], names[y]) for y in range(lat.n)
-              for x in lat._lower_covers[y]]
+              for x in lat.lower_covers[y]]
     order = [(names[x], names[y]) for x in range(lat.n)
              for y in _bits(lat.up[x]) if x != y]
     table = [[names[p] for p in row] for row in ml.product]

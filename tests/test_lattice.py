@@ -549,15 +549,15 @@ def test_join_irreducibles_have_one_lower_cover():
                          and not any(strict[z] >> y & 1 for z in range(lat.n)
                                      if strict[x] >> z & 1)]
                         for x in range(lat.n)]
-        assert lat._lower_covers == tuple(map(tuple, lower_covers))
-        irreducibles = lat.join_irreducibles()
-        assert irreducibles == [x for x in range(lat.n) if len(lower_covers[x]) == 1]
+        assert lat.lower_covers == tuple(map(tuple, lower_covers))
+        irreducibles = lat.join_irreducibles
+        assert irreducibles == tuple(x for x in range(lat.n) if len(lower_covers[x]) == 1)
         for x in range(lat.n):
             assert lat.join_all(j for j in irreducibles if lat.leq(j, x)) == x
-    assert boolean_lattice(3).join_irreducibles() == boolean_lattice(3).atoms()
-    assert chain_lattice(1).join_irreducibles() == []
+    assert boolean_lattice(3).join_irreducibles == boolean_lattice(3).atoms()
+    assert chain_lattice(1).join_irreducibles == ()
     pentagon = pentagon_lattice()
-    assert [pentagon.names[x] for x in pentagon.join_irreducibles()] == ["a", "b", "c"]
+    assert [pentagon.names[x] for x in pentagon.join_irreducibles] == ["a", "b", "c"]
 
 
 def test_distributivity_implications():

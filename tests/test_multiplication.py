@@ -129,7 +129,7 @@ def assert_matches_oracle(lat, product) -> str | None:
         assert reference is not None, f"{exc} but every triple satisfies M1-M5"
         assert not axiom_holds_at(lat, product, exc.axiom, witness)
         assert not axiom_holds_at(lat, product, *reference)
-        irreducibles = set(lat.join_irreducibles())
+        irreducibles = set(lat.join_irreducibles)
         if exc.axiom == "M2":
             assert set(witness) <= irreducibles
         if exc.axiom == "M3" and len(witness) == 3:
@@ -235,7 +235,7 @@ def m3_phases(lat, product) -> tuple[bool, bool]:
     its row equal to the elementwise join of the rows of its first two
     lower covers."""
     n, join = lat.n, lat.join
-    irreducibles = lat.join_irreducibles()
+    irreducibles = lat.join_irreducibles
     phase_one = all(product[a][join[b][j]] == join[product[a][b]][product[a][j]]
                     for a in irreducibles for j in irreducibles for b in range(n))
     strict = [lat.down[c] & ~(1 << c) for c in range(n)]

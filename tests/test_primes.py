@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (Lattice, analyze, attach_multiplication, check_lemma_suite,
+from multlat import (analyze, attach_multiplication, check_lemma_suite,
                      fig2_lattice, fig3_lattice, fixture, is_reduced,
                      minimal_prime_elements, minimal_prime_ideals,
                      minimal_prime_semi_ideals, mult_zero_divisor_graph,
@@ -17,7 +17,8 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     is_distributive, oracle_prime_masks, random_closure_lattice)
+                     is_distributive, oracle_prime_masks,
+                     principal_join_irreducibles, random_closure_lattice)
 
 # Seed base of the random lattices in the acceptance battery.
 RANDOM_SUITE_BASE_SEED = 20_240_817
@@ -139,19 +140,20 @@ def test_closed_form_matches_down_set_oracle():
     assert distinct_counts > 0
 
 
-def test_seeded_covers_and_join_irreducibles_match_their_definitions():
-    """build_lattice seeds the lower covers and the join-irreducibles from
-    its cover walk: y is a lower cover of x when y < x with nothing between,
-    and x != 0 is join-irreducible when the elements strictly below it
-    form a principal down-set, the cached property's own definition."""
+def test_cover_fields_match_their_definitions():
+    """build_lattice fills the cover fields from its cover walk: y is a
+    lower cover of x, and x an upper cover of y, when y < x with nothing
+    between, and x != 0 is join-irreducible when the elements strictly
+    below it form a principal down-set."""
     for lat in _oracle_lattices():
-        seeded = vars(lat)
         strict = [d ^ 1 << x for x, d in enumerate(lat.down)]
-        assert seeded["_lower_covers"] == tuple(
-            tuple(y for y in range(lat.n)
-                  if strict[x] >> y & 1 and strict[x] & lat.up[y] == 1 << y)
-            for x in range(lat.n))
-        assert seeded["_join_irreducibles"] == Lattice._join_irreducibles.func(lat)
+        covers = [(y, x) for x in range(lat.n) for y in range(lat.n)
+                  if strict[x] >> y & 1 and strict[x] & lat.up[y] == 1 << y]
+        assert lat.lower_covers == tuple(
+            tuple(y for y, z in covers if z == x) for x in range(lat.n))
+        assert lat.upper_covers == tuple(
+            tuple(sorted(z for y, z in covers if y == x)) for x in range(lat.n))
+        assert lat.join_irreducibles == principal_join_irreducibles(lat)
 
 
 def test_minimal_and_maximal_match_the_quadratic_definition():

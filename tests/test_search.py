@@ -9,8 +9,8 @@ from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
                      ideal_lattice_zn, is_reduced, mult_zero_divisor_graph,
                      parse_lattice_data, search_counterexamples)
 from multlat.multiplication import is_semiprime
-from multlat.search import (MAX_RANDOM_SIZE, MIN_RANDOM_SIZE, generate,
-                            random_poset_down_set_lattice)
+from multlat.search import (MAX_RANDOM_SIZE, MIN_RANDOM_SIZE, _instances,
+                            generate, random_poset_down_set_lattice)
 
 from helpers import fig3_under_a_new_bottom
 
@@ -105,13 +105,14 @@ def test_generate_bad_specs():
 
 
 def test_bad_specs_raise_invalid_spec():
-    for bad in ("bogus:3", "boolean:x", "boolean:9", "chain:-1", "chain:4:ring",
-                "random:5x", "random:3x0", "random:-1x5", "divisor:x",
-                "fig2:table"):
+    for bad in ("bogus:3", "boolean:x", "boolean:9", "chain:-1", "chain:257",
+                "chain:4:ring", "random:5x", "random:3x0", "random:-1x5",
+                "divisor:x", "fig2:table"):
         with pytest.raises(InvalidSpec):
             generate(bad)
     with pytest.raises(InvalidSpec):
         search_counterexamples(["chain:4"], budget=0)
+    _instances("chain:256")  # the longest chain spec parses; nothing is built
 
 
 def test_random_lattice_bounds():

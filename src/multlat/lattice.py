@@ -96,7 +96,9 @@ class Lattice:
     and ``join_irreducibles`` the x with one lower cover, all ascending;
     every element is the join of the join-irreducibles below it.  These,
     and the underscored cached properties, take no part in ``==`` or
-    hashing.
+    hashing.  They are derived from ``up`` and ``down`` and trusted by
+    every check on the lattice, so a Lattice is made by ``build_lattice``;
+    ``assert_valid`` re-checks them against their definitions.
     """
 
     names: tuple[str, ...]
@@ -171,8 +173,9 @@ class Lattice:
 
         Construction already guarantees these; this is the belt-and-braces
         scan used by the test suite (reflexivity through associativity and
-        absorption, glb/lub laws, bounds).  Raises SelfCheckError naming the
-        first law that fails, also under ``python -O``.
+        absorption, glb/lub laws, bounds, and the cover fields against the
+        definition of a cover).  Raises SelfCheckError naming the first law
+        that fails, also under ``python -O``.
         """
         def law(holds: bool, name: str) -> None:
             if not holds:
@@ -204,6 +207,16 @@ class Lattice:
                     law(meet[m][z] == meet[x][meet[y][z]], "associativity")
                     law(join[j][z] == join[x][join[y][z]], "associativity (dual)")
         law(up[self.bottom] == full and down[self.top] == full, "bounds")
+        below = [d ^ 1 << x for x, d in enumerate(down)]
+        above = [u ^ 1 << x for x, u in enumerate(up)]
+        law(self.lower_covers == tuple(
+            tuple(y for y in _bits(below[x]) if below[x] & up[y] == 1 << y)
+            for x in range(n)), "lower covers")
+        law(self.upper_covers == tuple(
+            tuple(y for y in _bits(above[x]) if above[x] & down[y] == 1 << y)
+            for x in range(n)), "upper covers")
+        law(self.join_irreducibles == tuple(
+            x for x in range(n) if len(self.lower_covers[x]) == 1), "join-irreducibles")
 
 
 def _covers_below(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -24,12 +24,11 @@ search nor the size of a clique is bounded by Python's recursion limit:
   non-empty layer among the uncoloured vertices.
 
 ``_solve`` relabels the graph once and makes one deadline.  It yields omega
-with its checked clique first, then chi with its checked colouring from
-``_chi``, so a timeout in the colouring search still leaves omega.
-``chromatic_number`` solves no maximum clique: no k below omega has a
-k-colouring, so ``_chi`` bounded below by any checked clique, here that of
-the first descent, gives the same chi and colouring.  Only the winning
-colour list is mapped back, by ``_coloring``.
+with its checked clique first, then chi with its checked colouring, so a
+timeout in the colouring search still leaves omega.  The greedy bound and
+the k-search give colour lists in the new numbering; only the one that wins
+is mapped back, by ``_coloring``.  ``clique_number`` and
+``chromatic_number`` are thin wrappers over it.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -329,25 +328,25 @@ def _clique_witness(g: ZdGraph, order: list[int], size: int,
     return CliqueWitness(tuple(sorted(g.vertices[k] for k in positions)))
 
 
-def _first_clique(adj: list[int]) -> tuple[int, int]:
-    """The size and mask of a clique on masks from ``_relabel``: the lowest
-    vertex left, then the lowest of its neighbours left, and so on."""
-    mask, cand = 0, (1 << len(adj)) - 1
-    while cand:
-        low = cand & -cand
-        mask |= low
-        cand = (cand ^ low) & adj[low.bit_length() - 1]
-    return mask.bit_count(), mask
+def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
+           ) -> Iterator[tuple[int, CliqueWitness | Coloring]]:
+    """Yield (omega, clique witness), then (chi, proper colouring).
 
-
-def _chi(g: ZdGraph, order: list[int], adj: list[int], lower: int,
-         deadline: _Deadline) -> tuple[int, Coloring]:
-    """chi with a checked proper colouring: a greedy colouring bounds it
-    above, and each k from ``lower``, the size of a checked clique, up to
-    that bound is settled by ``_k_colorable``."""
+    chi is proved by sandwiching: omega is a lower bound, a greedy colouring
+    an upper bound, and each k in between is settled by ``_k_colorable``.
+    One deadline counts the nodes of both kernels.
+    """
+    if g.n_vertices == 0:
+        yield 0, CliqueWitness(())
+        yield 0, Coloring({}, 0)
+        return
+    deadline = _Deadline(budget)
+    order, adj = _relabel(g)
+    omega, mask = _max_clique(adj, deadline)
+    yield omega, _clique_witness(g, order, omega, mask)
     colors = _greedy(adj)
     chi = len(set(colors))
-    for k in range(lower, chi):
+    for k in range(omega, chi):
         found = _k_colorable(adj, k, deadline)
         if found is not None:
             chi, colors = k, found
@@ -357,22 +356,7 @@ def _chi(g: ZdGraph, order: list[int], adj: list[int], lower: int,
         raise SelfCheckError("chromatic witness is not proper")
     if witness.color_count != chi:
         raise SelfCheckError("chromatic witness wastes colors")
-    return chi, witness
-
-
-def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
-           ) -> Iterator[tuple[int, CliqueWitness | Coloring]]:
-    """Yield (omega, clique witness), then (chi, proper colouring).  One
-    deadline counts the nodes of both kernels."""
-    if g.n_vertices == 0:
-        yield 0, CliqueWitness(())
-        yield 0, Coloring({}, 0)
-        return
-    deadline = _Deadline(budget)
-    order, adj = _relabel(g)
-    omega, mask = _max_clique(adj, deadline)
-    yield omega, _clique_witness(g, order, omega, mask)
-    yield _chi(g, order, adj, omega, deadline)
+    yield chi, witness
 
 
 def clique_number(g: ZdGraph,
@@ -387,12 +371,9 @@ def chromatic_number(g: ZdGraph,
                      budget: float | None = DEFAULT_SOLVER_BUDGET
                      ) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness colouring: the second
-    half of ``_solve``, bounded below by ``_first_clique``."""
-    deadline = _Deadline(budget)
-    order, adj = _relabel(g)
-    size, mask = _first_clique(adj)
-    _clique_witness(g, order, size, mask)
-    return _chi(g, order, adj, size, deadline)
+    half of ``_solve``."""
+    _, solved = _solve(g, budget)
+    return solved
 
 
 # ---------------------------------------------------------------------------

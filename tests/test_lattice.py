@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import random
 import subprocess
@@ -167,6 +168,22 @@ def test_assert_valid_names_the_broken_law():
     fig2_lattice().assert_valid()
     with pytest.raises(SelfCheckError, match="^glb law$"):
         boolean_2_with_a_wrong_meet().assert_valid()
+
+
+def test_assert_valid_checks_the_cover_fields():
+    """A lattice whose cover fields disagree with its order fails
+    assert_valid, although every table law holds."""
+    lat = boolean_lattice(2)
+    x, y = lat.index("{1}"), lat.index("{2}")
+    wrong = {"lower_covers": lat.lower_covers[:lat.top] + ((x,),),
+             "upper_covers": lat.upper_covers[:x] + ((),) + lat.upper_covers[x + 1:],
+             "join_irreducibles": (x,)}
+    assert y in lat.lower_covers[lat.top] and lat.join_irreducibles == (x, y)
+    for name, message in (("lower_covers", "lower covers"),
+                          ("upper_covers", "upper covers"),
+                          ("join_irreducibles", "join-irreducibles")):
+        with pytest.raises(SelfCheckError, match=f"^{message}$"):
+            dataclasses.replace(lat, **{name: wrong[name]}).assert_valid()
 
 
 def test_assert_valid_rejects_a_wrong_meet_under_python_O():

@@ -174,43 +174,54 @@ def test_one_deadline_counts_both_kernels(monkeypatch):
 
 
 def test_chromatic_without_a_bound_relabels_once(monkeypatch):
-    """chromatic_number finds its lower bound on its own relabelling: one
-    _relabel call, one first-descent clique, and no maximum clique search,
-    neither by _max_clique nor by clique_number."""
-    calls = _count_calls(monkeypatch, "_relabel", "_max_clique",
-                         "_first_clique", "clique_number")
+    """chromatic_number solves the clique on its own relabelling: one
+    _relabel call, and clique_number is never called."""
+    calls = []
+    real = multlat.solvers._relabel
+
+    def counted_relabel(g):
+        calls.append("_relabel")
+        return real(g)
+
+    def no_clique_number(*args, **kwargs):
+        calls.append("clique_number")
+        raise AssertionError("clique_number called")
+
+    monkeypatch.setattr(multlat.solvers, "_relabel", counted_relabel)
+    monkeypatch.setattr(multlat.solvers, "clique_number", no_clique_number)
     chi, coloring = chromatic_number(fig3_graph())
     assert chi == 4 and coloring.color_count == 4
-    assert calls == ["_relabel", "_first_clique"]
+    assert calls == ["_relabel"]
 
 
 def test_a_false_clique_is_caught_when_used_as_a_bound(monkeypatch):
-    """The clique that bounds chi from below is checked when
-    chromatic_number finds it by the first descent, as the maximum clique
-    is in clique_number."""
+    """The clique witness is checked when chromatic_number solves its own
+    lower bound, not only in clique_number."""
     g = fig3_graph()
     _, adj = _relabel(g)
     v, w = next((v, w) for v in range(len(adj)) for w in range(v + 1, len(adj))
                 if not adj[v] >> w & 1)
-    monkeypatch.setattr(multlat.solvers, "_first_clique",
-                        lambda adj: (2, 1 << v | 1 << w))
-    with pytest.raises(SelfCheckError):
-        chromatic_number(g)
     monkeypatch.setattr(multlat.solvers, "_max_clique",
                         lambda adj, deadline: (2, 1 << v | 1 << w))
+    with pytest.raises(SelfCheckError):
+        chromatic_number(g)
     with pytest.raises(SelfCheckError):
         clique_number(g)
 
 
-def test_chromatic_number_is_the_solve_of_every_ring_graph():
-    """Bounded by the first descent's clique instead of omega, chi and its
-    colouring are still those of the solve, on every Id(Z_n) graph."""
-    for n in range(2, 1001):
-        g = mult_zero_divisor_graph(ideal_lattice_zn(n).embedded)
-        chi, coloring = chromatic_number(g)
-        solved_chi, solved = list(_solve(g))[1]
-        assert (chi, [*coloring.assignment.items()]) == \
-            (solved_chi, [*solved.assignment.items()]), n
+def test_chi_search_starts_at_omega(monkeypatch):
+    """K_{30,30} plus a disjoint K5: omega and the greedy bound are both 5,
+    so chromatic_number runs no k-colouring search.  A lower bound below
+    omega, such as the 2-clique a descent from the first vertex finds,
+    would have to refute k = 3 and 4 through the bipartite part's
+    colourings before each K5 failure."""
+    m = 30
+    edges = [(a, m + b) for a in range(m) for b in range(m)]
+    edges += [(2 * m + a, 2 * m + b) for a in range(5) for b in range(a + 1, 5)]
+    calls = _count_calls(monkeypatch, "_k_colorable")
+    chi, coloring = chromatic_number(make_graph(2 * m + 5, edges), budget=5.0)
+    assert (chi, coloring.color_count) == (5, 5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ _FIG3_COVERS = (
     ("t", "1"),
 )
 # Row-major product table in element order (rows split on whitespace).
-_FIG3_PRODUCT = tuple(row.split() for row in (
+_FIG3_PRODUCT = tuple([row.split() for row in (
     "0 0 0 0 0 0 0 0 0 0 0 0 0 0",
     "0 f 0 f f 0 0 f f 0 f f f a",
     "0 0 f 0 f f 0 0 f f f f f b",
@@ -52,7 +52,7 @@ _FIG3_PRODUCT = tuple(row.split() for row in (
     "0 f f 0 f f 0 f f f f f f b∨d",
     "0 f f f f f 0 f f f f f f t",
     "0 a b c d e f a∨c a∨d b∨e c∨e b∨d t 1",
-))
+)])
 
 
 def fig2_lattice() -> Lattice:
@@ -64,7 +64,7 @@ def fig3_lattice() -> Lattice:
 
 
 def fig3_table() -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(row) for row in _FIG3_PRODUCT)
+    return tuple([tuple(row) for row in _FIG3_PRODUCT])
 
 
 def fixture(name: str, mult: str | None = None) -> MultLattice:

@@ -209,14 +209,14 @@ class Lattice:
         law(up[self.bottom] == full and down[self.top] == full, "bounds")
         below = [d ^ 1 << x for x, d in enumerate(down)]
         above = [u ^ 1 << x for x, u in enumerate(up)]
-        law(self.lower_covers == tuple(
-            tuple(y for y in _bits(below[x]) if below[x] & up[y] == 1 << y)
-            for x in range(n)), "lower covers")
-        law(self.upper_covers == tuple(
-            tuple(y for y in _bits(above[x]) if above[x] & down[y] == 1 << y)
-            for x in range(n)), "upper covers")
-        law(self.join_irreducibles == tuple(
-            x for x in range(n) if len(self.lower_covers[x]) == 1), "join-irreducibles")
+        law(self.lower_covers == tuple([
+            tuple([y for y in _bits(below[x]) if below[x] & up[y] == 1 << y])
+            for x in range(n)]), "lower covers")
+        law(self.upper_covers == tuple([
+            tuple([y for y in _bits(above[x]) if above[x] & down[y] == 1 << y])
+            for x in range(n)]), "upper covers")
+        law(self.join_irreducibles == tuple([
+            x for x in range(n) if len(self.lower_covers[x]) == 1]), "join-irreducibles")
 
 
 def _covers_below(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -636,24 +636,14 @@ class ElementSubset:
 
     @cached_property
     def is_ideal(self) -> bool:
-        """Non-empty down-set closed under binary join."""
-        if self.is_empty or not self.is_down_set:
-            return False
-        lat = self.lattice
-        ms = self.members
-        return all(self.mask >> lat.join[a][b] & 1 for a in ms for b in ms)
+        """Non-empty down-set closed under binary join.
 
-    @cached_property
-    def is_prime(self) -> bool:
-        """Prime semi-ideal: non-empty proper down-set such that a ^ b inside
-        forces a or b inside (checked over all pairs outside)."""
-        if self.is_empty or not self.is_proper or not self.is_down_set:
-            return False
+        Decided as ``down[V D] == D`` for the join V D of the members: a
+        finite non-empty down-set D closed under joins holds V D, so
+        D <= down(V D) <= D; conversely down(m) is a non-empty down-set
+        closed under joins, and V down(m) = m.  So D is an ideal exactly
+        when it is principal, with V D as its generator.  The empty set
+        fails the test, as V {} = 0 and down(0) = {0}.
+        """
         lat = self.lattice
-        outside = [x for x in range(lat.n) if not self.mask >> x & 1]
-        for a in outside:
-            row = lat.meet[a]
-            for b in outside:
-                if self.mask >> row[b] & 1:
-                    return False
-        return True
+        return lat.down[lat.join_all(_bits(self.mask))] == self.mask

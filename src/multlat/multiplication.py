@@ -36,8 +36,12 @@ a, b not below p.  Any x not below p is the join of the join-irreducibles
 below it, so one of them, a, is not below p either; M3 makes the product
 monotone in each argument (x = x v a gives x.y = x.y v a.y), so x, y not
 below p with x.y <= p give a <= x and b <= y in J, not below p, with
-a.b <= x.y <= p: O(|J|^2) per element, not O(n^2).  Semiprimeness is O(|J|)
-by the same argument, and so is each annihilator (``annihilator_star``).
+a.b <= x.y <= p.  Read as masks: the elements that a pair a, b in J rules
+out are up(a.b) less up(a) and up(b), so the non-primes are 1 and the union
+of those masks over the unordered pairs (M1), |J|^2/2 mask operations per
+instance for every element at once (``_decide_primes``).  Semiprimeness is
+O(|J|) by the same argument, and so is each annihilator
+(``annihilator_star``).
 """
 from __future__ import annotations
 
@@ -90,8 +94,8 @@ class MultLattice:
         return tuple([annihilator_star(self, a) for a in range(self.n)])
 
     @cached_property
-    def _prime_elements(self) -> tuple[int, ...]:
-        return tuple([p for p in range(self.n) if is_prime_element(self, p)])
+    def _prime_mask(self) -> int:
+        return _decide_primes(self)
 
 
 def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
@@ -160,7 +164,7 @@ def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
 
 
 def _fail(lat: Lattice, axiom: str, witness: tuple[int, ...], text: str) -> None:
-    wnames = tuple(lat.names[w] for w in witness)
+    wnames = tuple([lat.names[w] for w in witness])
     raise AxiomViolation(axiom, wnames, f"{axiom} fails at {wnames}: {text}")
 
 
@@ -269,7 +273,8 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             if i == lat.top:
                 rows.append(tuple(range(n)))
             else:
-                rows.append(tuple(i if j == lat.top else lat.bottom for j in range(n)))
+                rows.append(tuple([i if j == lat.top else lat.bottom
+                                   for j in range(n)]))
         product = tuple(rows)
     else:
         if table is None:
@@ -364,33 +369,37 @@ def annihilator_star(ml: MultLattice, a: int) -> int:
 # Prime elements
 
 
-def is_prime_element(ml: MultLattice, p: int) -> bool:
-    """p != 1 and a.b <= p always forces a <= p or b <= p.
-
-    Decided on pairs of join-irreducibles not below p, which is exact (see
-    the module docstring); by M1 each unordered pair is tried once.
-    """
+def _decide_primes(ml: MultLattice) -> int:
+    """The mask of the prime elements: every element but 1 and those in
+    up(a.b) less up(a) and up(b) for a pair a, b in J (module docstring)."""
     lat = ml.lattice
-    if p == lat.top:
-        return False
-    below = lat.down[p]
-    outside = [a for a in lat.join_irreducibles if not below >> a & 1]
-    for i, a in enumerate(outside):
-        row = ml.product[a]
-        for b in outside[i:]:
-            if below >> row[b] & 1:
-                return False
-    return True
+    up, irreducibles = lat.up, lat.join_irreducibles
+    ruled_out = 1 << lat.top
+    for i, a in enumerate(irreducibles):
+        row, ua = ml.product[a], up[a]
+        for b in irreducibles[i:]:
+            ruled_out |= up[row[b]] & ~(ua | up[b])
+    return ((1 << lat.n) - 1) & ~ruled_out
+
+
+def is_prime_element(ml: MultLattice, p: int) -> bool:
+    """p != 1 and a.b <= p always forces a <= p or b <= p.  Read off the
+    mask of prime elements, which is cached on ``ml``; IndexError for a p
+    outside 0..n-1."""
+    if not 0 <= p < ml.n:
+        raise IndexError(f"element index {p} is outside 0..{ml.n - 1}")
+    return bool(ml._prime_mask >> p & 1)
 
 
 def prime_elements(ml: MultLattice) -> list[int]:
     """All prime elements, ascending by element index.  Cached on ``ml``."""
-    return list(ml._prime_elements)
+    primes = ml._prime_mask
+    return [p for p in range(ml.n) if primes >> p & 1]
 
 
 def minimal_prime_elements(ml: MultLattice) -> list[int]:
     """The <=-minimal prime elements, ascending by element index."""
-    return ml.lattice.minimal(ml._prime_elements)
+    return ml.lattice.minimal(prime_elements(ml))
 
 
 def maximal_annihilator_elements(ml: MultLattice) -> list[int]:

@@ -5,10 +5,11 @@ of a prime semi-ideal is a filter, and every filter is principal, so the
 prime semi-ideals are exactly the complements of the principal filters up(f)
 for f != 0; the minimal ones are the complements of up(a) for the atoms a.
 A finite down-set is an ideal exactly when it holds its own join, that is
-when it is a principal down-set, so the prime ideals are the candidates that
-equal some down(m), and the inclusion-minimal ones are down(m) for the
-<=-minimal such m (``Lattice.minimal``).  Everything here is read off the
-``up``/``down`` bitmasks in O(n^2) time, with no enumeration of down-sets.
+when it is a principal down-set (``ElementSubset.is_ideal``), so the prime
+ideals are the down(m) whose complement is some up(f), one set lookup per
+element, and the inclusion-minimal ones are down(m) for the <=-minimal such
+m (``Lattice.minimal``).  Everything here is read off the ``up``/``down``
+bitmasks, with no enumeration of down-sets.
 
 The lemma suite re-checks, instance by instance, the statements that the
 reduced theory guarantees.  A failing check on a reduced lattice is an
@@ -34,19 +35,6 @@ from .multiplication import (MultLattice, annihilator_map, is_reduced,
                              minimal_prime_elements, prime_elements)
 
 
-def _candidate_masks(lat: Lattice) -> list[int]:
-    """Masks of every prime semi-ideal, the complement of up(f) for each
-    f != 0, ascending."""
-    full = (1 << lat.n) - 1
-    return sorted(full & ~lat.up[f] for f in range(lat.n) if f != lat.bottom)
-
-
-def prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
-    """All prime semi-ideals (non-empty proper prime down-sets), sorted by
-    member bitmask."""
-    return [ElementSubset(lat, m) for m in _candidate_masks(lat)]
-
-
 def minimal_prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
     """Inclusion-minimal prime semi-ideals, sorted by member bitmask: the
     complements of up(a) for the atoms a."""
@@ -60,12 +48,15 @@ def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
 
     The prime ideals are the join-closed prime semi-ideals.  A finite
     down-set is join-closed exactly when it holds its own join, that is when
-    it is a principal down-set down(m).  As down(m) is inside down(m')
+    it is a principal down-set down(m), and down(m) is a prime semi-ideal
+    exactly when its complement is a principal filter up(f) (f != 0 and
+    m != 1 follow, as neither set is empty).  As down(m) is inside down(m')
     exactly when m <= m', the inclusion-minimal ones are down(m) for the
     <=-minimal m.
     """
-    generator = {d: m for m, d in enumerate(lat.down)}
-    tops = [generator[d] for d in _candidate_masks(lat) if d in generator]
+    full = (1 << lat.n) - 1
+    filters = set(lat.up)
+    tops = [m for m, d in enumerate(lat.down) if full & ~d in filters]
     return [ElementSubset(lat, m)
             for m in sorted(lat.down[t] for t in lat.minimal(tops))]
 

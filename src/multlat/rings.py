@@ -34,17 +34,6 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2

@@ -3,7 +3,7 @@
 Family specs are compact strings:
 
   chain:K          the K-element chain                       (K <= 256)
-  boolean:K        the lattice of subsets of {1..K}          (K <= 6)
+  boolean:K        the lattice of subsets of {1..K}          (K <= 10)
   divisor:N        the ideal lattice of Z_N
   random:CxS       C seeded random distributive lattices of size <= S (4..40)
   fig2 / fig3      the bundled fixtures
@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 from .errors import InvalidSpec, SelfCheckError
 from .fixtures import FIXTURE_MULTS, FIXTURE_NAMES, fixture
-from .lattice import Lattice, build_lattice
+from .lattice import MAX_INPUT_ELEMENTS, Lattice, build_lattice
 from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import MAX_MODULUS, ideal_lattice_zn
@@ -34,7 +34,8 @@ from .solvers import (DEFAULT_SOLVER_BUDGET, ORACLE_CAP, brute_force_chromatic,
                       brute_force_clique)
 from .zdgraph import mult_zero_divisor_graph
 
-MAX_BOOLEAN_RANK = 6
+#: The largest K for ``boolean:K``: 2^K elements, at most MAX_INPUT_ELEMENTS.
+MAX_BOOLEAN_RANK = MAX_INPUT_ELEMENTS.bit_length() - 1
 MIN_RANDOM_SIZE = 4
 MAX_RANDOM_SIZE = 40
 #: The longest chain a ``chain:K`` spec builds.  Every nonzero element of a
@@ -55,10 +56,13 @@ def chain_lattice(k: int) -> Lattice:
 
 
 def boolean_lattice(k: int) -> Lattice:
-    """The lattice of subsets of {1..k}, ordered by inclusion (0 <= k <= 6).
+    """The lattice of subsets of {1..k}, ordered by inclusion
+    (0 <= k <= ``MAX_BOOLEAN_RANK``).
 
     Elements are named "{}", "{1}", "{1,2}", ... and ordered by subset
-    bitmask, so the empty set is the bottom and the full set the top.
+    bitmask, so the empty set is the bottom and the full set the top.  The
+    order is built from its k 2^(k-1) cover pairs, a set below the same set
+    with one more point.
     """
     if not 0 <= k <= MAX_BOOLEAN_RANK:
         raise ValueError(f"boolean rank must be in 0..{MAX_BOOLEAN_RANK}")
@@ -67,9 +71,9 @@ def boolean_lattice(k: int) -> Lattice:
         return "{" + ",".join(str(i + 1) for i in range(k) if mask >> i & 1) + "}"
 
     names = [name(m) for m in range(1 << k)]
-    pairs = [(name(m1), name(m2)) for m1 in range(1 << k)
-             for m2 in range(1 << k) if m1 & ~m2 == 0]
-    return build_lattice(names, pairs, "leq")
+    pairs = [(names[m], names[m | 1 << i]) for m in range(1 << k)
+             for i in range(k) if not m >> i & 1]
+    return build_lattice(names, pairs, "covers")
 
 
 def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:

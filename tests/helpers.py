@@ -89,13 +89,45 @@ def _minimal(masks: list[int]) -> list[int]:
             if not any(o != m and o & ~m == 0 for o in masks)]
 
 
+def pair_is_ideal(d: ElementSubset) -> bool:
+    """Whether d is a non-empty down-set closed under binary join, checked
+    on every pair of members: the definition that the principal-down-set
+    test ``ElementSubset.is_ideal`` is compared against."""
+    if d.is_empty or not d.is_down_set:
+        return False
+    join, ms = d.lattice.join, d.members
+    return all(d.mask >> join[a][b] & 1 for a in ms for b in ms)
+
+
+def is_prime_semi_ideal(d: ElementSubset) -> bool:
+    """Whether d is a non-empty proper down-set such that a ^ b inside
+    forces a or b inside, checked over every pair outside."""
+    if d.is_empty or not d.is_proper or not d.is_down_set:
+        return False
+    lat = d.lattice
+    outside = [x for x in range(lat.n) if not d.mask >> x & 1]
+    return not any(d.mask >> lat.meet[a][b] & 1 for a in outside for b in outside)
+
+
 def oracle_prime_masks(lat: Lattice) -> tuple[list[int], list[int], list[int]]:
     """(prime semi-ideals, minimal prime semi-ideals, minimal prime ideals)
     as ascending mask lists, from the definitions over every down-set."""
-    primes = [d for d in enumerate_down_sets(lat) if d.is_prime]
+    primes = [d for d in enumerate_down_sets(lat) if is_prime_semi_ideal(d)]
     semi = [d.mask for d in primes]
-    ideals = [d.mask for d in primes if d.is_ideal]
+    ideals = [d.mask for d in primes if pair_is_ideal(d)]
     return semi, _minimal(semi), _minimal(ideals)
+
+
+def is_squarefree(n: int) -> bool:
+    """Whether no square of a prime divides n, by trial division."""
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        if n % d == 0:
+            n //= d
+        d += 1
+    return True
 
 
 def random_closure_lattice(rng: random.Random, k: int, m: int) -> Lattice:

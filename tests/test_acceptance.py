@@ -20,10 +20,10 @@ from multlat import (analyze, analyze_ring, attach_multiplication,
                      ideal_lattice_zn, is_modular, minimal_prime_elements,
                      modularity_witness, mult_zero_divisor_graph,
                      order_zero_divisor_graph, ElementSubset)
-from multlat.rings import is_squarefree, prime_factors
+from multlat.rings import prime_factors
 from multlat.search import boolean_lattice, random_poset_down_set_lattice
 
-from helpers import assert_is_n5, random_graph
+from helpers import assert_is_n5, is_squarefree, random_graph
 
 RANDOM_SUITE_BASE_SEED = 20_240_817
 

@@ -2,6 +2,7 @@
 library example run as it is written."""
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -56,6 +57,22 @@ def test_no_module_reads_a_private_lattice_attribute():
             assert "_lower_covers" not in text, name
             if name != "lattice.py":
                 assert not re.search(r"\b(lat|lattice)\._", text), name
+
+
+def test_no_module_builds_a_tuple_from_a_generator():
+    """``tuple(<generator>)`` allocates a guessed size and resizes it, and
+    the resized tuple grows the free lists; the package builds each tuple
+    from a list, which has its exact size."""
+    src = os.path.dirname(multlat.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            calls = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                     and any(isinstance(a, ast.GeneratorExp) for a in node.args)]
+            assert not calls, (name, calls)
 
 
 def test_the_readme_library_example_runs():

@@ -590,7 +590,7 @@ def test_cmd_search_byte_identical_across_runs():
      "fig2 has no bundled multiplication table"),
     (["search", "--families", "bogus:3"], "unknown family 'bogus'"),
     (["search", "--families", "boolean:x"], "boolean rank must be an integer"),
-    (["search", "--families", "boolean:9"], "boolean rank must be 0..6"),
+    (["search", "--families", "boolean:11"], "boolean rank must be 0..10"),
     (["search", "--families", "chain:-1"], "chain size must be 1..256"),
     (["search", "--families", "random:5x"], "random size must be an integer"),
     (["search", "--families", "random:3x0"], "random size must be 4..40"),

@@ -7,10 +7,12 @@ import random
 from collections import Counter
 from itertools import chain
 
+import pytest
+
 import multlat.lattice
 import multlat.multiplication
-from multlat import (Lattice, analyze, build_lattice, analyze_ring, annihilator_star,
-                     check_lemma_suite,
+from multlat import (ElementSubset, Lattice, analyze, build_lattice, analyze_ring,
+                     annihilator_star, check_lemma_suite, fig2_lattice, fig3_lattice,
                      attach_multiplication, fixture, is_prime_element, maximal_annihilator_elements,
                      minimal_prime_elements, modularity_witness,
                      nilpotency_witness, prime_elements,
@@ -23,7 +25,8 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     is_distributive, random_closure_lattice,
+                     enumerate_down_sets, is_distributive, pair_is_ideal,
+                     random_closure_lattice,
                      scan_annihilator_star, scan_has_nonzero_zero_divisor,
                      scan_is_prime_element, scan_is_semiprime,
                      scan_join_irreducibles, two_walk_nilpotency_scan)
@@ -99,6 +102,58 @@ def test_prime_elements_match_the_pair_scan():
         checked += ml.n
     assert checked > 5000
     assert 0 < primes < checked
+    for p in (-1, ml.n):
+        with pytest.raises(IndexError):
+            is_prime_element(ml, p)
+
+
+def _under_a_new_top(lat: Lattice) -> Lattice:
+    """``lat`` with one more element above its top.  The new top has one
+    lower cover, so the trivial product is admissible on the result."""
+    names = lat.names
+    covers = [(names[y], names[x]) for x in range(lat.n) for y in lat.lower_covers[x]]
+    return build_lattice([*names, "new top"], [*covers, (names[lat.top], "new top")])
+
+
+def test_prime_elements_match_the_pair_scan_under_the_trivial_product():
+    """The closed form equals the O(n^2) definition under the trivial
+    product, a product other than the meet: on every lattice of
+    ``_lattices`` where it is admissible (the top is join-irreducible), and
+    on each of them under a new top, most of those not distributive."""
+    instances = Counter()
+    for label, base in _lattices():
+        lattices = [_under_a_new_top(base)]
+        if base.top in base.join_irreducibles:
+            lattices.append(base)
+        for lat in lattices:
+            ml = attach_multiplication(lat, "trivial")
+            expected = [p for p in range(ml.n) if scan_is_prime_element(ml, p)]
+            assert prime_elements(ml) == expected, label
+            assert [p for p in range(ml.n) if is_prime_element(ml, p)] == expected, label
+            instances[is_distributive(lat)] += 1
+    assert instances[True] > 900 and instances[False] > 90
+
+
+def test_ideal_test_matches_the_pair_definition():
+    """ElementSubset.is_ideal, the principal-down-set test, equals the
+    definition checked on every pair of members, on every down-set and on
+    seeded other subsets of the fixtures, the plane flats both ways and
+    seeded intersection-closed lattices, most of them not distributive."""
+    lattices = [fig2_lattice(), fig3_lattice(), _plane_flats(), _plane_flats(dual=True)]
+    rng = random.Random(0)
+    lattices += [random_closure_lattice(rng, 5, rng.randint(2, 10)) for _ in range(398)]
+    outcomes = Counter()
+    for lat in lattices:
+        subsets = enumerate_down_sets(lat)
+        subsets += [ElementSubset(lat, rng.getrandbits(lat.n)) for _ in range(20)]
+        for d in subsets:
+            ideal = pair_is_ideal(d)
+            assert d.is_ideal == ideal, (lat.names, d.names)
+            outcomes[ideal, d.is_down_set] += 1
+    assert sum(not is_distributive(lat) for lat in lattices) > 200
+    # Ideals, down-sets that are not join-closed, and other subsets.
+    assert outcomes[True, True] > 4000 and outcomes[False, True] > 25000
+    assert outcomes[False, False] > 5000
 
 
 def test_covering_pair_test_matches_the_modular_law_scan():
@@ -164,7 +219,7 @@ COUNTED = ((multlat.lattice, "_covers_semimodular"),
            (multlat.lattice, "_zero_distributivity_scan"),
            (multlat.multiplication, "_nilpotency_scan"),
            (multlat.multiplication, "annihilator_star"),
-           (multlat.multiplication, "is_prime_element"))
+           (multlat.multiplication, "_decide_primes"))
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -183,13 +238,14 @@ def _count_calls(monkeypatch) -> Counter:
 def test_ring_analysis_computes_each_fact_once(monkeypatch):
     """Building Id(Z_720) and analysing it decides modularity,
     0-distributivity and nilpotency once, and each element's annihilator
-    and primality once; the distributive lattice never needs a scan."""
+    once, and the prime elements once for all of them; the distributive
+    lattice never needs a scan."""
     counts = _count_calls(monkeypatch)
     report = analyze_ring(720)
     assert report.element_count == 30
     assert counts == {"_covers_semimodular": 1, "_zero_distributive": 1,
                       "_nilpotency_scan": 1, "annihilator_star": 30,
-                      "is_prime_element": 30}
+                      "_decide_primes": 1}
 
 
 def test_fig3_analysis_computes_each_fact_once(monkeypatch):
@@ -200,7 +256,7 @@ def test_fig3_analysis_computes_each_fact_once(monkeypatch):
     first = analyze(ml, instance_id="fixture:fig3")
     expected = {"_covers_semimodular": 1, "_modularity_scan": 1,
                 "_zero_distributive": 1, "_nilpotency_scan": 1,
-                "annihilator_star": 14, "is_prime_element": 14}
+                "annihilator_star": 14, "_decide_primes": 1}
     assert counts == expected
     second = analyze(ml, instance_id="fixture:fig3")
     assert counts == expected
@@ -215,7 +271,7 @@ def test_lemma_suite_on_a_non_reduced_lattice_reads_no_annihilator_or_prime(
     counts = _count_calls(monkeypatch)
     report = check_lemma_suite(ml)
     assert counts["annihilator_star"] == 0
-    assert counts["is_prime_element"] == 0
+    assert counts["_decide_primes"] == 0
     assert counts["_nilpotency_scan"] == 1
     assert [c.status for c in report.checks] == ["skip"] * 4 + ["pass"] + ["skip"] * 3
 

@@ -25,7 +25,7 @@ from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set
 
 from helpers import (assert_is_n5, bit_scan_meet_join, boolean_2_with_a_wrong_meet,
                      cover_closure, enumerate_down_sets, is_distributive,
-                     random_closure_lattice)
+                     is_prime_semi_ideal, random_closure_lattice)
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
@@ -312,7 +312,7 @@ def test_subset_flags():
     ab = ElementSubset(lat, [lat.index("a"), lat.index("b")])
     assert not ab.is_down_set and not ab.is_ideal
     whole = ElementSubset(lat, (1 << lat.n) - 1)
-    assert whole.is_ideal and not whole.is_proper and not whole.is_prime
+    assert whole.is_ideal and not whole.is_proper and not is_prime_semi_ideal(whole)
 
 
 def test_down_sets_two_chain():

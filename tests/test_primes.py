@@ -11,13 +11,13 @@ from multlat import (analyze, attach_multiplication, check_lemma_suite,
                      minimal_prime_elements, minimal_prime_ideals,
                      minimal_prime_semi_ideals, mult_zero_divisor_graph,
                      prime_structure)
-from multlat.primes import prime_semi_ideals
-from multlat.rings import ideal_lattice_zn, is_squarefree
+from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     is_distributive, oracle_prime_masks,
+                     enumerate_down_sets, is_distributive, is_prime_semi_ideal,
+                     is_squarefree, oracle_prime_masks, pair_is_ideal,
                      principal_join_irreducibles, random_closure_lattice)
 
 # Seed base of the random lattices in the acceptance battery.
@@ -32,7 +32,7 @@ def test_b2_minimal_prime_semi_ideals():
     lat = boolean_lattice(2)
     mpsi = minimal_prime_semi_ideals(lat)
     assert [d.names for d in mpsi] == [("{}", "{1}"), ("{}", "{2}")]
-    assert all(d.is_prime for d in mpsi)
+    assert all(is_prime_semi_ideal(d) for d in mpsi)
 
 
 def test_chain_minimal_prime_semi_ideal_is_bottom():
@@ -50,8 +50,11 @@ def test_fig2_minimal_prime_semi_ideals():
 
 def test_empty_and_whole_are_not_prime():
     lat = boolean_lattice(2)
-    primes = prime_semi_ideals(lat)
-    for d in primes:
+    down_sets = enumerate_down_sets(lat)
+    assert down_sets[0].is_empty and not down_sets[-1].is_proper
+    assert not is_prime_semi_ideal(down_sets[0])
+    assert not is_prime_semi_ideal(down_sets[-1])
+    for d in minimal_prime_semi_ideals(lat) + minimal_prime_ideals(lat):
         assert not d.is_empty and d.is_proper
 
 
@@ -60,7 +63,7 @@ def test_minimal_prime_ideals_b3():
     mpi = minimal_prime_ideals(lat)
     assert len(mpi) == 3
     for d in mpi:
-        assert d.is_ideal and d.is_prime
+        assert d.is_ideal and pair_is_ideal(d) and is_prime_semi_ideal(d)
     # each is the principal down-set of a coatom
     coatoms = lat.maximal(x for x in range(lat.n) if x != lat.top)
     expected = {lat.down[c] for c in coatoms}
@@ -83,13 +86,14 @@ def test_z30_minimal_prime_ideal_count():
 def test_prime_semi_ideals_are_filter_complements():
     """Independent characterization: in a finite bounded lattice the prime
     semi-ideals are exactly the complements of principal proper filters, so
-    the minimal ones are the complements of atom filters."""
+    the minimal ones are the complements of atom filters.  The prime
+    semi-ideals come from the definition, checked on every down-set."""
     for lat in (boolean_lattice(3), fig2_lattice(), chain_lattice(5),
                 ideal_lattice_zn(60).lattice):
-        primes = prime_semi_ideals(lat)
+        semi, _, _ = oracle_prime_masks(lat)
         expected = {((1 << lat.n) - 1) & ~lat.up[m]
                     for m in range(lat.n) if m != lat.bottom}
-        assert {d.mask for d in primes} == expected
+        assert set(semi) == expected
         minimal = minimal_prime_semi_ideals(lat)
         atom_complements = {((1 << lat.n) - 1) & ~lat.up[a] for a in lat.atoms()}
         assert {d.mask for d in minimal} == atom_complements
@@ -125,8 +129,7 @@ def test_closed_form_matches_down_set_oracle():
     the definitions on every down-set, mask for mask and in order."""
     checked = distinct_counts = 0
     for lat in _oracle_lattices():
-        semi, minimal_semi, minimal_ideals = oracle_prime_masks(lat)
-        assert [d.mask for d in prime_semi_ideals(lat)] == semi
+        _, minimal_semi, minimal_ideals = oracle_prime_masks(lat)
         assert [d.mask for d in minimal_prime_semi_ideals(lat)] == minimal_semi
         assert [d.mask for d in minimal_prime_ideals(lat)] == minimal_ideals
         if is_distributive(lat):

@@ -12,10 +12,10 @@ from multlat import (InvalidModulus, analyze_ring, ideal_lattice_zn,
                      is_modular, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
 from multlat.lattice import MAX_INPUT_ELEMENTS
-from multlat.rings import MAX_MODULUS, divisors_of, is_squarefree, prime_factors
+from multlat.rings import MAX_MODULUS, divisors_of, prime_factors
 from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
-from helpers import is_distributive
+from helpers import is_distributive, is_squarefree
 
 
 def test_divisor_helpers():

@@ -6,11 +6,14 @@ import pytest
 import multlat.report
 import multlat.search
 from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
-                     ideal_lattice_zn, is_reduced, mult_zero_divisor_graph,
-                     parse_lattice_data, search_counterexamples)
+                     build_lattice, ideal_lattice_zn, is_reduced,
+                     mult_zero_divisor_graph, parse_lattice_data,
+                     search_counterexamples)
+from multlat.lattice import MAX_INPUT_ELEMENTS
 from multlat.multiplication import is_semiprime
-from multlat.search import (MAX_RANDOM_SIZE, MIN_RANDOM_SIZE, _instances,
-                            generate, random_poset_down_set_lattice)
+from multlat.search import (MAX_BOOLEAN_RANK, MAX_RANDOM_SIZE, MIN_RANDOM_SIZE,
+                            _instances, boolean_lattice, generate,
+                            random_poset_down_set_lattice)
 
 from helpers import fig3_under_a_new_bottom
 
@@ -32,6 +35,33 @@ def test_generate_boolean():
     assert ml.n == 8
     from multlat import minimal_prime_elements
     assert len(minimal_prime_elements(ml)) == 3
+
+
+def test_boolean_lattice_from_covers_equals_the_build_from_its_order():
+    """boolean:8 built from its cover pairs equals the build from all of
+    its order pairs, cover fields included."""
+    k = 8
+    lat = boolean_lattice(k)
+    pairs = [(lat.names[a], lat.names[b]) for a in range(1 << k)
+             for b in range(1 << k) if a & ~b == 0]
+    from_order = build_lattice(lat.names, pairs, "leq")
+    assert lat == from_order
+    assert lat.lower_covers == from_order.lower_covers
+    assert lat.upper_covers == from_order.upper_covers
+    assert lat.join_irreducibles == from_order.join_irreducibles
+
+
+def test_boolean_rank_is_capped_by_the_input_size_cap():
+    """2^K elements fit under MAX_INPUT_ELEMENTS up to K = 10, and
+    boolean:10 is generated and analysed: chi = omega = 10."""
+    assert MAX_BOOLEAN_RANK == 10
+    assert 2 ** MAX_BOOLEAN_RANK <= MAX_INPUT_ELEMENTS < 2 ** (MAX_BOOLEAN_RANK + 1)
+    [(instance_id, ml)] = generate("boolean:10")
+    report = analyze(ml, instance_id=instance_id)
+    assert ml.n == 1024 and report.verdict == "holds"
+    assert report.chi == report.omega == report.counts["minimal_prime_elements"] == 10
+    with pytest.raises(InvalidSpec, match=r"boolean rank must be 0\.\.10, got 11"):
+        generate("boolean:11")
 
 
 def test_generate_divisor_default_ring():
@@ -98,14 +128,14 @@ def test_generate_trivial_on_join_reducible_top_fails():
 
 
 def test_generate_bad_specs():
-    for bad in ("nope:3", "chain", "chain:2:3:4", "random:5", "boolean:9",
+    for bad in ("nope:3", "chain", "chain:2:3:4", "random:5", "boolean:11",
                 "fig2:9", "divisor:1"):
         with pytest.raises(Exception):
             generate(bad)
 
 
 def test_bad_specs_raise_invalid_spec():
-    for bad in ("bogus:3", "boolean:x", "boolean:9", "chain:-1", "chain:257",
+    for bad in ("bogus:3", "boolean:x", "boolean:11", "chain:-1", "chain:257",
                 "chain:4:ring", "random:5x", "random:3x0", "random:-1x5",
                 "divisor:x", "fig2:table"):
         with pytest.raises(InvalidSpec):
@@ -113,6 +143,7 @@ def test_bad_specs_raise_invalid_spec():
     with pytest.raises(InvalidSpec):
         search_counterexamples(["chain:4"], budget=0)
     _instances("chain:256")  # the longest chain spec parses; nothing is built
+    _instances("boolean:10")  # and so does the largest boolean spec
 
 
 def test_random_lattice_bounds():

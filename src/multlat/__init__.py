@@ -6,11 +6,11 @@ compute exact chromatic and clique numbers with witnesses, derive the
 prime structure in closed form, and report per-instance verdicts on whether
 the two graph invariants agree.
 """
-from .errors import (AxiomViolation, ImproperIdeal,
-                     IncompleteTable, InvalidModulus, InvalidSpec, LatticeError,
-                     LatticeFileError, NoBoundedStructure, NoPrimesFound,
-                     NotALattice, NotAnIdeal, NotAPartialOrder, NotReduced,
-                     SelfCheckError, SolverTimeout, TooLarge)
+from .errors import (AxiomViolation, ImproperIdeal, IncompleteTable,
+                     InvalidModulus, InvalidSpec, LatticeError,
+                     LatticeFileError, NoBoundedStructure, NotALattice,
+                     NotAnIdeal, NotAPartialOrder, SelfCheckError,
+                     SolverTimeout, TooLarge)
 from .fileio import load_lattice_file, parse_lattice_data
 from .fixtures import FIXTURE_NAMES, fig2_lattice, fig3_lattice, fig3_table, fixture
 from .lattice import (ElementSubset, Lattice, build_lattice, is_modular,
@@ -28,9 +28,8 @@ from .report import BeckReport, analyze
 from .rings import ZnIdealLattice, analyze_ring, ideal_lattice_zn
 from .search import (SearchResult, boolean_lattice, chain_lattice, generate,
                      random_poset_down_set_lattice, search_counterexamples)
-from .solvers import (Coloring, CliqueWitness, beck_coloring,
-                      brute_force_chromatic, brute_force_clique,
-                      chromatic_number, clique_number)
+from .solvers import (Coloring, CliqueWitness, brute_force_chromatic,
+                      brute_force_clique, chromatic_number, clique_number)
 from .zdgraph import (ZdGraph, export_dot, mult_zero_divisor_graph,
                       order_zero_divisor_graph)
 
@@ -41,16 +40,15 @@ __all__ = [
     "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
     "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
     "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
-    "NoBoundedStructure", "NoPrimesFound", "NotALattice", "NotAPartialOrder",
-    "NotAnIdeal", "NotReduced", "PrimeStructure", "SearchResult",
-    "SelfCheckError", "SolverTimeout", "TooLarge", "ZdGraph", "ZnIdealLattice",
-    "analyze", "analyze_ring", "annihilator_star", "attach_multiplication",
-    "beck_coloring", "boolean_lattice", "brute_force_chromatic",
-    "brute_force_clique", "build_lattice", "chain_lattice",
-    "check_lemma_suite", "chromatic_number", "clique_number", "export_dot",
-    "fig2_lattice", "fig3_lattice", "fig3_table", "fixture", "generate",
-    "ideal_lattice_zn", "is_modular", "is_prime_element", "is_reduced",
-    "is_zero_distributive", "load_lattice_file",
+    "NoBoundedStructure", "NotALattice", "NotAPartialOrder", "NotAnIdeal",
+    "PrimeStructure", "SearchResult", "SelfCheckError", "SolverTimeout",
+    "TooLarge", "ZdGraph", "ZnIdealLattice", "analyze", "analyze_ring",
+    "annihilator_star", "attach_multiplication", "boolean_lattice",
+    "brute_force_chromatic", "brute_force_clique", "build_lattice",
+    "chain_lattice", "check_lemma_suite", "chromatic_number", "clique_number",
+    "export_dot", "fig2_lattice", "fig3_lattice", "fig3_table", "fixture",
+    "generate", "ideal_lattice_zn", "is_modular", "is_prime_element",
+    "is_reduced", "is_zero_distributive", "load_lattice_file",
     "maximal_annihilator_elements", "minimal_prime_elements",
     "minimal_prime_ideals", "minimal_prime_semi_ideals", "modularity_witness",
     "mult_zero_divisor_graph", "nilpotency_witness",

@@ -47,15 +47,6 @@ class ImproperIdeal(LatticeError):
     """The supplied ideal is the whole lattice."""
 
 
-class NotReduced(LatticeError):
-    """An operation that requires a reduced multiplicative lattice got one
-    with a nonzero nilpotent."""
-
-
-class NoPrimesFound(LatticeError):
-    """No prime elements exist although the operation needs at least one."""
-
-
 class TooLarge(LatticeError, ValueError):
     """Input exceeds a size cap: that of a brute-force oracle, or the DOT
     palette's number of colours.  It is also a ValueError, as a size is an

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 
 from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
@@ -71,17 +72,23 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     continue; chi and its coloring are None, and so are omega and its
     clique unless the clique was solved first.
 
-    chi != omega at a semiprime element i (a.a <= i implies a <= i) raises
-    SelfCheckError, because the theory proves it impossible; at the bottom
-    that is a reduced instance.  The reason: [i, 1] with a o b = a.b v i is
-    a multiplicative lattice, and (x v i) o (y v i) = x.y v i, so x.y <= i
-    exactly when (x v i) o (y v i) = i.  So the graph at i is the graph of
-    that quotient at its bottom i, with each vertex c replaced by its class
-    {x : x v i = c}.  The quotient is reduced exactly when i is semiprime,
-    and then no two members of a class are adjacent, so chi and omega are
-    the quotient's and the reduced theory applies to them.  The report's
-    ``reduced`` field and its lemma lines are about the bottom whatever
-    the element.
+    At a semiprime element i (a.a <= i implies a <= i; at the bottom, a
+    reduced instance) the theory fixes chi and omega in closed form, and a
+    disagreement raises SelfCheckError: both must equal the number of
+    minimal vertices K, and the members of K must be pairwise adjacent.
+    The proof:
+
+    * two distinct x, y in K are adjacent.  Let z = x ^ y < x and w a
+      partner of x; then w.z <= w.x <= i, so z not below i would be a
+      vertex below x, against the minimality of x.  Hence z <= i, and
+      x.y <= x ^ y <= i by M4;
+    * colour each vertex like the first member of K below it.  If x and z
+      are adjacent, with m <= x and m' <= z in K, then m.m' <= x.z <= i,
+      so m = m' would give m.m <= i, against semiprimeness.
+
+    Together |K| <= omega <= chi <= |K|; at the bottom of a reduced
+    lattice this is the paper's theorem.  The report's ``reduced`` field
+    and its lemma lines are about the bottom whatever the element.
     """
     start = time.monotonic()
     lat = ml.lattice
@@ -133,13 +140,17 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
     else:
         verdict = VERDICT_FAILS
 
-    if verdict == VERDICT_FAILS and is_semiprime(ml, i):
-        what = ("reduced instance" if i == lat.bottom
-                else f"semiprime element {lat.names[i]!r}")
-        raise SelfCheckError(
-            f"{instance_id}: {what} with chi={chi} != omega={omega}; "
-            "this contradicts the reduced theory and means the implementation "
-            "is wrong")
+    if not timed_out and is_semiprime(ml, i):
+        kernel = lat.minimal(graph.vertices)
+        below = lat.down[i]
+        if not (chi == omega == len(kernel) and all(
+                below >> ml.product[x][y] & 1 for x, y in combinations(kernel, 2))):
+            what = ("reduced instance" if i == lat.bottom
+                    else f"semiprime element {lat.names[i]!r}")
+            raise SelfCheckError(
+                f"{instance_id}: {what} with chi={chi}, omega={omega} and "
+                f"{len(kernel)} minimal vertices; this contradicts the reduced "
+                "theory and means the implementation is wrong")
 
     report = BeckReport(
         instance=instance_id,

@@ -40,11 +40,9 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (NoPrimesFound, NotReduced, SelfCheckError, SolverTimeout,
-                     TooLarge)
+from .errors import SelfCheckError, SolverTimeout, TooLarge
 from .lattice import _bits
-from .multiplication import MultLattice, is_reduced, minimal_prime_elements
-from .zdgraph import ZdGraph, mult_zero_divisor_graph
+from .zdgraph import ZdGraph
 
 #: Default per-graph time budget for the exact solvers, in seconds.
 DEFAULT_SOLVER_BUDGET = 30.0
@@ -438,45 +436,3 @@ def brute_force_clique(g: ZdGraph, max_vertices: int = ORACLE_CAP) -> int:
         if ok:
             best = size
     return best
-
-
-# ---------------------------------------------------------------------------
-# Constructive coloring for reduced lattices
-
-
-def beck_coloring(ml: MultLattice) -> Coloring:
-    """Color the zero-divisor graph of a reduced lattice by minimal primes.
-
-    With the minimal prime elements p_1 < p_2 < ... (ascending element
-    index), each vertex x gets the first index i with x not below p_i.  In a
-    reduced lattice the minimal primes meet to 0, so the color is defined for
-    every vertex, and adjacent vertices (product 0 <= p_i) cannot share it;
-    the result is a proper coloring in at most #minimal-primes colors.  The
-    construction runs no search, so it takes no time budget.
-    """
-    if not is_reduced(ml):
-        raise NotReduced("constructive coloring requires a reduced lattice")
-    lat = ml.lattice
-    graph = mult_zero_divisor_graph(ml, lat.bottom)
-    if graph.n_vertices == 0:
-        return Coloring({}, 0)
-    primes = minimal_prime_elements(ml)
-    if not primes:
-        raise NoPrimesFound("no prime elements although the graph is non-empty")
-    if lat.meet_all(primes) != lat.bottom:
-        raise SelfCheckError("minimal primes of a reduced lattice must meet to 0")
-    assignment: dict[int, int] = {}
-    for v in graph.vertices:
-        for i, p in enumerate(primes):
-            if not lat.leq(v, p):
-                assignment[v] = i
-                break
-        else:
-            raise SelfCheckError(
-                f"vertex {lat.names[v]} lies below every minimal prime")
-    coloring = Coloring(assignment, len(set(assignment.values())))
-    if not is_proper(graph, coloring):
-        raise SelfCheckError("minimal-prime coloring is not proper")
-    if coloring.color_count > len(primes):
-        raise SelfCheckError("minimal-prime coloring uses more colors than primes")
-    return coloring

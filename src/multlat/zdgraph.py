@@ -142,8 +142,7 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
-               coloring=None) -> str:
+def export_dot(graph: ZdGraph, coloring=None) -> str:
     """Deterministic DOT text for a graph.
 
     One node line per vertex in ascending order, one edge line per edge with
@@ -154,10 +153,7 @@ def export_dot(graph: ZdGraph, labels: tuple[str, ...] | None = None,
     a double quote or a backslash cannot end it early; any other name
     appears as it is.
     """
-    names = labels if labels is not None else graph.vertex_names()
-    names = [_dot_id(nm) for nm in names]
-    if len(names) != graph.n_vertices:
-        raise ValueError("label count does not match vertex count")
+    names = [_dot_id(nm) for nm in graph.vertex_names()]
     color_of = {}
     if coloring is not None:
         if coloring.color_count > len(DOT_PALETTE):

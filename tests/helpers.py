@@ -6,7 +6,8 @@ import random
 
 from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
                      attach_multiplication, build_lattice, fig3_lattice,
-                     fig3_table)
+                     fig3_table, minimal_prime_elements,
+                     mult_zero_divisor_graph)
 from multlat.search import boolean_lattice, chain_lattice
 from multlat.solvers import Coloring, _coloring, _greedy, _relabel
 
@@ -490,6 +491,19 @@ def greedy_coloring(g: ZdGraph) -> Coloring:
     bound that ``chromatic_number`` starts from, mapped back to ``g``."""
     order, adj = _relabel(g)
     return _coloring(g, order, _greedy(adj))
+
+
+def minimal_prime_coloring(ml) -> Coloring:
+    """Beck's colouring of the graph at the bottom, by its definition: each
+    vertex gets the position of the first minimal prime element (ascending)
+    it is not below.  In a reduced lattice the minimal primes meet to 0, so
+    every vertex gets a colour, and adjacent vertices (product 0 <= p)
+    cannot share one."""
+    lat = ml.lattice
+    primes = minimal_prime_elements(ml)
+    assignment = {v: next(k for k, p in enumerate(primes) if not lat.leq(v, p))
+                  for v in mult_zero_divisor_graph(ml).vertices}
+    return Coloring(assignment, len(set(assignment.values())))
 
 
 def principal_join_irreducibles(lat: Lattice) -> tuple[int, ...]:

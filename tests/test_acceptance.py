@@ -23,7 +23,8 @@ from multlat import (analyze, analyze_ring, attach_multiplication,
 from multlat.rings import prime_factors
 from multlat.search import boolean_lattice, random_poset_down_set_lattice
 
-from helpers import assert_is_n5, is_squarefree, random_graph
+from helpers import (assert_is_n5, chain_square_mult,
+                     chain_square_times_two_chain, is_squarefree, random_graph)
 
 RANDOM_SUITE_BASE_SEED = 20_240_817
 
@@ -52,6 +53,9 @@ def _reduced_instances():
     for i in range(100):
         lat = random_poset_down_set_lattice(RANDOM_SUITE_BASE_SEED + i, 24)
         yield f"random:{i}+meet", attach_multiplication(lat, "meet")
+    # The two reduced instances whose product is not the meet.
+    yield "chain-square", chain_square_mult()
+    yield "chain-square x 2-chain", chain_square_times_two_chain()
 
 
 @pytest.fixture(scope="module")

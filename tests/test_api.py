@@ -20,16 +20,15 @@ PUBLIC_NAMES = [
     "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
     "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
     "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
-    "NoBoundedStructure", "NoPrimesFound", "NotALattice", "NotAPartialOrder",
-    "NotAnIdeal", "NotReduced", "PrimeStructure", "SearchResult",
-    "SelfCheckError", "SolverTimeout", "TooLarge", "ZdGraph", "ZnIdealLattice",
-    "analyze", "analyze_ring", "annihilator_star", "attach_multiplication",
-    "beck_coloring", "boolean_lattice", "brute_force_chromatic",
-    "brute_force_clique", "build_lattice", "chain_lattice",
-    "check_lemma_suite", "chromatic_number", "clique_number", "export_dot",
-    "fig2_lattice", "fig3_lattice", "fig3_table", "fixture", "generate",
-    "ideal_lattice_zn", "is_modular", "is_prime_element", "is_reduced",
-    "is_zero_distributive", "load_lattice_file",
+    "NoBoundedStructure", "NotALattice", "NotAPartialOrder", "NotAnIdeal",
+    "PrimeStructure", "SearchResult", "SelfCheckError", "SolverTimeout",
+    "TooLarge", "ZdGraph", "ZnIdealLattice", "analyze", "analyze_ring",
+    "annihilator_star", "attach_multiplication", "boolean_lattice",
+    "brute_force_chromatic", "brute_force_clique", "build_lattice",
+    "chain_lattice", "check_lemma_suite", "chromatic_number", "clique_number",
+    "export_dot", "fig2_lattice", "fig3_lattice", "fig3_table", "fixture",
+    "generate", "ideal_lattice_zn", "is_modular", "is_prime_element",
+    "is_reduced", "is_zero_distributive", "load_lattice_file",
     "maximal_annihilator_elements", "minimal_prime_elements",
     "minimal_prime_ideals", "minimal_prime_semi_ideals", "modularity_witness",
     "mult_zero_divisor_graph", "nilpotency_witness",
@@ -40,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_the_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 65
     assert sorted(multlat.__all__) == PUBLIC_NAMES
 
 
@@ -73,6 +72,26 @@ def test_no_module_builds_a_tuple_from_a_generator():
                      and isinstance(node.func, ast.Name) and node.func.id == "tuple"
                      and any(isinstance(a, ast.GeneratorExp) for a in node.args)]
             assert not calls, (name, calls)
+
+
+def test_the_solvers_depend_on_the_graph_alone():
+    """solvers.py takes from the package only its errors, the bit iterator
+    of lattice.py and the ZdGraph type: no multiplication, no graph
+    construction."""
+    path = os.path.join(os.path.dirname(multlat.__file__), "solvers.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "multlat" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "multlat"):
+            module = (node.module or "").removeprefix("multlat.")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+    assert set(imported) <= {"errors", "lattice", "zdgraph"}, imported
+    assert imported.get("lattice", set()) <= {"_bits"}
+    assert imported.get("zdgraph", set()) <= {"ZdGraph"}
 
 
 def test_the_readme_library_example_runs():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -13,8 +13,10 @@ import multlat.lattice
 import multlat.multiplication
 from multlat import (ElementSubset, Lattice, analyze, build_lattice, analyze_ring,
                      annihilator_star, check_lemma_suite, fig2_lattice, fig3_lattice,
-                     attach_multiplication, fixture, is_prime_element, maximal_annihilator_elements,
-                     minimal_prime_elements, modularity_witness,
+                     attach_multiplication, brute_force_chromatic,
+                     brute_force_clique, fixture, is_prime_element,
+                     maximal_annihilator_elements, minimal_prime_elements,
+                     modularity_witness, mult_zero_divisor_graph,
                      nilpotency_witness, prime_elements,
                      zero_distributivity_witness)
 from multlat.lattice import (_covers_semimodular, _modularity_scan,
@@ -23,6 +25,7 @@ from multlat.multiplication import annihilator_map, is_semiprime
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
+from multlat.solvers import ORACLE_CAP, _solve
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
                      enumerate_down_sets, is_distributive, pair_is_ideal,
@@ -353,3 +356,30 @@ def test_annihilators_and_semiprimeness_match_their_definitions():
             assert is_semiprime(ml, i) == semiprime, (ml.names, ml.names[i])
             outcomes[semiprime] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+def test_the_minimal_vertices_at_a_semiprime_element_fix_chi_and_omega():
+    """The reduced theorem without ``analyze``: at every semiprime element of
+    every instance the minimal vertices of the graph are pairwise adjacent,
+    and their number is chi and omega, by the brute-force oracles where the
+    graph is small enough and by the exact solvers elsewhere."""
+    settled = Counter()
+    for label, ml in _mult_instances():
+        lat = ml.lattice
+        for i in range(ml.n):
+            if not scan_is_semiprime(ml, i):
+                continue
+            g = mult_zero_divisor_graph(ml, i)
+            kernel = lat.minimal(g.vertices)
+            position = {v: k for k, v in enumerate(g.vertices)}
+            assert all(g.adjacent(position[x], position[y])
+                       for x, y in combinations(kernel, 2)), (label, i)
+            if g.n_vertices <= ORACLE_CAP:
+                values = brute_force_chromatic(g), brute_force_clique(g)
+                settled["oracle"] += 1
+            else:
+                solve = _solve(g, budget=None)
+                values = next(solve)[0], next(solve)[0]
+                settled["solver"] += 1
+            assert values == (len(kernel), len(kernel)), (label, lat.names[i])
+    assert settled["oracle"] > 3500 and settled["solver"] > 100, settled

@@ -27,14 +27,13 @@ import json
 import random
 
 from multlat import (FIXTURE_NAMES, BeckReport, analyze, analyze_ring,
-                     beck_coloring, chromatic_number, clique_number, fixture,
-                     generate, is_reduced,
-                     mult_zero_divisor_graph, nilpotency_witness,
+                     chromatic_number, clique_number, fixture, generate,
+                     is_reduced, mult_zero_divisor_graph, nilpotency_witness,
                      search_counterexamples)
 from multlat.multiplication import annihilator_map
 from multlat.solvers import _solve
 
-from helpers import greedy_coloring, make_graph
+from helpers import greedy_coloring, make_graph, minimal_prime_coloring
 
 GOLDEN_SHA256 = "ea224f7ee3c835468cc0cd97fbe5edfee6da5e694c963b6dcc091212d782771b"
 EXTENDED_SHA256 = "dccc9a143313625df5bd9417ae000f6473f544098ed6198aa499fefed8b447f5"
@@ -78,7 +77,7 @@ def extended_bytes() -> bytes:
         facts = [nilpotency_witness(ml), annihilator_map(ml),
                  _coloring(greedy_coloring(mult_zero_divisor_graph(ml)))]
         if is_reduced(ml):
-            facts.append(_coloring(beck_coloring(ml)))
+            facts.append(_coloring(minimal_prime_coloring(ml)))
         lines.append(json.dumps(facts))
     rng = random.Random(8)
     for _ in range(150):

@@ -5,9 +5,9 @@ import pytest
 
 import multlat.report
 import multlat.search
-from multlat import (AxiomViolation, InvalidSpec, SelfCheckError, analyze,
-                     build_lattice, ideal_lattice_zn, is_reduced,
-                     mult_zero_divisor_graph, parse_lattice_data,
+from multlat import (AxiomViolation, CliqueWitness, InvalidSpec,
+                     SelfCheckError, analyze, build_lattice, ideal_lattice_zn,
+                     is_reduced, mult_zero_divisor_graph, parse_lattice_data,
                      search_counterexamples)
 from multlat.lattice import MAX_INPUT_ELEMENTS
 from multlat.multiplication import is_semiprime
@@ -252,6 +252,21 @@ def misreport_chi(monkeypatch):
     monkeypatch.setattr(multlat.report, "_solve", broken)
 
 
+def underreport_both(monkeypatch):
+    """Make analyze's solve report omega one too low, with a clique one
+    vertex smaller, and chi one too low: the two still agree."""
+    real = multlat.report._solve
+
+    def broken(graph, budget=None):
+        solve = real(graph, budget)
+        omega, clique = next(solve)
+        yield omega - 1, CliqueWitness(clique.vertices[:-1])
+        chi, coloring = next(solve)
+        yield chi - 1, coloring
+
+    monkeypatch.setattr(multlat.report, "_solve", broken)
+
+
 def test_reduced_violation_is_fatal(monkeypatch):
     """Force the solver to misreport chi on a reduced instance: the analysis
     must abort with SelfCheckError instead of emitting a finding."""
@@ -271,6 +286,17 @@ def test_chi_above_omega_at_a_semiprime_element_is_fatal(monkeypatch):
     misreport_chi(monkeypatch)
     with pytest.raises(SelfCheckError, match="semiprime element '\\(6\\)'"):
         analyze(ml, element=six)
+
+
+def test_solvers_that_agree_below_the_minimal_vertices_are_fatal(monkeypatch):
+    """chi = omega = 2 on boolean:3, whose graph has the three atoms as its
+    minimal vertices: the solvers agree with each other, but not with the
+    theory, which puts both at 3."""
+    [(instance_id, ml)] = generate("boolean:3")
+    underreport_both(monkeypatch)
+    with pytest.raises(SelfCheckError, match="reduced instance with chi=2, "
+                       "omega=2 and 3 minimal vertices"):
+        analyze(ml, instance_id=instance_id)
 
 
 def test_a_reduced_lattice_fails_at_an_element_that_is_not_semiprime():

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import multlat.report
 import multlat.solvers
-from multlat import (NotReduced, SelfCheckError, SolverTimeout, TooLarge,
-                     ZdGraph, analyze, attach_multiplication, beck_coloring,
-                     brute_force_chromatic, brute_force_clique,
-                     chromatic_number, clique_number, fixture, is_reduced,
+from multlat import (SelfCheckError, SolverTimeout, TooLarge, ZdGraph,
+                     analyze, attach_multiplication, brute_force_chromatic,
+                     brute_force_clique, chromatic_number, clique_number,
+                     fixture, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
 from multlat.solvers import (Coloring, _Deadline, _k_colorable, _max_clique,
                              _relabel, _solve, is_proper)
@@ -25,7 +25,8 @@ from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
 from helpers import (complete_graph, cycle_graph, greedy_coloring, make_graph,
-                     random_graph, reference_clique, reference_k_colorable)
+                     minimal_prime_coloring, random_graph, reference_clique,
+                     reference_k_colorable)
 
 
 def fig3_graph():
@@ -269,7 +270,7 @@ def test_solver_timeout():
 
 def test_beck_coloring_b3():
     ml = attach_multiplication(boolean_lattice(3), "meet")
-    coloring = beck_coloring(ml)
+    coloring = minimal_prime_coloring(ml)
     g = mult_zero_divisor_graph(ml)
     assert is_proper(g, coloring)
     assert coloring.color_count == 3
@@ -278,21 +279,16 @@ def test_beck_coloring_b3():
 
 def test_beck_coloring_empty_graph():
     ml = attach_multiplication(chain_lattice(2), "meet")
-    coloring = beck_coloring(ml)
+    coloring = minimal_prime_coloring(ml)
     assert coloring.assignment == {} and coloring.color_count == 0
 
 
 def test_beck_coloring_z30():
     ml = ideal_lattice_zn(30).embedded
-    coloring = beck_coloring(ml)
+    coloring = minimal_prime_coloring(ml)
     g = mult_zero_divisor_graph(ml)
     assert is_proper(g, coloring)
     assert coloring.color_count == 3 == brute_force_chromatic(g)
-
-
-def test_beck_coloring_requires_reduced():
-    with pytest.raises(NotReduced):
-        beck_coloring(fixture("fig3"))
 
 
 @given(st.integers(0, 120))
@@ -300,12 +296,11 @@ def test_beck_coloring_properties_on_random_reduced(seed):
     lat = random_poset_down_set_lattice(seed, 20)
     ml = attach_multiplication(lat, "meet")
     assert is_reduced(ml)
-    coloring = beck_coloring(ml)
+    coloring = minimal_prime_coloring(ml)
     g = mult_zero_divisor_graph(ml)
     if g.n_vertices == 0:
         assert coloring.color_count == 0
         return
-    from multlat import minimal_prime_elements
     primes = minimal_prime_elements(ml)
     assert is_proper(g, coloring)
     assert coloring.color_count <= len(primes)

@@ -261,12 +261,8 @@ def test_dot_deterministic():
     assert export_dot(g) == export_dot(g)
 
 
-def test_dot_custom_labels_and_palette_limit():
+def test_dot_palette_limit():
     g = mult_zero_divisor_graph(ideal_lattice_zn(6).embedded)
-    text = export_dot(g, labels=("x", "y"))
-    assert '"x" -- "y";' in text
-    with pytest.raises(ValueError):
-        export_dot(g, labels=("only-one",))
     big = Coloring({g.vertices[0]: 0, g.vertices[1]: 13}, 2)
     big.color_count = 13  # simulate an over-wide coloring
     with pytest.raises(ValueError):

@@ -65,7 +65,9 @@ from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder, SelfCheck
 #: The most elements a lattice from outside input may have: a lattice file,
 #: or Id(Z_n) for ``ring --modulus`` and ``divisor:N``.  A 1024-element
 #: Id(Z_n) builds in about 1 s and analyses in about 0.5 s; twice that size
-#: took 3.7 s and 2.8 s (shared 2-core Xeon).
+#: took 3.7 s and 2.8 s (shared 2-core Xeon).  It caps ``chain:K`` as well:
+#: chain:1024 builds in 0.8-1.0 s, takes the meet in 0.12-0.17 s and the
+#: trivial product in 0.06-0.07 s, and analyses in 0.3-0.4 s and 1.4-1.5 s.
 MAX_INPUT_ELEMENTS = 1024
 
 

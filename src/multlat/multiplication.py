@@ -19,9 +19,16 @@ whole rows, and the M3 test on J compares two compositions of rows: with
 pa the row of a, jj the column b -> b v j and jpa the join row of a.j,
 b -> pa[jj[b]] is a.(b v j) and b -> jpa[pa[b]] is a.j v a.b, and
 ``operator.itemgetter`` builds each in C.  A failed test hands over to a
-scan that names the witness an element-by-element check would name.  On
-top of the verified table this module computes reducedness, annihilators
-and prime elements.
+scan that names the witness an element-by-element check would name.
+
+The two built-in products are admitted by theorem, with no scan of their
+tables: the meet exactly when every join-irreducible j is join-prime (j
+not below the join of the elements outside up(j)), n |J| joins in all, and
+the trivial product exactly when the top has one lower cover or the
+lattice has one element.  Only a product the theorem rejects goes through
+the check above, which names its axiom and witness; tables from files and
+Id(Z_n) always do.  On top of the verified table this module computes
+reducedness, annihilators and prime elements.
 
 The facts the analysis asks for more than once are computed once per
 ``MultLattice`` and cached on it with ``functools.cached_property``: the
@@ -51,7 +58,7 @@ from operator import eq, itemgetter
 from typing import Sequence
 
 from .errors import AxiomViolation, IncompleteTable, SelfCheckError
-from .lattice import Lattice
+from .lattice import Lattice, _bits
 
 MULT_KINDS = ("table", "meet", "trivial")
 
@@ -250,14 +257,37 @@ def _checked(lat: Lattice, product: tuple[tuple[int, ...], ...]) -> MultLattice:
     return MultLattice(lat, product)
 
 
+def _irreducibles_join_prime(lat: Lattice) -> bool:
+    """Whether every j in J is join-prime: j is not below the join of the
+    elements outside up(j).  One join per j, n |J| in all."""
+    full = (1 << lat.n) - 1
+    return not any(lat.up[j] >> lat.join_all(_bits(full & ~lat.up[j])) & 1
+                   for j in lat.join_irreducibles)
+
+
 def attach_multiplication(lat: Lattice, kind: str = "meet",
                           table: Sequence[Sequence[str]] | None = None) -> MultLattice:
     """Attach a multiplication to a lattice and verify every axiom.
 
     kind="table" takes a complete n-by-n table of element names (row-major in
-    element order).  kind="meet" uses x.y = x ^ y, which is admissible exactly
-    on distributive lattices.  kind="trivial" uses x.y = 0 for x, y != 1 and
-    x.1 = x, admissible exactly when the top is join-irreducible.
+    element order) and runs the full check.  The two built-in products are
+    admitted by theorem; the full check runs on one only when the theorem
+    rejects it, so that the AxiomViolation names its axiom and witness.
+
+    kind="meet" uses x.y = x ^ y.  M1, M2, M4, M5 and a.0 = 0 hold for any
+    meet, and M3 is distributivity, which holds exactly when every j in J
+    is join-prime.  If every j is, mapping x to the set of j in J below it
+    embeds the lattice in a power set, which is distributive.  Conversely, if j <= a v b,
+    distributivity gives j = (j ^ a) v (j ^ b), and j is join-irreducible,
+    so j <= a or j <= b.
+
+    kind="trivial" uses x.y = 0 for x, y != 1 and x.1 = x, admissible
+    exactly when the top has one lower cover, or the lattice has one
+    element.  M1, M2, M4, M5 and a.0 = 0 always hold.  M3 fails exactly
+    at an a outside {0, 1} and b v c = 1 with b, c < 1, where a.(b v c) = a
+    and a.b v a.c = 0; b and c exist exactly when the top has two or more
+    lower covers, as two of them join to 1, and two elements below the
+    only lower cover join below it.
 
     Raises ValueError for any other kind, IncompleteTable for a malformed
     table and AxiomViolation (with the axiom id and a witness) when
@@ -267,6 +297,7 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
     n = lat.n
     if kind == "meet":
         product = lat.meet
+        admissible = _irreducibles_join_prime(lat)
     elif kind == "trivial":
         rows = []
         for i in range(n):
@@ -276,6 +307,7 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
                 rows.append(tuple([i if j == lat.top else lat.bottom
                                    for j in range(n)]))
         product = tuple(rows)
+        admissible = n == 1 or len(lat.lower_covers[lat.top]) == 1
     else:
         if table is None:
             raise IncompleteTable("table mode requires a multiplication table")
@@ -297,7 +329,8 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
             # With one name, itemgetter returns the bare index.
             rows.append(resolved if n > 1 else (resolved,))
         product = tuple(rows)
-    return _checked(lat, product)
+        admissible = False
+    return MultLattice(lat, product) if admissible else _checked(lat, product)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Family specs are compact strings:
 
-  chain:K          the K-element chain                       (K <= 256)
+  chain:K          the K-element chain                       (K <= 1024)
   boolean:K        the lattice of subsets of {1..K}          (K <= 10)
   divisor:N        the ideal lattice of Z_N
   random:CxS       C seeded random distributive lattices of size <= S (4..40)
@@ -38,12 +38,6 @@ from .zdgraph import mult_zero_divisor_graph
 MAX_BOOLEAN_RANK = MAX_INPUT_ELEMENTS.bit_length() - 1
 MIN_RANDOM_SIZE = 4
 MAX_RANDOM_SIZE = 40
-#: The longest chain a ``chain:K`` spec builds.  Every nonzero element of a
-#: chain is join-irreducible, so checking its multiplication costs about
-#: K^3 (M3 phase (i) and M2 on J^3).  Single runs on a shared 2-core Xeon:
-#: building and checking took 1.1-1.5 s at K = 256, 9-12 s at 512 and 84 s
-#: at 1024, and ``analyze`` then 0.2, 1-2 and 11 s.
-MAX_CHAIN_SIZE = 256
 
 
 def chain_lattice(k: int) -> Lattice:
@@ -121,7 +115,7 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
 
 _DEFAULT_MULTS = {"divisor": "ring", **FIXTURE_MULTS}
 # The families with one integer argument: its name, its range, the lattice.
-_ONE_ARG = {"chain": ("size", 1, MAX_CHAIN_SIZE, chain_lattice),
+_ONE_ARG = {"chain": ("size", 1, MAX_INPUT_ELEMENTS, chain_lattice),
             "boolean": ("rank", 0, MAX_BOOLEAN_RANK, boolean_lattice),
             "divisor": ("modulus", 2, MAX_MODULUS,
                         lambda n: ideal_lattice_zn(n).lattice)}

@@ -105,9 +105,13 @@ def _relabel(g: ZdGraph) -> tuple[list[int], list[int]]:
     rows, in the new order, are packed into one integer with k bytes per
     row (8k > n), so bit ``old`` of every row moves to bit ``new`` in one
     shift-and-mask of the packed integer.  That is n operations on an
-    8kn-bit integer, where renumbering each row bit by bit takes one step
-    per edge end: faster on the graphs of up to a few hundred vertices
-    the solvers meet, slower on large sparse ones such as a long cycle.
+    8kn-bit integer, about n^3/8 bit operations whatever the density,
+    where renumbering each row bit by bit takes one step per edge end.
+    Packing wins while the edge ends outnumber about n^3/3000.  Best of 5
+    on a shared 2-core Xeon, packed against per row: G(n, 0.5) at 30
+    vertices 0.02 against 0.08 ms, at 200 0.66 against 4.5 ms, at 1022
+    108 against 188 ms; G(n, 0.1) at 1022 170 against 48 ms; boolean:10
+    (1022 vertices, 57002 edge ends) 189 against 28 ms.
     """
     order = _degree_order(g)
     n = len(order)

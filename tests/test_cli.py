@@ -591,7 +591,7 @@ def test_cmd_search_byte_identical_across_runs():
     (["search", "--families", "bogus:3"], "unknown family 'bogus'"),
     (["search", "--families", "boolean:x"], "boolean rank must be an integer"),
     (["search", "--families", "boolean:11"], "boolean rank must be 0..10"),
-    (["search", "--families", "chain:-1"], "chain size must be 1..256"),
+    (["search", "--families", "chain:-1"], "chain size must be 1..1024"),
     (["search", "--families", "random:5x"], "random size must be an integer"),
     (["search", "--families", "random:3x0"], "random size must be 4..40"),
     (["search", "--families", "chain:4", "--budget", "0"],
@@ -601,8 +601,8 @@ def test_cmd_search_byte_identical_across_runs():
     (["search", "--families", "divisor:735134400"],
      "Id(Z_735134400) has 1344 elements; at most 1024 are accepted"),
     (["search", "--families", "fig3,chain:x"], "chain size must be an integer"),
-    (["search", "--families", "chain:257"],
-     "chain size must be 1..256, got 257 in spec 'chain:257'"),
+    (["search", "--families", "chain:1025"],
+     "chain size must be 1..1024, got 1025 in spec 'chain:1025'"),
 ])
 def test_input_errors_exit_2_with_one_line(args, message, capsys):
     code, out, err = run_cli(args, capsys)

@@ -11,8 +11,9 @@ import pytest
 
 import multlat.lattice
 import multlat.multiplication
-from multlat import (ElementSubset, Lattice, analyze, build_lattice, analyze_ring,
-                     annihilator_star, check_lemma_suite, fig2_lattice, fig3_lattice,
+from multlat import (AxiomViolation, ElementSubset, Lattice, analyze,
+                     build_lattice, analyze_ring, annihilator_star,
+                     check_lemma_suite, fig2_lattice, fig3_lattice,
                      attach_multiplication, brute_force_chromatic,
                      brute_force_clique, fixture, is_prime_element,
                      maximal_annihilator_elements, minimal_prime_elements,
@@ -21,7 +22,7 @@ from multlat import (ElementSubset, Lattice, analyze, build_lattice, analyze_rin
                      zero_distributivity_witness)
 from multlat.lattice import (_covers_semimodular, _modularity_scan,
                              _zero_distributive, _zero_distributivity_scan)
-from multlat.multiplication import annihilator_map, is_semiprime
+from multlat.multiplication import _verify_axioms, annihilator_map, is_semiprime
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
@@ -32,7 +33,8 @@ from helpers import (chain_square_mult, chain_square_times_two_chain,
                      random_closure_lattice,
                      scan_annihilator_star, scan_has_nonzero_zero_divisor,
                      scan_is_prime_element, scan_is_semiprime,
-                     scan_join_irreducibles, two_walk_nilpotency_scan)
+                     scan_join_irreducibles, trivial_product,
+                     two_walk_nilpotency_scan)
 from test_lattice import diamond_lattice, pentagon_lattice
 from test_primes import _oracle_lattices
 
@@ -135,6 +137,43 @@ def test_prime_elements_match_the_pair_scan_under_the_trivial_product():
             assert [p for p in range(ml.n) if is_prime_element(ml, p)] == expected, label
             instances[is_distributive(lat)] += 1
     assert instances[True] > 900 and instances[False] > 90
+
+
+def _full_check_verdict(lat: Lattice, table) -> tuple[str, tuple[str, ...]] | None:
+    """None when ``_verify_axioms`` accepts ``table``, else the axiom and
+    witness it raises."""
+    try:
+        _verify_axioms(lat, table)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def test_built_in_products_are_admitted_exactly_when_the_full_check_admits_them():
+    """``attach_multiplication`` decides the meet and the trivial product in
+    closed form.  On every lattice of ``_lattices``, and on boolean:10 and
+    chain:256 under the meet, it accepts exactly when ``_verify_axioms``
+    accepts the same table, and otherwise raises the same axiom and
+    witness; the meet is accepted exactly on the distributive lattices."""
+    cases = [(label, lat, kind) for label, lat in _lattices()
+             for kind in ("meet", "trivial")]
+    cases += [("boolean:10", boolean_lattice(10), "meet"),
+              ("chain:256", chain_lattice(256), "meet")]
+    verdicts = Counter()
+    for label, lat, kind in cases:
+        table = lat.meet if kind == "meet" else trivial_product(lat)
+        expected = _full_check_verdict(lat, table)
+        try:
+            ml = attach_multiplication(lat, kind)
+        except AxiomViolation as exc:
+            assert (exc.axiom, exc.witness) == expected, (label, kind)
+        else:
+            assert expected is None and ml.product == table, (label, kind)
+        if kind == "meet" and lat.n <= 64:
+            assert (expected is None) == is_distributive(lat), label
+        verdicts[kind, expected is None] += 1
+    assert verdicts["meet", False] > 90 and verdicts["meet", True] > 700
+    assert verdicts["trivial", False] > 400 and verdicts["trivial", True] > 100
 
 
 def test_ideal_test_matches_the_pair_definition():

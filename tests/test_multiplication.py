@@ -61,6 +61,14 @@ def test_trivial_multiplication_needs_join_irreducible_top():
     assert exc.value.axiom == "M3"
 
 
+def test_trivial_multiplication_on_one_element():
+    """On chain:1 and boolean:0 the top is 0, which is not join-irreducible
+    and has no lower cover, and the trivial product is admissible."""
+    for lat in (chain_lattice(1), boolean_lattice(0)):
+        assert lat.join_irreducibles == () and lat.lower_covers[lat.top] == ()
+        assert attach_multiplication(lat, "trivial").product == ((0,),)
+
+
 def test_incomplete_tables_are_rejected():
     lat = chain_lattice(2)
     with pytest.raises(IncompleteTable):

@@ -29,6 +29,14 @@ def test_generate_chain():
     assert mult_zero_divisor_graph(ml).n_vertices == 0
 
 
+def test_chains_past_256_elements_are_generated():
+    """chain:K takes any K up to MAX_INPUT_ELEMENTS, with the meet as its
+    product."""
+    [(instance_id, ml)] = generate("chain:300")
+    assert instance_id == "chain:300+meet"
+    assert ml.n == 300 and ml.product == ml.lattice.meet
+
+
 def test_generate_boolean():
     [(instance_id, ml)] = generate("boolean:3")
     assert instance_id == "boolean:3+meet"
@@ -135,14 +143,14 @@ def test_generate_bad_specs():
 
 
 def test_bad_specs_raise_invalid_spec():
-    for bad in ("bogus:3", "boolean:x", "boolean:11", "chain:-1", "chain:257",
+    for bad in ("bogus:3", "boolean:x", "boolean:11", "chain:-1", "chain:1025",
                 "chain:4:ring", "random:5x", "random:3x0", "random:-1x5",
                 "divisor:x", "fig2:table"):
         with pytest.raises(InvalidSpec):
             generate(bad)
     with pytest.raises(InvalidSpec):
         search_counterexamples(["chain:4"], budget=0)
-    _instances("chain:256")  # the longest chain spec parses; nothing is built
+    _instances("chain:1024")  # the longest chain spec parses; nothing is built
     _instances("boolean:10")  # and so does the largest boolean spec
 
 

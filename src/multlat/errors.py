@@ -49,8 +49,8 @@ class ImproperIdeal(LatticeError):
 
 class TooLarge(LatticeError, ValueError):
     """Input exceeds a size cap: that of a brute-force oracle, or the DOT
-    palette's number of colours.  It is also a ValueError, as a size is an
-    argument value."""
+    palette's colour labels 0..11.  It is also a ValueError, as a size is
+    an argument value."""
 
 
 class SolverTimeout(LatticeError):

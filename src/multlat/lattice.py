@@ -649,3 +649,20 @@ class ElementSubset:
         """
         lat = self.lattice
         return lat.down[lat.join_all(_bits(self.mask))] == self.mask
+
+
+def _leaves_ideal(lat: Lattice, row: Sequence[int], inside: int) -> int:
+    """The mask of the y with ``row[y]`` outside the ideal ``inside``: the
+    union of up(j) over the j in J with ``row[j]`` outside.  ``row`` is x's
+    row of the meet or of a multiplication.  Then ``row[y]`` is in I exactly
+    when ``row[j]`` is for every j in J below y.  (=>) The row is monotone
+    and I a down-set.  (<=) For a product, M3 makes x.y the join of those
+    x.j; for the meet, x ^ y is the join of the j in J below it, each such
+    j = x ^ j.  I holds the join, so no distributivity is needed.
+    """
+    up = lat.up
+    out = 0
+    for j in lat.join_irreducibles:
+        if not inside >> row[j] & 1:
+            out |= up[j]
+    return out

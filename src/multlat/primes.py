@@ -12,24 +12,22 @@ m (``Lattice.minimal``).  Everything here is read off the ``up``/``down``
 bitmasks, with no enumeration of down-sets.
 
 The lemma suite re-checks, instance by instance, the statements that the
-reduced theory guarantees.  A failing check on a reduced lattice is an
-implementation bug, never an acceptable outcome; the suite therefore reports
-failures with concrete witnesses instead of raising.  Reducedness is tested
-once, up front: a lattice that is not reduced gets its skip lines and
-nothing more is computed.  Otherwise the suite reads the facts it needs
-(0-distributivity, the annihilator of every element, the prime elements,
-decided on pairs of join-irreducibles) from the caches on the ``Lattice``
-and ``MultLattice``, so ``analyze`` and the suite compute each of them once
-per instance between them.  The annihilators are read in one pass, into a
-map from each value to the first nonzero element that has it; that map
-names the maximal annihilators' witnesses and decides whether a nonzero
-zero divisor exists, with no scan of the n^2 products.
+reduced theory guarantees, declared once in ``LEMMA_IDS``.  A failing check
+on a reduced lattice is an implementation bug, never an acceptable outcome;
+the suite reports it with a concrete witness instead of raising.  A lattice
+that is not reduced gets its skip lines and nothing more is computed.
+Otherwise the suite reads 0-distributivity, the annihilators and the prime
+elements from the caches on the ``Lattice`` and ``MultLattice``, which
+``analyze`` shares.  No check scans the n^2 products: the annihilators are
+grouped by value in one pass, and the elements that an element does not
+multiply to 0 are read off its join-irreducible columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import ElementSubset, Lattice, zero_distributivity_witness
+from .lattice import (ElementSubset, Lattice, _bits, _leaves_ideal,
+                      zero_distributivity_witness)
 from .multiplication import (MultLattice, annihilator_map, is_reduced,
                              maximal_annihilator_elements,
                              minimal_prime_elements, prime_elements)
@@ -135,6 +133,29 @@ class LemmaReport:
         return {"checks": [c.to_dict() for c in self.checks]}
 
 
+#: The checks of the lemma suite, in report order.  The fifth holds in
+#: every finite lattice; the others assume the lattice reduced.
+LEMMA_IDS = ("reduced_implies_zero_distributive",
+             "minimal_prime_semi_ideals_are_ideals",
+             "maximal_annihilators_are_prime",
+             "distinct_prime_annihilators_multiply_to_zero",
+             "annihilator_chains_stabilize",
+             "finitely_many_maximal_annihilators",
+             "zero_is_meet_of_minimal_primes",
+             "minimal_primes_are_annihilators")
+
+# Ascending chains of annihilators stabilize in every finite lattice.
+_FINITE = ("pass", "trivial (finite)", None)
+
+
+def _report(lines: list[tuple]) -> LemmaReport:
+    """One (status, detail, witness) line per id of ``LEMMA_IDS``, in order."""
+    report = LemmaReport()
+    for check_id, (status, detail, witness) in zip(LEMMA_IDS, lines, strict=True):
+        report.add(check_id, status, detail, witness)
+    return report
+
+
 def check_lemma_suite(ml: MultLattice,
                       structure: PrimeStructure | None = None) -> LemmaReport:
     """Run every instance-checkable statement of the reduced theory.
@@ -147,104 +168,81 @@ def check_lemma_suite(ml: MultLattice,
     """
     lat = ml.lattice
     names = lat.names
-    report = LemmaReport()
     zd_witness = zero_distributivity_witness(lat)
 
     if not is_reduced(ml):
         unmet = "hypothesis unmet (not reduced)"
-        report.add("reduced_implies_zero_distributive", "skip",
-                   f"{unmet}; base lattice is 0-distributive: "
-                   f"{zd_witness is None}")
-        for check_id in ("minimal_prime_semi_ideals_are_ideals",
-                         "maximal_annihilators_are_prime",
-                         "distinct_prime_annihilators_multiply_to_zero"):
-            report.add(check_id, "skip", unmet)
-        report.add("annihilator_chains_stabilize", "pass", "trivial (finite)")
-        for check_id in ("finitely_many_maximal_annihilators",
-                         "zero_is_meet_of_minimal_primes",
-                         "minimal_primes_are_annihilators"):
-            report.add(check_id, "skip", unmet)
-        return report
+        skip = ("skip", unmet, None)
+        return _report([("skip", f"{unmet}; base lattice is 0-distributive: "
+                                 f"{zd_witness is None}", None),
+                        skip, skip, skip, _FINITE, skip, skip, skip])
 
     if structure is None:
         structure = prime_structure(ml)
     stars = annihilator_map(ml)
     primes = set(prime_elements(ml))
     maxann = structure.maximal_annihilators
+    lines: list[tuple] = []
+
+    def verdict(holds: bool, failure: str, witness=None, passed: str = "") -> None:
+        """A pass line with detail ``passed``, or a fail line with detail
+        ``failure`` naming the elements of ``witness``, if it is not None."""
+        if holds:
+            lines.append(("pass", passed, None))
+        else:
+            lines.append(("fail", failure, None if witness is None
+                          else tuple([names[w] for w in witness])))
 
     # Reduced lattices are 0-distributive.
-    if zd_witness is None:
-        report.add("reduced_implies_zero_distributive", "pass")
-    else:
-        report.add("reduced_implies_zero_distributive", "fail",
-                   "reduced lattice is not 0-distributive",
-                   tuple([names[w] for w in zd_witness]))
+    verdict(zd_witness is None, "reduced lattice is not 0-distributive",
+            zd_witness)
 
     # Every minimal prime semi-ideal is an ideal, and the minimal prime
     # semi-ideal and minimal prime ideal families coincide.
     semi = structure.minimal_prime_semi_ideals
     bad = [d for d in semi if not d.is_ideal]
     if bad:
-        report.add("minimal_prime_semi_ideals_are_ideals", "fail",
-                   "a minimal prime semi-ideal is not join-closed",
-                   bad[0].names)
-    elif ({d.mask for d in semi}
-          != {d.mask for d in structure.minimal_prime_ideals}):
-        report.add("minimal_prime_semi_ideals_are_ideals", "fail",
-                   "semi-ideal and ideal families differ")
+        verdict(False, "a minimal prime semi-ideal is not join-closed",
+                bad[0].members)
     else:
-        report.add("minimal_prime_semi_ideals_are_ideals", "pass")
+        verdict({d.mask for d in semi}
+                == {d.mask for d in structure.minimal_prime_ideals},
+                "semi-ideal and ideal families differ")
 
     # Maximal annihilator elements are prime.
     bad_m = [m for m in maxann if m not in primes]
-    if bad_m:
-        report.add("maximal_annihilators_are_prime", "fail",
-                   "a maximal annihilator element is not prime",
-                   (names[bad_m[0]],))
-    else:
-        report.add("maximal_annihilators_are_prime", "pass",
-                   f"{len(maxann)} maximal annihilator(s)")
+    verdict(not bad_m, "a maximal annihilator element is not prime",
+            bad_m[:1], f"{len(maxann)} maximal annihilator(s)")
 
-    # Distinct prime annihilators multiply to zero.
-    violation = None
-    for x in range(ml.n):
-        if stars[x] not in primes:
-            continue
-        for y in range(x + 1, ml.n):
-            if (stars[y] != stars[x] and stars[y] in primes
-                    and ml.product[x][y] != lat.bottom):
-                violation = (x, y)
-                break
-        if violation:
-            break
-    if violation:
-        report.add("distinct_prime_annihilators_multiply_to_zero", "fail",
-                   "elements with distinct prime annihilators have a "
-                   "nonzero product",
-                   tuple([names[w] for w in violation]))
-    else:
-        report.add("distinct_prime_annihilators_multiply_to_zero", "pass")
-
-    # Ascending chains of annihilators stabilize: immediate in a finite
-    # lattice, reported without computation.
-    report.add("annihilator_chains_stabilize", "pass", "trivial (finite)")
-
-    # The set of maximal annihilators is finite and its witnesses form a
-    # clique in the zero-divisor graph.  first[s] is the first nonzero
-    # element whose annihilator is s.
-    first: dict[int, int] = {}
+    # Distinct prime annihilators multiply to zero.  same[s] is the mask of
+    # the elements whose annihilator is s.  For x with a prime annihilator,
+    # the y with another prime one and x.y != 0 are one mask, the last part
+    # read off the J columns of x's row.  As x.y = y.x (M1), a partner below
+    # x was found at that partner: the first bit found is the first pair.
+    same: dict[int, int] = {}
     for a, s in enumerate(stars):
-        if a != lat.bottom:
-            first.setdefault(s, a)
-    witnesses = [first[m] for m in maxann]
-    if all(ml.product[a][b] == lat.bottom
-           for i, a in enumerate(witnesses) for b in witnesses[i + 1:]):
-        report.add("finitely_many_maximal_annihilators", "pass",
-                   f"count = {len(maxann)}")
-    else:
-        report.add("finitely_many_maximal_annihilators", "fail",
-                   "witnesses of maximal annihilators are not a clique",
-                   tuple([names[w] for w in witnesses]))
+        same[s] = same.get(s, 0) | 1 << a
+    prime_stars = sum(same[s] for s in primes & same.keys())  # disjoint masks
+    zero = lat.down[lat.bottom]
+    violation = None
+    for x in _bits(prime_stars):
+        ys = prime_stars & ~same[stars[x]] & _leaves_ideal(lat, ml.product[x], zero)
+        if ys:
+            violation = (x, next(_bits(ys)))
+            break
+    verdict(violation is None, "elements with distinct prime annihilators "
+            "have a nonzero product", violation)
+
+    lines.append(_FINITE)
+
+    # The set of maximal annihilators is finite and its witnesses, the first
+    # nonzero element with each, form a clique in the zero-divisor graph.
+    nonzero = ((1 << lat.n) - 1) & ~zero
+    witnesses = [next(_bits(same[m] & nonzero)) for m in maxann]
+    verdict(all(ml.product[a][b] == lat.bottom
+                for i, a in enumerate(witnesses) for b in witnesses[i + 1:]),
+            "witnesses of maximal annihilators are not a clique", witnesses,
+            f"count = {len(maxann)}")
 
     # With a nonzero zero divisor, the maximal annihilators are minimal prime
     # elements and meet to 0, and every minimal prime is an annihilator.
@@ -252,27 +250,13 @@ def check_lemma_suite(ml: MultLattice,
     # a.b = 0 with a, b != 0, the stable power p <= a has p.b = 0, so
     # b <= a* and a* != 0.  Conversely a* != 0 gives some x != 0 with
     # p.x = 0, and p != 0 because a reduced lattice has no nonzero nilpotent.
-    has_zero_divisor = any(s != lat.bottom for s in first)
-    if not has_zero_divisor:
-        report.add("zero_is_meet_of_minimal_primes", "pass",
-                   "vacuous (no nonzero zero divisors)")
-        report.add("minimal_primes_are_annihilators", "pass",
-                   "vacuous (no nonzero zero divisors)")
-        return report
-    meet_ok = lat.meet_all(maxann) == lat.bottom if maxann else False
-    if meet_ok and set(maxann) <= set(structure.minimal_prime_elements):
-        report.add("zero_is_meet_of_minimal_primes", "pass")
-    else:
-        report.add("zero_is_meet_of_minimal_primes", "fail",
-                   "maximal annihilators do not meet to 0 as minimal primes",
-                   tuple([names[m] for m in maxann]))
-    star_values = set(stars)
-    missing = [p for p in structure.minimal_prime_elements
-               if p not in star_values]
-    if missing:
-        report.add("minimal_primes_are_annihilators", "fail",
-                   "a minimal prime element is not an annihilator",
-                   (names[missing[0]],))
-    else:
-        report.add("minimal_primes_are_annihilators", "pass")
-    return report
+    if not nonzero & ~same.get(lat.bottom, 0):
+        vacuous = ("pass", "vacuous (no nonzero zero divisors)", None)
+        return _report(lines + [vacuous, vacuous])
+    verdict(bool(maxann) and lat.meet_all(maxann) == lat.bottom
+            and set(maxann) <= set(structure.minimal_prime_elements),
+            "maximal annihilators do not meet to 0 as minimal primes", maxann)
+    missing = [p for p in structure.minimal_prime_elements if p not in same]
+    verdict(not missing, "a minimal prime element is not an annihilator",
+            missing[:1])
+    return _report(lines)

@@ -11,11 +11,12 @@ square-zero element is a vertex), and distinct vertices are adjacent when
 their product is <= i.
 
 Both are one construction: a symmetric table (the meet, or the product,
-which is symmetric by M1) and a down-set (I, or down(i)).  An element x
-outside the down-set is a vertex when its row has an entry in the down-set
-at some y outside it, x itself included, and that row, less x, is its
+which is symmetric by M1) and an ideal (I, or down(i)).  An element x
+outside the ideal is a vertex when its row has an entry in the ideal at
+some y outside it, x itself included, and that row, less x, is its
 adjacency.  In the order sense x ^ x = x is never in I, so the partner is
-always another element there.
+always another element there.  Each row is read off its |J| columns at the
+join-irreducibles (``_leaves_ideal`` in lattice.py), in both senses.
 
 Graphs store vertex indices into their source lattice plus a bitmask
 adjacency over vertex positions; they are immutable.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError, TooLarge
-from .lattice import ElementSubset, Lattice, _bits
+from .lattice import ElementSubset, Lattice, _bits, _leaves_ideal
 from .multiplication import MultLattice
 
 #: Fixed fill palette for DOT export, indexed by color class.
@@ -79,21 +80,17 @@ class ZdGraph:
 
 def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
     """The graph of ``table`` (n x n element indices, symmetric) around the
-    down-set ``inside`` (a mask).
+    ideal ``inside`` (a mask).
 
     The row of an element x outside is the mask of the y outside with
-    ``table[x][y]`` inside.  The vertices are the x with a non-empty row
-    (x itself may be in it) and x's neighbours are its row without x.
+    ``table[x][y]`` inside, read off the join-irreducible columns.  The
+    vertices are the x with a non-empty row (x itself may be in it) and
+    x's neighbours are its row without x.
     """
-    outside = [x for x in range(lat.n) if not inside >> x & 1]
-    verts = []
-    rows = []
-    for x in outside:
-        entries = table[x]
-        row = 0
-        for y in outside:
-            if inside >> entries[y] & 1:
-                row |= 1 << y
+    outside = ((1 << lat.n) - 1) & ~inside
+    verts, rows = [], []
+    for x in _bits(outside):
+        row = outside & ~_leaves_ideal(lat, table[x], inside)
         if row:
             verts.append(x)
             rows.append(row & ~(1 << x))
@@ -148,7 +145,7 @@ def export_dot(graph: ZdGraph, coloring=None) -> str:
     One node line per vertex in ascending order, one edge line per edge with
     endpoints ascending, edges sorted by their position pair.  When a
     coloring is supplied, nodes are filled from the fixed 12-color palette
-    indexed by color class; a coloring with more classes raises TooLarge.
+    indexed by color class; a label outside 0..11 raises TooLarge.
     Each name is one double-quoted DOT ID (``_dot_id``), so a name holding
     a double quote or a backslash cannot end it early; any other name
     appears as it is.
@@ -156,10 +153,11 @@ def export_dot(graph: ZdGraph, coloring=None) -> str:
     names = [_dot_id(nm) for nm in graph.vertex_names()]
     color_of = {}
     if coloring is not None:
-        if coloring.color_count > len(DOT_PALETTE):
+        labels = set(coloring.assignment.values())
+        if not labels <= set(range(len(DOT_PALETTE))):
             raise TooLarge(
-                f"coloring uses {coloring.color_count} classes; palette has "
-                f"{len(DOT_PALETTE)}")
+                f"coloring uses labels {min(labels)}..{max(labels)}; palette "
+                f"has {len(DOT_PALETTE)}, labelled 0..{len(DOT_PALETTE) - 1}")
         color_of = {v: DOT_PALETTE[c] for v, c in coloring.assignment.items()}
     lines = ["graph G {"]
     for k, v in enumerate(graph.vertices):

@@ -618,3 +618,14 @@ def scan_has_nonzero_zero_divisor(ml) -> bool:
     return any(ml.product[a][b] == bot
                for a in range(ml.n) if a != bot
                for b in range(ml.n) if b != bot)
+
+
+def scan_prime_annihilator_pair(ml, primes) -> tuple[int, int] | None:
+    """The first x < y, in index order, whose annihilators are distinct
+    members of ``primes`` and whose product is not 0, by scanning all n^2
+    pairs; None when there is none."""
+    stars = [scan_annihilator_star(ml, a) for a in range(ml.n)]
+    return next(((x, y) for x in range(ml.n) for y in range(x + 1, ml.n)
+                 if stars[x] in primes and stars[y] in primes
+                 and stars[x] != stars[y]
+                 and ml.product[x][y] != ml.lattice.bottom), None)

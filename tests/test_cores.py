@@ -20,8 +20,9 @@ from multlat import (AxiomViolation, ElementSubset, Lattice, analyze,
                      modularity_witness, mult_zero_divisor_graph,
                      nilpotency_witness, prime_elements,
                      zero_distributivity_witness)
-from multlat.lattice import (_covers_semimodular, _modularity_scan,
-                             _zero_distributive, _zero_distributivity_scan)
+from multlat.lattice import (_covers_semimodular, _leaves_ideal,
+                             _modularity_scan, _zero_distributive,
+                             _zero_distributivity_scan)
 from multlat.multiplication import _verify_axioms, annihilator_map, is_semiprime
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
@@ -174,6 +175,30 @@ def test_built_in_products_are_admitted_exactly_when_the_full_check_admits_them(
         verdicts[kind, expected is None] += 1
     assert verdicts["meet", False] > 90 and verdicts["meet", True] > 700
     assert verdicts["trivial", False] > 400 and verdicts["trivial", True] > 100
+
+
+def test_rows_leave_an_ideal_where_their_join_irreducible_columns_do():
+    """``_leaves_ideal`` equals the scan {y : row[y] not in I} for every row
+    at every principal ideal down(i): of the meet on every lattice of
+    ``_lattices``, distributive or not, of the trivial product where it is
+    admissible, and of the product of every ``_mult_instances`` entry."""
+    tables = []
+    for label, lat in _lattices():
+        tables.append((label, lat, lat.meet))
+        try:
+            tables.append((label, lat, attach_multiplication(lat, "trivial").product))
+        except AxiomViolation:
+            pass
+    tables += [(label, ml.lattice, ml.product) for label, ml in _mult_instances()]
+    rows = Counter()
+    for label, lat, table in tables:
+        for inside in lat.down:
+            for row in table:
+                expected = sum(1 << y for y, v in enumerate(row)
+                               if not inside >> v & 1)
+                assert _leaves_ideal(lat, row, inside) == expected, label
+        rows[is_distributive(lat)] += lat.n ** 2
+    assert rows[False] > 10_000 and rows[True] > 100_000, rows
 
 
 def test_ideal_test_matches_the_pair_definition():

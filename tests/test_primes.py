@@ -1,16 +1,18 @@
 """Closed-form prime semi-ideals and ideals, and the lemma suite."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (analyze, attach_multiplication, check_lemma_suite,
-                     fig2_lattice, fig3_lattice, fixture, is_reduced,
-                     minimal_prime_elements, minimal_prime_ideals,
+from multlat import (ElementSubset, analyze, attach_multiplication,
+                     check_lemma_suite, fig2_lattice, fig3_lattice, fixture,
+                     is_reduced, minimal_prime_elements, minimal_prime_ideals,
                      minimal_prime_semi_ideals, mult_zero_divisor_graph,
                      prime_structure)
+from multlat.primes import LEMMA_IDS
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
@@ -18,7 +20,8 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
 from helpers import (chain_square_mult, chain_square_times_two_chain,
                      enumerate_down_sets, is_distributive, is_prime_semi_ideal,
                      is_squarefree, oracle_prime_masks, pair_is_ideal,
-                     principal_join_irreducibles, random_closure_lattice)
+                     principal_join_irreducibles, random_closure_lattice,
+                     scan_prime_annihilator_pair)
 
 # Seed base of the random lattices in the acceptance battery.
 RANDOM_SUITE_BASE_SEED = 20_240_817
@@ -242,6 +245,16 @@ def test_lemma_suite_vacuous_on_two_chain():
     assert "vacuous" in vac.detail
 
 
+def test_lemma_suite_reports_every_declared_check_in_order():
+    """Not reduced (fig3), reduced with zero divisors (Id(Z_30)) and reduced
+    without (the 3-chain): one line per declared id, in declared order."""
+    for ml in (fixture("fig3"), ideal_lattice_zn(30).embedded,
+               attach_multiplication(chain_lattice(3), "meet")):
+        report = check_lemma_suite(ml)
+        assert tuple(c.check_id for c in report.checks) == LEMMA_IDS
+    assert len(LEMMA_IDS) == len(set(LEMMA_IDS)) == 8
+
+
 def test_lemma_suite_serializes():
     report = check_lemma_suite(attach_multiplication(boolean_lattice(2), "meet"))
     d = report.to_dict()
@@ -274,6 +287,159 @@ def test_count_coherence_on_reduced_instances():
         n_mpe = len(minimal_prime_elements(ml))
         n_mpsi = len(minimal_prime_semi_ideals(lat))
         assert chi == omega == n_mpe == n_mpsi
+
+
+# ---------------------------------------------------------------------------
+# Lemma suite fail lines, on a reduced instance fed a doctored fact
+#
+# Id(Z_12)'s lattice under its meet is the 3-chain times the 2-chain:
+# reduced, with zero divisors.  Its annihilators take the values (12), (4),
+# (3) and (1); its primes are (2), (3) and (4), the minimal ones (3) and (4),
+# which are also its maximal annihilators.
+
+
+def _divisors_of_12():
+    return attach_multiplication(ideal_lattice_zn(12).lattice, "meet")
+
+
+def _fail_line(report) -> dict:
+    """The one failing line of ``report``, as it is serialized."""
+    [failed] = report.failed
+    return failed.to_dict()
+
+
+def _with_structure(ml, **fields):
+    """The suite on ``ml`` given its prime structure with ``fields`` (element
+    names, or lists of them for the subsets) put in."""
+    lat = ml.lattice
+    edited = {}
+    for key, value in fields.items():
+        if key.endswith("ideals"):
+            edited[key] = [ElementSubset(lat, [lat.index(nm) for nm in d])
+                           for d in value]
+        else:
+            edited[key] = [lat.index(nm) for nm in value]
+    return check_lemma_suite(
+        ml, dataclasses.replace(prime_structure(ml), **edited))
+
+
+def test_the_undoctored_instance_passes_every_check():
+    report = check_lemma_suite(_divisors_of_12())
+    assert report.all_passed and len(report.checks) == 8
+
+
+def test_lemma_fail_line_when_the_lattice_is_not_zero_distributive(monkeypatch):
+    ml = _divisors_of_12()
+    lat = ml.lattice
+    witness = tuple(lat.index(nm) for nm in ("(3)", "(4)", "(6)"))
+    monkeypatch.setattr("multlat.primes.zero_distributivity_witness",
+                        lambda _: witness)
+    assert _fail_line(check_lemma_suite(ml)) == {
+        "id": "reduced_implies_zero_distributive", "status": "fail",
+        "detail": "reduced lattice is not 0-distributive",
+        "witness": ["(3)", "(4)", "(6)"]}
+
+
+def test_lemma_fail_lines_when_a_minimal_prime_semi_ideal_is_not_an_ideal():
+    ml = _divisors_of_12()
+    # {(12), (4), (6)} is a down-set without the join (2) of (4) and (6).
+    report = _with_structure(ml, minimal_prime_semi_ideals=[
+        ["(12)", "(4)", "(6)"], ["(12)", "(6)", "(3)"]])
+    assert _fail_line(report) == {
+        "id": "minimal_prime_semi_ideals_are_ideals", "status": "fail",
+        "detail": "a minimal prime semi-ideal is not join-closed",
+        "witness": ["(4)", "(6)", "(12)"]}
+    # The families differ: a fail line with no witness key.
+    report = _with_structure(ml, minimal_prime_ideals=[["(12)", "(4)"]])
+    assert _fail_line(report) == {
+        "id": "minimal_prime_semi_ideals_are_ideals", "status": "fail",
+        "detail": "semi-ideal and ideal families differ"}
+
+
+def test_lemma_fail_line_when_a_maximal_annihilator_is_not_prime(monkeypatch):
+    ml = _divisors_of_12()
+    lat = ml.lattice
+    monkeypatch.setattr("multlat.primes.prime_elements", lambda _: [
+        lat.index("(2)"), lat.index("(4)")])
+    assert _fail_line(check_lemma_suite(ml)) == {
+        "id": "maximal_annihilators_are_prime", "status": "fail",
+        "detail": "a maximal annihilator element is not prime",
+        "witness": ["(3)"]}
+
+
+def test_lemma_fail_line_when_prime_annihilators_multiply_to_nonzero(monkeypatch):
+    """Called prime, the annihilator (12) of (1) and the annihilator (4) of
+    (3) are distinct, and (1).(3) = (3) is not 0."""
+    ml = _divisors_of_12()
+    monkeypatch.setattr("multlat.primes.prime_elements",
+                        lambda ml: list(range(ml.n)))
+    assert _fail_line(check_lemma_suite(ml)) == {
+        "id": "distinct_prime_annihilators_multiply_to_zero", "status": "fail",
+        "detail": "elements with distinct prime annihilators have a nonzero product",
+        "witness": ["(1)", "(3)"]}
+
+
+def test_prime_annihilator_pair_matches_the_pair_scan(monkeypatch):
+    """With seeded sets of elements called prime, the suite names the first
+    pair the O(n^2) scan names, or passes where it finds none."""
+    called: list[int] = []
+    monkeypatch.setattr("multlat.primes.prime_elements", lambda _: called)
+    rng = random.Random(5)
+    instances = [attach_multiplication(boolean_lattice(k), "meet") for k in range(5)]
+    for n in range(2, 120):
+        zn = ideal_lattice_zn(n)
+        instances.append(attach_multiplication(zn.lattice, "meet"))
+        if is_squarefree(n):
+            instances.append(zn.embedded)
+    instances += [attach_multiplication(random_poset_down_set_lattice(
+        RANDOM_SUITE_BASE_SEED + i, 16), "meet") for i in range(30)]
+    instances.append(chain_square_times_two_chain())
+    outcomes = {True: 0, False: 0}
+    for ml in instances:
+        assert is_reduced(ml)
+        for every in (True, False):
+            called[:] = [x for x in range(ml.n) if every or rng.random() < 0.5]
+            expected = scan_prime_annihilator_pair(ml, set(called))
+            [check] = [c for c in check_lemma_suite(ml).checks
+                       if c.check_id == "distinct_prime_annihilators_multiply_to_zero"]
+            if expected is None:
+                assert check.status == "pass", ml.names
+            else:
+                assert check.status == "fail", ml.names
+                assert check.witness == tuple(ml.names[w] for w in expected)
+            outcomes[expected is None] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 200, outcomes
+
+
+def test_lemma_fail_line_when_annihilator_witnesses_are_not_a_clique():
+    """The first nonzero elements with annihilators (3), (4), (4) are (4),
+    (3), (3), and (3).(3) = (3) is not 0."""
+    report = _with_structure(_divisors_of_12(),
+                             maximal_annihilators=["(3)", "(4)", "(4)"])
+    assert _fail_line(report) == {
+        "id": "finitely_many_maximal_annihilators", "status": "fail",
+        "detail": "witnesses of maximal annihilators are not a clique",
+        "witness": ["(4)", "(3)", "(3)"]}
+
+
+def test_lemma_fail_line_with_no_maximal_annihilators():
+    """An empty family meets to nothing: a fail line with an empty
+    witness."""
+    report = _with_structure(_divisors_of_12(), maximal_annihilators=[])
+    assert _fail_line(report) == {
+        "id": "zero_is_meet_of_minimal_primes", "status": "fail",
+        "detail": "maximal annihilators do not meet to 0 as minimal primes",
+        "witness": []}
+    assert report.summary()["finitely_many_maximal_annihilators"] == "pass"
+
+
+def test_lemma_fail_line_when_a_minimal_prime_is_not_an_annihilator():
+    report = _with_structure(_divisors_of_12(),
+                             minimal_prime_elements=["(2)", "(3)", "(4)"])
+    assert _fail_line(report) == {
+        "id": "minimal_primes_are_annihilators", "status": "fail",
+        "detail": "a minimal prime element is not an annihilator",
+        "witness": ["(2)"]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (Coloring, ElementSubset, ImproperIdeal, NotAnIdeal,
-                     attach_multiplication, build_lattice, chromatic_number,
-                     export_dot, fig2_lattice, fig3_lattice, fixture,
-                     is_reduced, mult_zero_divisor_graph,
-                     order_zero_divisor_graph)
+from multlat import (AxiomViolation, Coloring, ElementSubset, ImproperIdeal,
+                     NotAnIdeal, TooLarge, attach_multiplication,
+                     build_lattice, chromatic_number, export_dot,
+                     fig2_lattice, fig3_lattice, fixture, is_reduced,
+                     mult_zero_divisor_graph, order_zero_divisor_graph)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice
 
-from helpers import (chain_square_mult, is_distributive, random_closure_lattice,
+from helpers import (chain_square_mult, chain_square_times_two_chain,
+                     is_distributive, random_closure_lattice,
                      reference_mult_graph, reference_order_graph)
 
 # The 21 edges of the bundled 14-element counterexample graph, derived by
@@ -160,46 +162,57 @@ def test_reduced_order_and_mult_graphs_coincide():
 
 
 def _kernel_instances():
-    """(lattice, multiplicative lattice or None): fig2 and fig3, Id(Z_n) for
-    n < 200, boolean:0..5 under their meet, the reduced chain with a
-    non-meet square, and seeded closure lattices, which are not all
-    distributive, under their meet where it is a multiplication."""
-    yield fig2_lattice(), fixture("fig2")
-    yield fig3_lattice(), fixture("fig3")
+    """(lattice, {name: multiplication}): fig2 and fig3, Id(Z_n) for
+    n < 200, boolean:0..5 under their meet, the two reduced instances whose
+    product is not the meet, and seeded closure lattices, which are not all
+    distributive, under their meet where it is a multiplication; each also
+    under the trivial product where that is admissible."""
+    instances = [(fig2_lattice(), fixture("fig2")), (fig3_lattice(), fixture("fig3"))]
     for n in range(2, 200):
         ml = ideal_lattice_zn(n).embedded
-        yield ml.lattice, ml
+        instances.append((ml.lattice, ml))
     for k in range(6):
         lat = boolean_lattice(k)
-        yield lat, attach_multiplication(lat, "meet")
-    ml = chain_square_mult()
-    yield ml.lattice, ml
+        instances.append((lat, attach_multiplication(lat, "meet")))
+    for ml in (chain_square_mult(), chain_square_times_two_chain()):
+        instances.append((ml.lattice, ml))
     rng = random.Random(1)
     for _ in range(60):
         lat = random_closure_lattice(rng, 5, rng.randint(2, 10))
-        yield lat, attach_multiplication(lat, "meet") if is_distributive(lat) else None
+        instances.append((lat, attach_multiplication(lat, "meet")
+                          if is_distributive(lat) else None))
+    for lat, ml in instances:
+        mls = {} if ml is None else {"given": ml}
+        try:
+            mls["trivial"] = attach_multiplication(lat, "trivial")
+        except AxiomViolation:
+            pass
+        yield lat, mls
 
 
 def test_both_senses_match_the_pairwise_definitions():
     """The multiplicative graph at every element and the order graph at
     every proper principal ideal equal the graphs read pair by pair off the
     module docstring."""
-    senses = 0
-    for lat, ml in _kernel_instances():
+    checked = 0
+    senses = Counter()
+    for lat, mls in _kernel_instances():
         for i in range(lat.n):
-            graphs = []
-            if ml is not None:
-                graphs.append((mult_zero_divisor_graph(ml, i),
-                               reference_mult_graph(ml, i)))
+            graphs = [(kind, mult_zero_divisor_graph(ml, i), reference_mult_graph(ml, i))
+                      for kind, ml in mls.items()]
             if i != lat.top:
                 ideal = ElementSubset(lat, lat.down[i])
-                graphs.append((order_zero_divisor_graph(lat, ideal),
+                graphs.append(("order", order_zero_divisor_graph(lat, ideal),
                                reference_order_graph(lat, lat.down[i])))
-            for g, (verts, edges) in graphs:
+            for kind, g, (verts, edges) in graphs:
                 assert g.vertices == tuple(verts)
                 assert [(g.vertices[a], g.vertices[b]) for a, b in g.edges()] == edges
-                senses += 1
-    assert senses > 2000
+                checked += 1
+                senses[kind] += g.n_edges > 0
+    assert checked > 2000
+    # Graphs with an edge, per sense.
+    assert senses["order"] > 900 and senses["given"] > 500, senses
+    assert senses["trivial"] > 40, senses
 
 
 def test_element_outside_the_lattice_is_rejected():
@@ -267,6 +280,23 @@ def test_dot_palette_limit():
     big.color_count = 13  # simulate an over-wide coloring
     with pytest.raises(ValueError):
         export_dot(g, coloring=big)
+
+
+def test_dot_rejects_labels_outside_the_palette():
+    """A label past 11 or below 0 raises TooLarge with a one-line message,
+    however few classes the coloring has; the edge labels 0 and 11 fill
+    red and gray."""
+    g = mult_zero_divisor_graph(ideal_lattice_zn(6).embedded)
+    a, b = g.vertices
+    for labels in ((0, 15), (-1, 0), (-1, 12)):
+        coloring = Coloring(dict(zip((a, b), labels)), 2)
+        with pytest.raises(TooLarge) as exc:
+            export_dot(g, coloring=coloring)
+        assert str(exc.value) == (f"coloring uses labels {labels[0]}..{labels[1]}; "
+                                  "palette has 12, labelled 0..11")
+    text = export_dot(g, coloring=Coloring({a: 0, b: 11}, 2))
+    assert '"(2)" [style=filled,fillcolor=red];' in text
+    assert '"(3)" [style=filled,fillcolor=gray];' in text
 
 
 # A DOT double-quoted ID: any character but " and \, or \ and one character.

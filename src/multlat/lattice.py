@@ -56,7 +56,7 @@ Id(Z_n) with 768 elements builds, with its multiplication checked, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -64,10 +64,11 @@ from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder, SelfCheck
 
 #: The most elements a lattice from outside input may have: a lattice file,
 #: or Id(Z_n) for ``ring --modulus`` and ``divisor:N``.  A 1024-element
-#: Id(Z_n) builds in about 1 s and analyses in about 0.5 s; twice that size
-#: took 3.7 s and 2.8 s (shared 2-core Xeon).  It caps ``chain:K`` as well:
-#: chain:1024 builds in 0.8-1.0 s, takes the meet in 0.12-0.17 s and the
-#: trivial product in 0.06-0.07 s, and analyses in 0.3-0.4 s and 1.4-1.5 s.
+#: Id(Z_n) builds in about 0.5 s and analyses in about 0.02 s; twice that
+#: size once took 3.7 s and 2.8 s (shared 2-core Xeon).  It caps ``chain:K``
+#: as well: chain:1024 builds in 0.8-1.0 s, takes the meet in 0.12-0.17 s
+#: and the trivial product in 0.06-0.07 s, and analyses in 0.2-0.4 s and
+#: about 0.55 s.
 MAX_INPUT_ELEMENTS = 1024
 
 
@@ -77,6 +78,45 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _transpose_rounds(s: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) of each round of ``_transposed`` at stride s: for
+    b = s/2, ..., 1, the shift b(s - 1) and the mask of the entries (r, c)
+    with bit b clear in r and set in c.  At s = 1024 they hold 1.3 MB."""
+    rounds = []
+    zero = bytes(s // 8)
+    b = s // 2
+    while b:
+        row = sum([1 << c for c in range(s) if c & b]).to_bytes(s // 8, "little")
+        mask = b"".join([zero if r & b else row for r in range(s)])
+        rounds.append((b * (s - 1), int.from_bytes(mask, "little")))
+        b //= 2
+    return tuple(rounds)
+
+
+def _transposed(rows: Sequence[int], n: int) -> list[int]:
+    """The n columns of the bit matrix ``rows``, each row below ``1 << n``:
+    bit r of column c is bit c of ``rows[r]``.
+
+    The rows are packed s bits apart, s the least power of two that is at
+    least 8, n and ``len(rows)``, into one s x s matrix with entry (r, c) at
+    bit rs + c.  Round b swaps the off-diagonal b x b blocks of every 2b x 2b
+    block: each (r, c) with bit b clear in r and set in c trades places with
+    (r + b, c - b), b(s - 1) bits up.  After the rounds for b = s/2, ..., 1
+    every entry has traded each bit of its row for that of its column.
+    """
+    s = 1 << (max(n, len(rows), 8) - 1).bit_length()
+    width = s // 8
+    x = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]),
+                       "little")
+    for shift, mask in _transpose_rounds(s):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    packed = x.to_bytes(n * width, "little")  # the columns past n are 0
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, n * width, width)]
 
 
 def _extremal(xs: Iterable[int], cone: tuple[int, ...]) -> list[int]:

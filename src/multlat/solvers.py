@@ -41,7 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, SolverTimeout, TooLarge
-from .lattice import _bits
+from .lattice import _bits, _transposed
 from .zdgraph import ZdGraph
 
 #: Default per-graph time budget for the exact solvers, in seconds.
@@ -101,31 +101,15 @@ def _degree_order(g: ZdGraph) -> list[int]:
 def _relabel(g: ZdGraph) -> tuple[list[int], list[int]]:
     """The degree order and the adjacency masks renumbered along it.
 
-    Vertex v of the new numbering is position ``order[v]`` of ``g``.  The
-    rows, in the new order, are packed into one integer with k bytes per
-    row (8k > n), so bit ``old`` of every row moves to bit ``new`` in one
-    shift-and-mask of the packed integer.  That is n operations on an
-    8kn-bit integer, about n^3/8 bit operations whatever the density,
-    where renumbering each row bit by bit takes one step per edge end.
-    Packing wins while the edge ends outnumber about n^3/3000.  Best of 5
-    on a shared 2-core Xeon, packed against per row: G(n, 0.5) at 30
-    vertices 0.02 against 0.08 ms, at 200 0.66 against 4.5 ms, at 1022
-    108 against 188 ms; G(n, 0.1) at 1022 170 against 48 ms; boolean:10
-    (1022 vertices, 57002 edge ends) 189 against 28 ms.
+    Vertex v of the new numbering is position ``order[v]`` of ``g``.  With
+    the rows taken in degree order, column c of the matrix is the set of
+    new vertices adjacent to position c, which by symmetry is the new row
+    of the vertex at position c.  So new row v is column ``order[v]``.
     """
     order = _degree_order(g)
-    n = len(order)
-    k = n // 8 + 1
     adj = g.adj
-    packed = int.from_bytes(b"".join([adj[old].to_bytes(k, "little")
-                                      for old in order]), "little")
-    ones = int.from_bytes((b"\1" + bytes(k - 1)) * n, "little")
-    moved = 0
-    for new, old in enumerate(order):
-        moved |= (packed >> old & ones) << new
-    rows = moved.to_bytes(n * k, "little")
-    return order, [int.from_bytes(rows[i:i + k], "little")
-                   for i in range(0, n * k, k)]
+    columns = _transposed([adj[old] for old in order], len(order))
+    return order, [columns[old] for old in order]
 
 
 def is_proper(g: ZdGraph, coloring: Coloring) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError, TooLarge
-from .lattice import ElementSubset, Lattice, _bits, _leaves_ideal
+from .lattice import ElementSubset, Lattice, _bits, _leaves_ideal, _transposed
 from .multiplication import MultLattice
 
 #: Fixed fill palette for DOT export, indexed by color class.
@@ -85,7 +85,9 @@ def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
     The row of an element x outside is the mask of the y outside with
     ``table[x][y]`` inside, read off the join-irreducible columns.  The
     vertices are the x with a non-empty row (x itself may be in it) and
-    x's neighbours are its row without x.
+    x's neighbours are its row without x.  The table is symmetric, so
+    column v of the vertices' rows is the mask of the positions adjacent
+    to v, which is v's row over positions.
     """
     outside = ((1 << lat.n) - 1) & ~inside
     verts, rows = [], []
@@ -94,15 +96,8 @@ def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
         if row:
             verts.append(x)
             rows.append(row & ~(1 << x))
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    adj = []
-    for row in rows:
-        out = 0
-        while row:
-            low = row & -row
-            out |= bit[low.bit_length() - 1]
-            row ^= low
-        adj.append(out)
+    columns = _transposed(rows, lat.n)
+    adj = [columns[v] for v in verts]
     for k, row in enumerate(adj):
         if row >> k & 1:
             raise SelfCheckError("self-loop")

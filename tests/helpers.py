@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
@@ -129,6 +130,15 @@ def is_squarefree(n: int) -> bool:
             n //= d
         d += 1
     return True
+
+
+def gcd_product_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ideal product of Z_n by its definition, (d1)(d2) = (gcd(d1 d2, n)),
+    as indices into the divisors of n found by trial of every d <= n."""
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    position = {d: i for i, d in enumerate(divs)}
+    return tuple([tuple([position[math.gcd(d1 * d2, n)] for d2 in divs])
+                  for d1 in divs])
 
 
 def random_closure_lattice(rng: random.Random, k: int, m: int) -> Lattice:

@@ -58,26 +58,37 @@ def test_no_module_reads_a_private_lattice_attribute():
                 assert not re.search(r"\b(lat|lattice)\._", text), name
 
 
+def _is_lazy(node: ast.expr) -> bool:
+    """A generator expression, or a call of map, filter or zip: an iterator
+    whose length is not known before it is run."""
+    return isinstance(node, ast.GeneratorExp) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("map", "filter", "zip"))
+
+
 def test_no_module_builds_a_tuple_from_a_generator():
-    """``tuple(<generator>)`` allocates a guessed size and resizes it, and
-    the resized tuple grows the free lists; the package builds each tuple
-    from a list, which has its exact size."""
+    """``tuple(<iterator>)`` allocates a guessed size and resizes it, and
+    the resized tuple grows the free lists; so does the argument tuple of
+    ``f(*<iterator>)``.  The package builds each tuple from a list or a
+    tuple, which has its exact size."""
     src = os.path.dirname(multlat.__file__)
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
             calls = [node.lineno for node in ast.walk(tree)
-                     if isinstance(node, ast.Call)
-                     and isinstance(node.func, ast.Name) and node.func.id == "tuple"
-                     and any(isinstance(a, ast.GeneratorExp) for a in node.args)]
+                     if isinstance(node, ast.Call) and (
+                         isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                         and any(_is_lazy(a) for a in node.args)
+                         or any(isinstance(a, ast.Starred) and _is_lazy(a.value)
+                                for a in node.args))]
             assert not calls, (name, calls)
 
 
 def test_the_solvers_depend_on_the_graph_alone():
     """solvers.py takes from the package only its errors, the bit iterator
-    of lattice.py and the ZdGraph type: no multiplication, no graph
-    construction."""
+    and the bit-matrix transpose of lattice.py and the ZdGraph type: no
+    multiplication, no graph construction."""
     path = os.path.join(os.path.dirname(multlat.__file__), "solvers.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
@@ -90,7 +101,7 @@ def test_the_solvers_depend_on_the_graph_alone():
             module = (node.module or "").removeprefix("multlat.")
             imported.setdefault(module, set()).update(a.name for a in node.names)
     assert set(imported) <= {"errors", "lattice", "zdgraph"}, imported
-    assert imported.get("lattice", set()) <= {"_bits"}
+    assert imported.get("lattice", set()) <= {"_bits", "_transposed"}
     assert imported.get("zdgraph", set()) <= {"ZdGraph"}
 
 

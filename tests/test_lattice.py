@@ -601,3 +601,24 @@ def test_meet_join_bounds_law():
                 assert lat.leq(z, m)
             if lat.leq(x, z) and lat.leq(y, z):
                 assert lat.leq(j, z)
+
+
+def _naive_transpose(rows, n):
+    columns = [0] * n
+    for r, row in enumerate(rows):
+        for c, bit in enumerate(bin(row)[:1:-1]):
+            if bit == "1":
+                columns[c] |= 1 << r
+    return columns
+
+
+def test_transposed_matches_the_naive_transpose():
+    """On square, tall and wide matrices on both sides of every stride from
+    8 to 256, and at 1022 rows."""
+    rng = random.Random(41)
+    sizes = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+             255, 256, 257, 1022)
+    for m in sizes:
+        for height, n in ((m, m), (m, m // 3), (m // 3, m)):
+            rows = [rng.getrandbits(n) for _ in range(height)]
+            assert lattice_module._transposed(rows, n) == _naive_transpose(rows, n), (height, n)

@@ -1,6 +1,8 @@
 """The ideal lattice of Z_n and its analysis."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -8,14 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multlat.rings
-from multlat import (InvalidModulus, analyze_ring, ideal_lattice_zn,
+from multlat import (InvalidModulus, SelfCheckError, analyze_ring, ideal_lattice_zn,
                      is_modular, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
 from multlat.lattice import MAX_INPUT_ELEMENTS
 from multlat.rings import MAX_MODULUS, divisors_of, prime_factors
 from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
-from helpers import is_distributive, is_squarefree
+from helpers import gcd_product_table, is_distributive, is_squarefree
 
 
 def test_divisor_helpers():
@@ -91,6 +93,45 @@ def test_order_is_reverse_divisibility():
             assert zn.divisors[lat.meet[i][j]] == math.lcm(d1, d2)
             assert zn.divisors[lat.join[i][j]] == math.gcd(d1, d2)
             assert zn.divisors[zn.embedded.prod(i, j)] == math.gcd(d1 * d2, 60)
+
+
+def test_the_product_is_the_gcd_table():
+    """The product table equals (d1)(d2) = (gcd(d1 d2, n)) entry by entry."""
+    for n in (*range(2, 3001), 720720):
+        assert ideal_lattice_zn(n).embedded.product == gcd_product_table(n), n
+
+
+def _one_entry_changed(table, i, j):
+    row = list(table[i])
+    row[j] = (row[j] + 1) % len(row)
+    return (*table[:i], tuple(row), *table[i + 1:])
+
+
+@pytest.mark.parametrize("name, arithmetic", [("meet", "lcm"), ("join", "gcd")])
+def test_the_cross_check_catches_every_wrong_entry(monkeypatch, name, arithmetic):
+    """A generic lattice whose meet (join) table is wrong at any one entry is
+    rejected with a SelfCheckError that names that table."""
+    lattices = {n: ideal_lattice_zn(n).lattice for n in (12, 30, 360, 1024)}
+    for n, lat in lattices.items():
+        table = getattr(lat, name)
+        k = len(table)
+        for i in range(k):
+            for j in range(k):
+                wrong = dataclasses.replace(
+                    lat, **{name: _one_entry_changed(table, i, j)})
+                monkeypatch.setattr(multlat.rings, "build_lattice",
+                                    lambda *args: wrong)
+                with pytest.raises(SelfCheckError, match=(
+                        rf"^{name} table of Id\(Z_{n}\) is not {arithmetic}$")):
+                    ideal_lattice_zn(n)
+
+
+def test_the_ring_sweep_bytes_are_pinned():
+    """The sha256 of what ``multlat ring --sweep 2..1000`` prints."""
+    lines = "".join([analyze_ring(n).to_json(indent=None) + "\n"
+                     for n in range(2, 1001)])
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == (
+        "2ca21e8cd0e505fe52756bd7925fb36b8c20a62b84dd5418a468803821a31c8c")
 
 
 @given(st.integers(2, 250))

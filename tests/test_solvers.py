@@ -414,10 +414,10 @@ def test_small_graphs_match_the_reference_solvers(case):
 
 def test_relabel_renumbers_every_pair():
     """v, w are adjacent in the relabelled masks exactly when positions
-    order[v], order[w] are adjacent in g, at sizes on both sides of a byte
-    boundary of the packed rows."""
+    order[v], order[w] are adjacent in g, at sizes on both sides of each
+    stride of the transposed bit matrix up to 256."""
     rng = random.Random(37)
-    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257):
         g = random_graph(rng, n, 0.5)
         order, adj = _relabel(g)
         assert sorted(order) == list(range(n)) and len(adj) == n

@@ -80,11 +80,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: The largest stride whose masks ``_transpose_rounds`` keeps.
+_KEPT_STRIDE = 1 << (MAX_INPUT_ELEMENTS - 1).bit_length()
+
+
 @cache
 def _transpose_rounds(s: int) -> tuple[tuple[int, int], ...]:
     """The (shift, mask) of each round of ``_transposed`` at stride s: for
     b = s/2, ..., 1, the shift b(s - 1) and the mask of the entries (r, c)
-    with bit b clear in r and set in c.  At s = 1024 they hold 1.3 MB."""
+    with bit b clear in r and set in c.  At s = 1024 they hold 1.3 MB, the
+    most that a lattice within ``MAX_INPUT_ELEMENTS`` needs; ``_transposed``
+    builds those of a larger stride for the one call (24 MB at 4096)."""
     rounds = []
     zero = bytes(s // 8)
     b = s // 2
@@ -111,7 +117,8 @@ def _transposed(rows: Sequence[int], n: int) -> list[int]:
     width = s // 8
     x = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]),
                        "little")
-    for shift, mask in _transpose_rounds(s):
+    rounds = _transpose_rounds if s <= _KEPT_STRIDE else _transpose_rounds.__wrapped__
+    for shift, mask in rounds(s):
         t = (x ^ x >> shift) & mask
         x ^= t ^ t << shift
     packed = x.to_bytes(n * width, "little")  # the columns past n are 0
@@ -204,11 +211,21 @@ class Lattice:
 
     @cached_property
     def _n5_witness(self) -> tuple[int, int, int, int, int] | None:
-        return None if _covers_semimodular(self) else _modularity_scan(self)
+        if _covers_semimodular(self):
+            return None
+        if (witness := _modularity_scan(self)) is None:
+            raise SelfCheckError("the covering-pair test rejects a lattice "
+                                 "in which the modular-law scan finds no pentagon")
+        return witness
 
     @cached_property
     def _zero_distributivity_witness(self) -> tuple[int, int, int] | None:
-        return None if _zero_distributive(self) else _zero_distributivity_scan(self)
+        if _zero_distributive(self):
+            return None
+        if (witness := _zero_distributivity_scan(self)) is None:
+            raise SelfCheckError("the atom test rejects a lattice in which "
+                                 "the 0-distributivity scan finds no witness")
+        return witness
 
     def assert_valid(self) -> None:
         """Exhaustively re-check every lattice invariant.

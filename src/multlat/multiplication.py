@@ -26,8 +26,9 @@ tables: the meet exactly when every join-irreducible j is join-prime (j
 not below the join of the elements outside up(j)), n |J| joins in all, and
 the trivial product exactly when the top has one lower cover or the
 lattice has one element.  Only a product the theorem rejects goes through
-the check above, which names its axiom and witness; tables from files and
-Id(Z_n) always do.  On top of the verified table this module computes
+the check above, which names its axiom and witness, or raises
+SelfCheckError if it finds none; tables from files and Id(Z_n) always go
+through it.  On top of the verified table this module computes
 reducedness, annihilators and prime elements.
 
 The facts the analysis asks for more than once are computed once per
@@ -265,6 +266,12 @@ def _irreducibles_join_prime(lat: Lattice) -> bool:
                    for j in lat.join_irreducibles)
 
 
+def _top_has_one_lower_cover(lat: Lattice) -> bool:
+    """Whether the trivial product is admissible: the top has one lower
+    cover, or the lattice has one element (``attach_multiplication``)."""
+    return lat.n == 1 or len(lat.lower_covers[lat.top]) == 1
+
+
 def attach_multiplication(lat: Lattice, kind: str = "meet",
                           table: Sequence[Sequence[str]] | None = None) -> MultLattice:
     """Attach a multiplication to a lattice and verify every axiom.
@@ -291,7 +298,8 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
 
     Raises ValueError for any other kind, IncompleteTable for a malformed
     table and AxiomViolation (with the axiom id and a witness) when
-    verification fails.
+    verification fails; SelfCheckError when the theorem rejects a built-in
+    product on which every axiom holds.
     """
     check_mult_kind(kind)
     n = lat.n
@@ -307,7 +315,7 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
                 rows.append(tuple([i if j == lat.top else lat.bottom
                                    for j in range(n)]))
         product = tuple(rows)
-        admissible = n == 1 or len(lat.lower_covers[lat.top]) == 1
+        admissible = _top_has_one_lower_cover(lat)
     else:
         if table is None:
             raise IncompleteTable("table mode requires a multiplication table")
@@ -328,9 +336,12 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
                     f"table entry ({i},{j}) names unknown element {name!r}") from None
             # With one name, itemgetter returns the bare index.
             rows.append(resolved if n > 1 else (resolved,))
-        product = tuple(rows)
-        admissible = False
-    return MultLattice(lat, product) if admissible else _checked(lat, product)
+        return _checked(lat, tuple(rows))
+    if not admissible:
+        _verify_axioms(lat, product)
+        raise SelfCheckError(f"the theorem rejects the {kind} product, but "
+                             "every axiom holds on its table")
+    return MultLattice(lat, product)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +382,16 @@ def is_reduced(ml: MultLattice) -> bool:
     return ml._nilpotency_witness is None
 
 
+def _check_index(ml: MultLattice, x: int) -> None:
+    if not 0 <= x < ml.n:
+        raise IndexError(f"element index {x} is outside 0..{ml.n - 1}")
+
+
 def is_semiprime(ml: MultLattice, i: int) -> bool:
     """Whether a.a <= i implies a <= i; at the bottom, reducedness.  Tested
-    on the squares of the j in J not below i (module docstring)."""
+    on the squares of the j in J not below i (module docstring).
+    IndexError for an i outside 0..n-1."""
+    _check_index(ml, i)
     below = ml.lattice.down[i]
     return not any(below >> ml.product[j][j] & 1
                    for j in ml.lattice.join_irreducibles if not below >> j & 1)
@@ -391,8 +409,9 @@ def annihilator_star(ml: MultLattice, a: int) -> int:
     For reduced lattices this coincides with the join of {x | x.a = 0}.
     By M3, S is a down-set closed under joins, so it is down(V S), and
     only its join-irreducibles are joined.  ``annihilator_map`` caches it
-    for every element.
+    for every element.  IndexError for an a outside 0..n-1.
     """
+    _check_index(ml, a)
     lat = ml.lattice
     row = ml.product[_power_walk(ml.product, a)]
     return lat.join_all([j for j in lat.join_irreducibles if row[j] == lat.bottom])
@@ -419,8 +438,7 @@ def is_prime_element(ml: MultLattice, p: int) -> bool:
     """p != 1 and a.b <= p always forces a <= p or b <= p.  Read off the
     mask of prime elements, which is cached on ``ml``; IndexError for a p
     outside 0..n-1."""
-    if not 0 <= p < ml.n:
-        raise IndexError(f"element index {p} is outside 0..{ml.n - 1}")
+    _check_index(ml, p)
     return bool(ml._prime_mask >> p & 1)
 
 

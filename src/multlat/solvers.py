@@ -25,9 +25,9 @@ search nor the size of a clique is bounded by Python's recursion limit:
 
 ``_solve`` relabels the graph once and makes one deadline.  It yields omega
 with its checked clique first, then chi with its checked colouring, so a
-timeout in the colouring search still leaves omega.  The greedy bound and
-the k-search give colour lists in the new numbering; only the one that wins
-is mapped back, by ``_coloring``.  ``clique_number`` and
+timeout in the colouring search still leaves omega.  The clique search's
+root classes and the k-search give colour lists in the new numbering; only
+the one that wins is mapped back, by ``_coloring``.  ``clique_number`` and
 ``chromatic_number`` are thin wrappers over it.
 
 The brute-force oracles are intentionally naive (static vertex order,
@@ -123,20 +123,13 @@ def is_proper(g: ZdGraph, coloring: Coloring) -> bool:
                for row, v in zip(g.adj, g.vertices))
 
 
-def _greedy(adj: list[int]) -> list[int]:
-    """First fit along the relabelled numbering, by colour-class masks:
-    the colour of each relabelled vertex."""
-    classes: list[int] = []
-    colors = []
-    for v, row in enumerate(adj):
-        for c, cls in enumerate(classes):
-            if not cls & row:
-                classes[c] = cls | 1 << v
-                break
-        else:
-            c = len(classes)
-            classes.append(1 << v)
-        colors.append(c)
+def _class_colors(classes: list[int], nv: int) -> list[int]:
+    """The colour of each of nv relabelled vertices: the position of its
+    class among the disjoint masks ``classes``."""
+    colors = [0] * nv
+    for c, cls in enumerate(classes):
+        for v in _bits(cls):
+            colors[v] = c
     return colors
 
 
@@ -151,8 +144,10 @@ def _coloring(g: ZdGraph, order: list[int], colors: list[int]) -> Coloring:
 # bound with a greedy-colouring bound) and k-colourability (DSATUR)
 
 
-def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
-    """The size and mask of a maximum clique, on masks from ``_relabel``.
+def _max_clique(adj: list[int], deadline: _Deadline
+                ) -> tuple[int, int, list[int]]:
+    """The size and mask of a maximum clique, on masks from ``_relabel``,
+    and the colour classes of the root node, which colour every vertex.
 
     Branch and bound over candidate masks.  On entering a node the
     candidates are greedily coloured; a vertex in class c (from 1) can only
@@ -165,6 +160,7 @@ def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
     the module docstring says.
     """
     best_size = best_mask = 0
+    root: list[int] = []
     stack = []
     rmask, rsize, cand = 0, 0, (1 << len(adj)) - 1
     nodes = 0
@@ -186,6 +182,8 @@ def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
                 classes.append(cls)
                 rest &= ~cls
             bound = len(classes)
+            if not stack:  # only the root is entered on an empty stack
+                root = classes
             stack.append([rmask, rsize, cand, classes, bound,
                           classes[-1] if classes else 0])
             # Scan the top frame until it branches or every frame is done.
@@ -212,7 +210,7 @@ def _max_clique(adj: list[int], deadline: _Deadline) -> tuple[int, int]:
                     best_size = rsize + 1
                     best_mask = rmask | bit
             else:
-                return best_size, best_mask
+                return best_size, best_mask, root
     finally:
         deadline.nodes += nodes
 
@@ -318,9 +316,13 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
            ) -> Iterator[tuple[int, CliqueWitness | Coloring]]:
     """Yield (omega, clique witness), then (chi, proper colouring).
 
-    chi is proved by sandwiching: omega is a lower bound, a greedy colouring
-    an upper bound, and each k in between is settled by ``_k_colorable``.
-    One deadline counts the nodes of both kernels.
+    chi is proved by sandwiching: omega is a lower bound, the colouring by
+    ``_max_clique``'s root classes an upper bound, and each k in between is
+    settled by ``_k_colorable``.  One deadline counts the nodes of both
+    kernels.  The root classes are first fit along the relabelled order:
+    class c takes, in ascending order, each vertex outside classes 0..c-1
+    with no smaller neighbour already in class c, so by induction on v it
+    is the least class holding no smaller neighbour of v.
     """
     if g.n_vertices == 0:
         yield 0, CliqueWitness(())
@@ -328,10 +330,10 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
         return
     deadline = _Deadline(budget)
     order, adj = _relabel(g)
-    omega, mask = _max_clique(adj, deadline)
+    omega, mask, classes = _max_clique(adj, deadline)
     yield omega, _clique_witness(g, order, omega, mask)
-    colors = _greedy(adj)
-    chi = len(set(colors))
+    chi = len(classes)
+    colors = _class_colors(classes, len(adj))
     for k in range(omega, chi):
         found = _k_colorable(adj, k, deadline)
         if found is not None:
@@ -366,16 +368,16 @@ def chromatic_number(g: ZdGraph,
 # Brute-force oracles
 
 
-def brute_force_chromatic(g: ZdGraph, max_vertices: int = ORACLE_CAP) -> int:
+def brute_force_chromatic(g: ZdGraph) -> int:
     """Smallest k admitting a proper k-labeling, by exhaustive search.
 
     Static vertex order, colors tried in canonical form (a vertex may only
     open one fresh color); no heuristics or bounds beyond edge conflicts.
-    Raises TooLarge above ``max_vertices``.
+    Raises TooLarge above ``ORACLE_CAP`` vertices.
     """
     nv = g.n_vertices
-    if nv > max_vertices:
-        raise TooLarge(f"graph has {nv} vertices; oracle cap is {max_vertices}")
+    if nv > ORACLE_CAP:
+        raise TooLarge(f"graph has {nv} vertices; oracle cap is {ORACLE_CAP}")
     if nv == 0:
         return 0
     adj = g.adj
@@ -402,11 +404,12 @@ def brute_force_chromatic(g: ZdGraph, max_vertices: int = ORACLE_CAP) -> int:
     return k
 
 
-def brute_force_clique(g: ZdGraph, max_vertices: int = ORACLE_CAP) -> int:
-    """Maximum clique size by exhaustive subset enumeration."""
+def brute_force_clique(g: ZdGraph) -> int:
+    """Maximum clique size by exhaustive subset enumeration; TooLarge above
+    ``ORACLE_CAP`` vertices."""
     nv = g.n_vertices
-    if nv > max_vertices:
-        raise TooLarge(f"graph has {nv} vertices; oracle cap is {max_vertices}")
+    if nv > ORACLE_CAP:
+        raise TooLarge(f"graph has {nv} vertices; oracle cap is {ORACLE_CAP}")
     adj = g.adj
     best = 0
     for mask in range(1 << nv):

@@ -10,7 +10,8 @@ from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
                      fig3_table, minimal_prime_elements,
                      mult_zero_divisor_graph)
 from multlat.search import boolean_lattice, chain_lattice
-from multlat.solvers import Coloring, _coloring, _greedy, _relabel
+from multlat.solvers import (Coloring, _class_colors, _coloring, _Deadline,
+                             _max_clique, _relabel)
 
 
 def make_graph(n: int, edges: list[tuple[int, int]]) -> ZdGraph:
@@ -497,10 +498,12 @@ def scan_is_semiprime(ml, i: int) -> bool:
 
 
 def greedy_coloring(g: ZdGraph) -> Coloring:
-    """First fit in the solvers' largest-degree-first order: the greedy
-    bound that ``chromatic_number`` starts from, mapped back to ``g``."""
+    """First fit in the solvers' largest-degree-first order: the clique
+    search's root classes, the greedy bound that ``chromatic_number``
+    starts from, mapped back to ``g``."""
     order, adj = _relabel(g)
-    return _coloring(g, order, _greedy(adj))
+    classes = _max_clique(adj, _Deadline(None))[2]
+    return _coloring(g, order, _class_colors(classes, len(adj)))
 
 
 def minimal_prime_coloring(ml) -> Coloring:

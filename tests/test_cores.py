@@ -11,8 +11,8 @@ import pytest
 
 import multlat.lattice
 import multlat.multiplication
-from multlat import (AxiomViolation, ElementSubset, Lattice, analyze,
-                     build_lattice, analyze_ring, annihilator_star,
+from multlat import (AxiomViolation, ElementSubset, Lattice, SelfCheckError,
+                     analyze, build_lattice, analyze_ring, annihilator_star,
                      check_lemma_suite, fig2_lattice, fig3_lattice,
                      attach_multiplication, brute_force_chromatic,
                      brute_force_clique, fixture, is_prime_element,
@@ -241,6 +241,33 @@ def test_atom_zero_distributivity_matches_the_triple_scan():
     assert outcomes[True] > 0 and outcomes[False] > 5
 
 
+@pytest.mark.parametrize("test_name, read", [
+    ("_covers_semimodular", modularity_witness),
+    ("_zero_distributive", zero_distributivity_witness)],
+    ids=["modularity", "zero-distributivity"])
+def test_a_rejection_that_its_scan_contradicts_raises(monkeypatch, test_name,
+                                                      read):
+    """boolean:3 is distributive, so a fast test forced to reject it hands
+    over to a scan that finds no witness: SelfCheckError, not a lattice
+    read as modular or 0-distributive against its test."""
+    monkeypatch.setattr(multlat.lattice, test_name, lambda lat: False)
+    with pytest.raises(SelfCheckError, match="finds no"):
+        read(boolean_lattice(3))
+
+
+@pytest.mark.parametrize("predicate, lat, kind", [
+    ("_irreducibles_join_prime", boolean_lattice(3), "meet"),
+    ("_top_has_one_lower_cover", chain_lattice(3), "trivial")],
+    ids=["meet", "trivial"])
+def test_a_rejected_product_on_which_every_axiom_holds_raises(
+        monkeypatch, predicate, lat, kind):
+    """A built-in product that its theorem rejects but the full check
+    accepts is a contradiction, not an attached product."""
+    monkeypatch.setattr(multlat.multiplication, predicate, lambda lat: False)
+    with pytest.raises(SelfCheckError, match=f"rejects the {kind} product"):
+        attach_multiplication(lat, kind)
+
+
 def test_cached_facts_equal_fresh_oracles():
     """Each cached fact equals a fresh computation by its scan, on the first
     call and when read back from the cache."""
@@ -420,6 +447,18 @@ def test_annihilators_and_semiprimeness_match_their_definitions():
             assert is_semiprime(ml, i) == semiprime, (ml.names, ml.names[i])
             outcomes[semiprime] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+@pytest.mark.parametrize("read", [annihilator_star, is_semiprime,
+                                  is_prime_element],
+                         ids=lambda read: read.__name__)
+@pytest.mark.parametrize("index", [-1, 14])
+def test_element_indices_outside_the_lattice_raise(read, index):
+    """fig3 has 14 elements: -1 is not read as the top, nor 14 as a bare
+    tuple index fault."""
+    with pytest.raises(IndexError,
+                       match=f"^element index {index} is outside 0..13$"):
+        read(fixture("fig3"), index)
 
 
 def test_the_minimal_vertices_at_a_semiprime_element_fix_chi_and_omega():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -622,3 +623,22 @@ def test_transposed_matches_the_naive_transpose():
         for height, n in ((m, m), (m, m // 3), (m // 3, m)):
             rows = [rng.getrandbits(n) for _ in range(height)]
             assert lattice_module._transposed(rows, n) == _naive_transpose(rows, n), (height, n)
+
+
+def test_transpose_keeps_only_the_masks_of_lattice_strides():
+    """A 1200-row transpose (stride 2048, above any lattice within
+    ``MAX_INPUT_ELEMENTS``) builds its masks for the one call: 5.3 MB of
+    them stayed behind when every stride was kept.  What it holds after
+    the call is its 0.2 MB of columns."""
+    rng = random.Random(43)
+    rows = [rng.getrandbits(1200) for _ in range(1200)]
+    kept = lattice_module._transpose_rounds.cache_info().currsize
+    tracemalloc.start()
+    try:
+        columns = lattice_module._transposed(rows, 1200)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000
+    assert lattice_module._transpose_rounds.cache_info().currsize == kept
+    assert columns == _naive_transpose(rows, 1200)

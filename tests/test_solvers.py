@@ -19,8 +19,8 @@ from multlat import (SelfCheckError, SolverTimeout, TooLarge, ZdGraph,
                      brute_force_clique, chromatic_number, clique_number,
                      fixture, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
-from multlat.solvers import (Coloring, _Deadline, _k_colorable, _max_clique,
-                             _relabel, _solve, is_proper)
+from multlat.solvers import (ORACLE_CAP, Coloring, _Deadline, _k_colorable,
+                             _max_clique, _relabel, _solve, is_proper)
 from multlat.rings import ideal_lattice_zn
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
@@ -203,7 +203,7 @@ def test_a_false_clique_is_caught_when_used_as_a_bound(monkeypatch):
     v, w = next((v, w) for v in range(len(adj)) for w in range(v + 1, len(adj))
                 if not adj[v] >> w & 1)
     monkeypatch.setattr(multlat.solvers, "_max_clique",
-                        lambda adj, deadline: (2, 1 << v | 1 << w))
+                        lambda adj, deadline: (2, 1 << v | 1 << w, []))
     with pytest.raises(SelfCheckError):
         chromatic_number(g)
     with pytest.raises(SelfCheckError):
@@ -249,7 +249,8 @@ def test_oracle_caps():
         brute_force_chromatic(g)
     with pytest.raises(TooLarge):
         brute_force_clique(g)
-    assert brute_force_chromatic(g, max_vertices=13) == 1
+    at_cap = cycle_graph(ORACLE_CAP)
+    assert brute_force_chromatic(at_cap) == brute_force_clique(at_cap) == 2
 
 
 def test_solver_timeout():

@@ -6,8 +6,7 @@ snippet that occurs once in it, the replacement that breaks it, the test
 ids that must kill the mutant, and why the fault matters.  Run from the
 repository root:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # only these
+    python tests/mutants.py
 
 For each mutant the runner copies ``src`` and ``tests`` to a temporary
 directory, applies the one replacement there, runs the mutant's tests in a
@@ -15,8 +14,9 @@ subprocess with ``PYTHONPATH`` pointing at the copy, and prints ``killed``
 (a test failed), ``survived`` (all passed) or ``not tested``.  Before any
 mutant it runs every named test on an unchanged copy, which must pass and
 must import the copy's package.  It exits 1 if a mutant is not killed or
-that check fails.  A surviving mutant is
-mended by a new test, not by deleting the mutant.
+that check fails.  A surviving mutant is mended by a new test, not by
+deleting the mutant.  ``tests/test_mutants.py`` checks that each snippet
+occurs exactly once.
 """
 from __future__ import annotations
 
@@ -203,25 +203,14 @@ def _imports_the_copy(where: Path) -> bool:
     return Path(found).resolve().is_relative_to(where.resolve())
 
 
-def main(argv: list[str]) -> int:
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in by_name]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [by_name[name] for name in argv] or list(MUTANTS)
-    for m in chosen:
-        if source(m).count(m.snippet) != 1:
-            print(f"{m.name}: the snippet does not occur exactly once in "
-                  f"{m.path}", file=sys.stderr)
-            return 2
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="multlat-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy(clean)
         if not _imports_the_copy(clean):
             print("the copy's package is not the one imported", file=sys.stderr)
-            return 2
-        every_test = sorted({t for m in chosen for t in m.tests})
+            return 1
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
         baseline = _pytest(clean, every_test)
         if baseline.returncode != 0:
             print(baseline.stdout[-3000:], file=sys.stderr)
@@ -231,7 +220,7 @@ def main(argv: list[str]) -> int:
         # error, no test found) means the mutant was not tested.
         outcomes = {0: "survived", 1: "killed"}
         failures = []
-        for k, m in enumerate(chosen):
+        for k, m in enumerate(MUTANTS):
             where = Path(tmp) / f"mutant-{k}"
             _copy(where)
             target = where / "src" / "multlat" / m.path
@@ -243,9 +232,9 @@ def main(argv: list[str]) -> int:
             print(f"{outcome}  {m.name}: {m.why}", flush=True)
             if code != 1:
                 failures.append(m.name)
-    print(f"{len(chosen) - len(failures)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

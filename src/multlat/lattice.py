@@ -650,7 +650,9 @@ class ElementSubset:
         else:
             mask = 0
             for m in members:
-                mask |= 1 << m
+                # A negative member makes the mask negative, which the
+                # check below rejects with the members above n - 1.
+                mask |= 1 << m if m >= 0 else -1
             self.mask = mask
         if self.mask >> lattice.n:
             raise ValueError("subset mask has bits outside the lattice")
@@ -665,7 +667,7 @@ class ElementSubset:
         return tuple([names[i] for i in _bits(self.mask)])
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
+        return x >= 0 and bool(self.mask >> x & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -28,7 +28,11 @@ with its checked clique first, then chi with its checked colouring, so a
 timeout in the colouring search still leaves omega.  The clique search's
 root classes and the k-search give colour lists in the new numbering; only
 the one that wins is mapped back, by ``_coloring``.  ``clique_number`` and
-``chromatic_number`` are thin wrappers over it.
+``chromatic_number`` are thin wrappers over it, and the pair shares one
+relabelling and one clique search: ``_solve`` keeps the last graph's in a
+one-graph slot, keyed on the identity of ``g.adj`` and held until another
+graph is solved, so the second call of the pair skips both and gives its
+whole budget to the k-search.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -312,6 +316,11 @@ def _clique_witness(g: ZdGraph, order: list[int], size: int,
     return CliqueWitness(tuple(sorted(g.vertices[k] for k in positions)))
 
 
+#: (g.adj, order, relabelled adj, omega, clique mask, root classes) of the
+#: last finished clique search, read only; see ``_solve``.
+_last: tuple | None = None
+
+
 def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
            ) -> Iterator[tuple[int, CliqueWitness | Coloring]]:
     """Yield (omega, clique witness), then (chi, proper colouring).
@@ -323,14 +332,33 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
     class c takes, in ascending order, each vertex outside classes 0..c-1
     with no smaller neighbour already in class c, so by induction on v it
     is the least class holding no smaller neighbour of v.
+
+    The relabelling and the clique search depend on ``g.adj`` alone, so the
+    module keeps those of the last graph whose clique search finished, in
+    the one slot ``_last``, until a solve of another graph replaces it.  A
+    call whose ``g.adj`` is that very tuple (identity, not equality) skips
+    ``_relabel`` and ``_max_clique``; the slot holds the tuple, so its
+    identity cannot pass to another.  The clique check, the k-search under
+    the call's own deadline and the colouring checks run on every call,
+    and the witnesses are mapped through the calling graph's vertices.  A
+    solve that times out in the clique search stores nothing.  The slot
+    holds ints and lists of ints only, never a graph or a lattice, and is
+    read once, so a store between the test and the use cannot mix two
+    graphs.
     """
+    global _last
     if g.n_vertices == 0:
         yield 0, CliqueWitness(())
         yield 0, Coloring({}, 0)
         return
     deadline = _Deadline(budget)
-    order, adj = _relabel(g)
-    omega, mask, classes = _max_clique(adj, deadline)
+    last = _last
+    if last is not None and last[0] is g.adj:
+        _, order, adj, omega, mask, classes = last
+    else:
+        order, adj = _relabel(g)
+        omega, mask, classes = _max_clique(adj, deadline)
+        _last = g.adj, order, adj, omega, mask, classes
     yield omega, _clique_witness(g, order, omega, mask)
     chi = len(classes)
     colors = _class_colors(classes, len(adj))
@@ -351,7 +379,9 @@ def clique_number(g: ZdGraph,
                   budget: float | None = DEFAULT_SOLVER_BUDGET
                   ) -> tuple[int, CliqueWitness]:
     """Exact maximum clique size and a checked witness: the first half of
-    ``_solve``."""
+    ``_solve``.  The search runs under ``budget``, unless ``g.adj`` is the
+    tuple of the last finished search (``_solve``); then it is read from
+    that slot and returns even under ``budget=0.0``."""
     return next(_solve(g, budget))
 
 
@@ -359,7 +389,12 @@ def chromatic_number(g: ZdGraph,
                      budget: float | None = DEFAULT_SOLVER_BUDGET
                      ) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness colouring: the second
-    half of ``_solve``."""
+    half of ``_solve``.  When the last graph solved is this one (by
+    ``clique_number`` or ``chromatic_number``), the relabelling and the
+    clique come from ``_solve``'s slot and the whole ``budget`` goes to the
+    k-search; if the root classes already meet omega no k-search runs, and
+    the call returns even under ``budget=0.0``.  Otherwise the clique
+    search and the k-search share the budget."""
     _, solved = _solve(g, budget)
     return solved
 

@@ -171,6 +171,35 @@ MUTANTS = (
            ("test_lattice.py::test_transpose_keeps_only_the_masks_of_lattice_"
             "strides",),
            "a hand-built graph of 1200 vertices would hold 5.3 MB for good"),
+    # One clique search per graph for clique_number and chromatic_number.
+    Mutant("solve-slot-hits-any-graph", "solvers.py",
+           "if last is not None and last[0] is g.adj:", "if last is not None:",
+           ("test_solvers.py::test_a_solve_of_another_graph_replaces_the_slot",
+            "test_solvers.py::test_an_equal_but_distinct_adjacency_tuple_is_"
+            "solved_again"),
+           "a graph would be solved with the last graph's clique and order"),
+    Mutant("solve-slot-never-read", "solvers.py",
+           "    last = _last\n", "    last = None\n",
+           ("test_solvers.py::test_the_pair_solves_the_clique_once",
+            "test_solvers.py::test_a_hit_gives_the_k_search_the_whole_budget"),
+           "the pair would relabel and search the clique twice"),
+    # Closed forms read off the stable power and J.
+    Mutant("annihilator-of-a-not-its-stable-power", "multiplication.py",
+           "row = ml.product[_power_walk(ml.product, a)]",
+           "row = ml.product[a]",
+           ("test_cores.py::test_annihilators_and_semiprimeness_match_their_"
+            "definitions",
+            "test_multiplication.py::test_fig3_annihilator_of_square_zero_"
+            "element_is_top"),
+           "x killed by a power of a need not be killed by a itself"),
+    Mutant("semiprime-tested-on-the-atoms", "multiplication.py",
+           "for j in ml.lattice.join_irreducibles if not below >> j & 1)",
+           "for j in ml.lattice.upper_covers[ml.lattice.bottom]\n"
+           "               if not below >> j & 1)",
+           ("test_cores.py::test_annihilators_and_semiprimeness_match_their_"
+            "definitions",
+            "test_search.py::test_semiprime_elements_by_definition"),
+           "a join-irreducible above an atom may square below i"),
 )
 
 

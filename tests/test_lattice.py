@@ -316,6 +316,19 @@ def test_subset_flags():
     assert whole.is_ideal and not whole.is_proper and not is_prime_semi_ideal(whole)
 
 
+@pytest.mark.parametrize("outside", [-1, 6])
+def test_subset_members_outside_the_lattice(outside):
+    """fig2 has 6 elements: -1 is rejected like 6, with the subset's own
+    message, not a bare shift-count fault, and neither is a member."""
+    lat = fig2_lattice()
+    assert lat.n == 6
+    with pytest.raises(ValueError,
+                       match="^subset mask has bits outside the lattice$"):
+        ElementSubset(lat, [0, outside])
+    whole = ElementSubset(lat, range(lat.n))
+    assert outside not in whole and lat.n - 1 in whole
+
+
 def test_down_sets_two_chain():
     lat = chain_lattice(2)
     fams = enumerate_down_sets(lat)

@@ -1,11 +1,14 @@
 """Exact solvers against the brute-force oracles and known values."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -155,6 +158,85 @@ def test_analyze_solves_the_clique_once(monkeypatch):
     report = analyze(fixture("fig3"))
     assert (report.chi, report.omega) == (4, 3)
     assert calls == ["_relabel", "_max_clique"]
+
+
+@pytest.mark.parametrize("first, second", [(clique_number, chromatic_number),
+                                           (chromatic_number, clique_number)],
+                         ids=["omega_first", "chi_first"])
+def test_the_pair_solves_the_clique_once(monkeypatch, first, second):
+    """clique_number and chromatic_number on one graph, in either order,
+    make one relabelling and one clique search, and give what a solve of
+    their own would."""
+    expected = list(_solve(fig3_graph()))
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
+    g = fig3_graph()
+    got = {f: f(g) for f in (first, second)}
+    assert [got[clique_number], got[chromatic_number]] == expected
+    assert calls == ["_relabel", "_max_clique"]
+
+
+def test_a_solve_of_another_graph_replaces_the_slot(monkeypatch):
+    g, h = fig3_graph(), cycle_graph(5)
+    assert clique_number(g)[0] == 3 and clique_number(h)[0] == 2
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
+    assert chromatic_number(g)[0] == 4
+    assert calls == ["_relabel", "_max_clique"]
+
+
+def test_an_equal_but_distinct_adjacency_tuple_is_solved_again(monkeypatch):
+    """The slot is keyed on the identity of g.adj, not on its value."""
+    g = fig3_graph()
+    twin = dataclasses.replace(g, adj=tuple(list(g.adj)))
+    assert twin.adj == g.adj and twin.adj is not g.adj
+    clique_number(g)
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
+    assert chromatic_number(twin)[0] == 4
+    assert calls == ["_relabel", "_max_clique"]
+
+
+def test_a_timed_out_clique_search_leaves_nothing_behind(monkeypatch):
+    g = fig3_graph()
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
+    with pytest.raises(SolverTimeout):
+        clique_number(g, budget=0.0)
+    assert chromatic_number(g, None)[0] == 4
+    assert calls == ["_relabel", "_max_clique"] * 2
+
+
+def test_the_slot_keeps_no_lattice_alive():
+    ml = fixture("fig3")
+    g = mult_zero_divisor_graph(ml)
+    assert chromatic_number(g)[0] == 4
+    lattice = weakref.ref(ml.lattice)
+    del g, ml
+    gc.collect()
+    assert lattice() is None
+
+
+def test_a_hit_gives_the_k_search_the_whole_budget(monkeypatch):
+    """clique_number's search spends 10.5 of its 10 seconds on a still
+    clock; chromatic_number then skips it and refutes k = 3 within its own
+    10 seconds."""
+    _clique_spends(monkeypatch, 10.5)
+    g = fig3_graph()
+    assert clique_number(g, budget=10.0)[0] == 3
+    assert chromatic_number(g, budget=10.0)[0] == 4
+
+
+def test_a_hit_under_a_zero_budget(monkeypatch):
+    """A hit that needs no k-search returns under budget=0.0; one that
+    needs a k-search times out in it, and the slot stays."""
+    c6 = cycle_graph(6)  # the root classes meet omega = 2
+    assert clique_number(c6)[0] == 2
+    assert chromatic_number(c6, budget=0.0)[0] == 2
+    assert clique_number(c6, budget=0.0)[0] == 2
+    g = fig3_graph()  # k = 3 must be refuted
+    assert clique_number(g)[0] == 3
+    with pytest.raises(SolverTimeout):
+        chromatic_number(g, budget=0.0)
+    calls = _count_calls(monkeypatch, "_relabel", "_max_clique")
+    assert chromatic_number(g)[0] == 4
+    assert calls == []
 
 
 def test_one_deadline_counts_both_kernels(monkeypatch):

@@ -146,8 +146,7 @@ class Lattice:
     every element is the join of the join-irreducibles below it.  These,
     and the underscored cached properties, take no part in ``==`` or
     hashing.  They are derived from ``up`` and ``down`` and trusted by
-    every check on the lattice, so a Lattice is made by ``build_lattice``;
-    ``assert_valid`` re-checks them against their definitions.
+    every check on the lattice, so a Lattice is made by ``build_lattice``.
     """
 
     names: tuple[str, ...]
@@ -170,18 +169,6 @@ class Lattice:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown element name {name!r}") from None
-
-    def leq(self, x: int, y: int) -> bool:
-        """Whether x <= y."""
-        return bool(self.up[x] >> y & 1)
-
-    def meet_of(self, x: int, y: int) -> int:
-        """Greatest lower bound of x and y."""
-        return self.meet[x][y]
-
-    def join_of(self, x: int, y: int) -> int:
-        """Least upper bound of x and y."""
-        return self.join[x][y]
 
     def meet_all(self, xs: Iterable[int]) -> int:
         acc = self.top
@@ -226,56 +213,6 @@ class Lattice:
             raise SelfCheckError("the atom test rejects a lattice in which "
                                  "the 0-distributivity scan finds no witness")
         return witness
-
-    def assert_valid(self) -> None:
-        """Exhaustively re-check every lattice invariant.
-
-        Construction already guarantees these; this is the belt-and-braces
-        scan used by the test suite (reflexivity through associativity and
-        absorption, glb/lub laws, bounds, and the cover fields against the
-        definition of a cover).  Raises SelfCheckError naming the first law
-        that fails, also under ``python -O``.
-        """
-        def law(holds: bool, name: str) -> None:
-            if not holds:
-                raise SelfCheckError(name)
-        n, up, down, meet, join = self.n, self.up, self.down, self.meet, self.join
-        full = (1 << n) - 1
-        for x in range(n):
-            law(self.leq(x, x), "reflexivity")
-            law(self.leq(self.bottom, x) and self.leq(x, self.top), "bounds")
-            for y in range(n):
-                law((down[x] >> y & 1) == (up[y] >> x & 1), "up/down transposes")
-                if x != y:
-                    law(not (self.leq(x, y) and self.leq(y, x)), "antisymmetry")
-                m, j = meet[x][y], join[x][y]
-                law(m == meet[y][x] and j == join[y][x], "commutativity")
-                low = down[x] & down[y]
-                high = up[x] & up[y]
-                law(low & ~down[m] == 0 and (low >> m & 1), "glb law")
-                law(high & ~up[j] == 0 and (high >> j & 1), "lub law")
-                law(meet[x][join[x][y]] == x, "absorption")
-                law(join[x][meet[x][y]] == x, "absorption (dual)")
-            law(meet[x][x] == x and join[x][x] == x, "idempotence")
-        for x in range(n):
-            for y in _bits(up[x]):
-                law(up[y] & ~up[x] == 0, "transitivity")
-            for y in range(n):
-                m, j = meet[x][y], join[x][y]
-                for z in range(n):
-                    law(meet[m][z] == meet[x][meet[y][z]], "associativity")
-                    law(join[j][z] == join[x][join[y][z]], "associativity (dual)")
-        law(up[self.bottom] == full and down[self.top] == full, "bounds")
-        below = [d ^ 1 << x for x, d in enumerate(down)]
-        above = [u ^ 1 << x for x, u in enumerate(up)]
-        law(self.lower_covers == tuple([
-            tuple([y for y in _bits(below[x]) if below[x] & up[y] == 1 << y])
-            for x in range(n)]), "lower covers")
-        law(self.upper_covers == tuple([
-            tuple([y for y in _bits(above[x]) if above[x] & down[y] == 1 << y])
-            for x in range(n)]), "upper covers")
-        law(self.join_irreducibles == tuple([
-            x for x in range(n) if len(self.lower_covers[x]) == 1]), "join-irreducibles")
 
 
 def _covers_below(up: Sequence[int], down: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -683,17 +620,8 @@ class ElementSubset:
         return f"ElementSubset({{{', '.join(self.names)}}})"
 
     @cached_property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @cached_property
     def is_proper(self) -> bool:
         return self.mask != (1 << self.lattice.n) - 1
-
-    @cached_property
-    def is_down_set(self) -> bool:
-        lat = self.lattice
-        return all(lat.down[x] & ~self.mask == 0 for x in _bits(self.mask))
 
     @cached_property
     def is_ideal(self) -> bool:

@@ -90,9 +90,6 @@ class MultLattice:
     def names(self) -> tuple[str, ...]:
         return self.lattice.names
 
-    def prod(self, x: int, y: int) -> int:
-        return self.product[x][y]
-
     @cached_property
     def _nilpotency_witness(self) -> tuple[int, int] | None:
         return _nilpotency_scan(self)

@@ -70,13 +70,6 @@ class ZdGraph:
         names = self.lattice.names
         return tuple([names[v] for v in self.vertices])
 
-    def edge_names(self) -> list[tuple[str, str]]:
-        names = self.vertex_names()
-        return [(names[i], names[j]) for i, j in self.edges()]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] >> j & 1)
-
 
 def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
     """The graph of ``table`` (n x n element indices, symmetric) around the

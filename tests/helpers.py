@@ -1,7 +1,6 @@
 """Shared test utilities: ad-hoc graphs and reference implementations."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -9,7 +8,7 @@ from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
                      attach_multiplication, build_lattice, fig3_lattice,
                      fig3_table, minimal_prime_elements,
                      mult_zero_divisor_graph)
-from multlat.search import boolean_lattice, chain_lattice
+from multlat.search import chain_lattice
 from multlat.solvers import (Coloring, _class_colors, _coloring, _Deadline,
                              _max_clique, _relabel)
 
@@ -38,26 +37,17 @@ def complete_graph(n: int) -> ZdGraph:
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def boolean_2_with_a_wrong_meet() -> Lattice:
-    """boolean_lattice(2) with the meet of {1} and {2} (both ways round)
-    rewritten to {1,2}: every law holds but the glb law."""
-    lat = boolean_lattice(2)
-    x, y = lat.index("{1}"), lat.index("{2}")
-    meet = [list(row) for row in lat.meet]
-    meet[x][y] = meet[y][x] = lat.top
-    return dataclasses.replace(lat, meet=tuple(map(tuple, meet)))
-
-
 def assert_is_n5(lat, witness: tuple[int, int, int, int, int]) -> None:
     """The witness must be a genuine pentagon sublattice."""
     b, u, v, y, t = witness
     assert len({b, u, v, y, t}) == 5
-    assert lat.leq(b, u) and lat.leq(u, v) and lat.leq(v, t)
+    up = lat.up
+    assert up[b] >> u & 1 and up[u] >> v & 1 and up[v] >> t & 1
     assert u != v
-    assert not lat.leq(y, u) and not lat.leq(u, y)
-    assert not lat.leq(y, v) and not lat.leq(v, y)
-    assert lat.meet_of(y, u) == b and lat.meet_of(y, v) == b
-    assert lat.join_of(y, u) == t and lat.join_of(y, v) == t
+    assert not up[y] >> u & 1 and not up[u] >> y & 1
+    assert not up[y] >> v & 1 and not up[v] >> y & 1
+    assert lat.meet[y][u] == b and lat.meet[y][v] == b
+    assert lat.join[y][u] == t and lat.join[y][v] == t
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +86,19 @@ def pair_is_ideal(d: ElementSubset) -> bool:
     """Whether d is a non-empty down-set closed under binary join, checked
     on every pair of members: the definition that the principal-down-set
     test ``ElementSubset.is_ideal`` is compared against."""
-    if d.is_empty or not d.is_down_set:
+    down, join, ms = d.lattice.down, d.lattice.join, d.members
+    if d.mask == 0 or any(down[x] & ~d.mask for x in ms):
         return False
-    join, ms = d.lattice.join, d.members
     return all(d.mask >> join[a][b] & 1 for a in ms for b in ms)
 
 
 def is_prime_semi_ideal(d: ElementSubset) -> bool:
     """Whether d is a non-empty proper down-set such that a ^ b inside
     forces a or b inside, checked over every pair outside."""
-    if d.is_empty or not d.is_proper or not d.is_down_set:
-        return False
     lat = d.lattice
+    if (d.mask == 0 or not d.is_proper
+            or any(lat.down[x] & ~d.mask for x in d.members)):
+        return False
     outside = [x for x in range(lat.n) if not d.mask >> x & 1]
     return not any(d.mask >> lat.meet[a][b] & 1 for a in outside for b in outside)
 
@@ -228,7 +219,7 @@ def exhaustive_axiom_violation(lat: Lattice, product) -> tuple[str, tuple[int, .
         for b in range(a, n):
             if product[a][b] != product[b][a]:
                 return "M1", (a, b)
-            if not lat.leq(product[a][b], lat.meet[a][b]):
+            if not lat.up[product[a][b]] >> lat.meet[a][b] & 1:
                 return "M4", (a, b)
     for a in range(n):
         for b in range(n):
@@ -257,7 +248,7 @@ def join_irreducible_axiom_violation(lat: Lattice, product
         for b in range(a, n):
             if pa[b] != product[b][a]:
                 return "M1", (a, b)
-            if not lat.leq(pa[b], lat.meet[a][b]):
+            if not lat.up[pa[b]] >> lat.meet[a][b] & 1:
                 return "M4", (a, b)
     irreducibles = lat.join_irreducibles
     for a in range(n):
@@ -290,7 +281,7 @@ def axiom_holds_at(lat: Lattice, product, axiom: str, witness: tuple[int, ...]) 
         return P[a][join[b][c]] == join[P[a][b]][P[a][c]]
     if axiom == "M4":
         a, b = witness
-        return lat.leq(P[a][b], lat.meet[a][b])
+        return bool(lat.up[P[a][b]] >> lat.meet[a][b] & 1)
     if axiom == "M5":
         (a,) = witness
         return P[a][lat.top] == a
@@ -437,7 +428,7 @@ def reference_order_graph(lat: Lattice, ideal_mask: int):
     outside = [x for x in range(lat.n) if not ideal_mask >> x & 1]
 
     def zero(x, y):
-        return bool(ideal_mask >> lat.meet_of(x, y) & 1)
+        return bool(ideal_mask >> lat.meet[x][y] & 1)
 
     verts = [x for x in outside if any(y != x and zero(x, y) for y in outside)]
     return verts, [(v, w) for v in verts for w in verts if v < w and zero(v, w)]
@@ -449,10 +440,11 @@ def reference_mult_graph(ml, i: int):
     included, is <= i, and the pairs of distinct vertices with product
     <= i."""
     lat = ml.lattice
-    outside = [x for x in range(lat.n) if not lat.leq(x, i)]
+    below = lat.down[i]
+    outside = [x for x in range(lat.n) if not below >> x & 1]
 
     def zero(x, y):
-        return lat.leq(ml.prod(x, y), i)
+        return bool(below >> ml.product[x][y] & 1)
 
     verts = [x for x in outside if any(zero(x, y) for y in outside)]
     return verts, [(v, w) for v in verts for w in verts if v < w and zero(v, w)]
@@ -493,7 +485,8 @@ def scan_annihilator_star(ml, a: int) -> int:
 def scan_is_semiprime(ml, i: int) -> bool:
     """Whether a.a <= i implies a <= i, checked at every element a."""
     lat = ml.lattice
-    return all(lat.leq(a, i) or not lat.leq(ml.product[a][a], i)
+    below = ml.lattice.down[i]
+    return all(below >> a & 1 or not below >> ml.product[a][a] & 1
                for a in range(ml.n))
 
 
@@ -514,7 +507,7 @@ def minimal_prime_coloring(ml) -> Coloring:
     cannot share one."""
     lat = ml.lattice
     primes = minimal_prime_elements(ml)
-    assignment = {v: next(k for k, p in enumerate(primes) if not lat.leq(v, p))
+    assignment = {v: next(k for k, p in enumerate(primes) if not lat.up[v] >> p & 1)
                   for v in mult_zero_divisor_graph(ml).vertices}
     return Coloring(assignment, len(set(assignment.values())))
 
@@ -542,11 +535,12 @@ def scan_is_prime_element(ml, p: int) -> bool:
     lat = ml.lattice
     if p == lat.top:
         return False
-    outside = [a for a in range(ml.n) if not lat.leq(a, p)]
+    below = lat.down[p]
+    outside = [a for a in range(ml.n) if not below >> a & 1]
     for a in outside:
         row = ml.product[a]
         for b in outside:
-            if lat.leq(row[b], p):
+            if below >> row[b] & 1:
                 return False
     return True
 
@@ -580,6 +574,22 @@ def chain_square_times_two_chain():
     return attach_multiplication(lat, "table", table)
 
 
+def distributive_kernel_not_a_clique():
+    """0 < w < z < x, y < s < 1 with x.y = x.s = y.s = s.s = w, every other
+    product of non-top elements 0, and 1 a unit: distributive, not reduced,
+    and at 0 the vertices x with x.y = 0 for each vertex y < x are w, z, x
+    and y, of which x and y are not adjacent.  z lies below both x and y,
+    so the join-irreducibles do not form disjoint chains."""
+    names = ["0", "w", "z", "x", "y", "s", "1"]
+    covers = [("0", "w"), ("w", "z"), ("z", "x"), ("z", "y"), ("x", "s"),
+              ("y", "s"), ("s", "1")]
+    to_w = {("x", "y"), ("y", "x"), ("x", "s"), ("s", "x"), ("y", "s"),
+            ("s", "y"), ("s", "s")}
+    table = [[b if a == "1" else a if b == "1" else "w" if (a, b) in to_w else "0"
+              for b in names] for a in names]
+    return attach_multiplication(build_lattice(names, covers, "covers"), "table", table)
+
+
 def fig3_under_a_new_bottom() -> dict:
     """The lattice file of fig3 under a new bottom "Z", with Z.x = Z and
     fig3's product elsewhere: 15 elements.  No a != Z has a.a = Z, so it is
@@ -589,7 +599,7 @@ def fig3_under_a_new_bottom() -> dict:
     names = ["Z", *lat.names]
     pairs = [["Z", x] for x in lat.names]
     pairs += [[lat.names[x], lat.names[y]] for x in range(lat.n)
-              for y in range(lat.n) if lat.leq(x, y)]
+              for y in range(lat.n) if lat.up[x] >> y & 1]
     table = [["Z"] * len(names)] + [["Z", *row] for row in fig3_table()]
     return {"elements": names, "order": {"kind": "leq", "pairs": pairs},
             "multiplication": {"kind": "table", "table": table}}

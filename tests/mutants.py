@@ -42,6 +42,37 @@ class Mutant:
 
 
 MUTANTS = (
+    # build_lattice: the closure pass, the cover walk and the composed rows.
+    Mutant("closure-pass-down-from-direct-predecessors", "lattice.py",
+           "down[j] |= down[i]", "down[j] |= 1 << i",
+           ("test_lattice.py::test_seeded_cover_relations_close_like_warshall",
+            "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles"),
+           "down[j] is the union of its predecessors' closed down-sets"),
+    Mutant("cover-walk-drops-only-the-cover", "lattice.py",
+           "rest &= ~down[x]", "rest &= ~(1 << x)",
+           ("test_lattice.py::test_join_irreducibles_have_one_lower_cover",
+            "test_primes.py::test_cover_fields_match_their_definitions"),
+           "an element below a cover is not a cover; its whole down-set goes"),
+    Mutant("composed-join-row-from-one-cover", "lattice.py",
+           "itemgetter(*join_rows[covers[1]])", "itemgetter(*join_rows[covers[0]])",
+           ("test_lattice.py::test_join_irreducibles_have_one_lower_cover",
+            "test_lattice.py::test_meet_join_bounds_law"),
+           "c is the join of two lower covers d and e, not of d alone"),
+    Mutant("composed-meet-row-from-one-cover", "lattice.py",
+           "itemgetter(*meet_rows[covers[1]])", "itemgetter(*meet_rows[covers[0]])",
+           ("test_lattice.py::test_meet_join_bounds_law",
+            "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles"),
+           "c is the meet of two upper covers d and e, not of d alone"),
+    Mutant("transpose-skips-rounds", "lattice.py",
+           "b //= 2", "b //= 4",
+           ("test_lattice.py::test_transposed_matches_the_naive_transpose",),
+           "the transpose swaps blocks at every power of two below the stride"),
+    # The Id(Z_n) product composed along the cover pairs.
+    Mutant("zn-composed-row-is-the-prime-row", "rings.py",
+           "rows[c] = itemgetter(*rows[i])(rows[position[p]])",
+           "rows[c] = rows[position[p]]",
+           ("test_rings.py::test_the_product_is_the_gcd_table",),
+           "row (d*p) is row (p) read at the entries of row (d)"),
     # The prime elements, one mask per instance.
     Mutant("primes-skip-squares", "multiplication.py",
            "for b in irreducibles[i:]:", "for b in irreducibles[i + 1:]:",

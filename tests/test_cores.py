@@ -13,7 +13,7 @@ import multlat.lattice
 import multlat.multiplication
 from multlat import (AxiomViolation, ElementSubset, Lattice, SelfCheckError,
                      analyze, build_lattice, analyze_ring, annihilator_star,
-                     check_lemma_suite, fig2_lattice, fig3_lattice,
+                     check_lemma_suite, fig2_lattice, fig3_lattice, is_reduced,
                      attach_multiplication, brute_force_chromatic,
                      brute_force_clique, fixture, is_prime_element,
                      maximal_annihilator_elements, minimal_prime_elements,
@@ -30,7 +30,8 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
 from multlat.solvers import ORACLE_CAP, _solve
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
-                     enumerate_down_sets, is_distributive, pair_is_ideal,
+                     distributive_kernel_not_a_clique, enumerate_down_sets,
+                     is_distributive, pair_is_ideal,
                      random_closure_lattice,
                      scan_annihilator_star, scan_has_nonzero_zero_divisor,
                      scan_is_prime_element, scan_is_semiprime,
@@ -216,7 +217,7 @@ def test_ideal_test_matches_the_pair_definition():
         for d in subsets:
             ideal = pair_is_ideal(d)
             assert d.is_ideal == ideal, (lat.names, d.names)
-            outcomes[ideal, d.is_down_set] += 1
+            outcomes[ideal, all(lat.down[x] & ~d.mask == 0 for x in d.members)] += 1
     assert sum(not is_distributive(lat) for lat in lattices) > 200
     # Ideals, down-sets that are not join-closed, and other subsets.
     assert outcomes[True, True] > 4000 and outcomes[False, True] > 25000
@@ -475,7 +476,7 @@ def test_the_minimal_vertices_at_a_semiprime_element_fix_chi_and_omega():
             g = mult_zero_divisor_graph(ml, i)
             kernel = lat.minimal(g.vertices)
             position = {v: k for k, v in enumerate(g.vertices)}
-            assert all(g.adjacent(position[x], position[y])
+            assert all(g.adj[position[x]] >> position[y] & 1
                        for x, y in combinations(kernel, 2)), (label, i)
             if g.n_vertices <= ORACLE_CAP:
                 values = brute_force_chromatic(g), brute_force_clique(g)
@@ -486,3 +487,22 @@ def test_the_minimal_vertices_at_a_semiprime_element_fix_chi_and_omega():
                 settled["solver"] += 1
             assert values == (len(kernel), len(kernel)), (label, lat.names[i])
     assert settled["oracle"] > 3500 and settled["solver"] > 100, settled
+
+
+def test_a_distributive_instance_whose_kernel_is_not_a_clique():
+    """The boundary of the product-of-chains argument: on this distributive
+    lattice, 0 is not semiprime, the vertices x with x.y = 0 for each vertex
+    y < x do not form a clique, and still chi = omega."""
+    ml = distributive_kernel_not_a_clique()
+    lat = ml.lattice
+    assert is_distributive(lat) and not is_reduced(ml)
+    g = mult_zero_divisor_graph(ml)
+    kernel = [x for x in g.vertices
+              if all(ml.product[x][y] == lat.bottom for y in g.vertices
+                     if y != x and lat.down[x] >> y & 1)]
+    assert [lat.names[x] for x in kernel] == ["w", "z", "x", "y"]
+    position = {v: k for k, v in enumerate(g.vertices)}
+    x, y = lat.index("x"), lat.index("y")
+    assert not g.adj[position[x]] >> position[y] & 1
+    report = analyze(ml)
+    assert (report.chi, report.omega, report.verdict) == (3, 3, "holds")

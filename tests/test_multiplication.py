@@ -44,8 +44,8 @@ def test_fig2_trivial_is_valid():
     # the top covers a single element, so it is join-irreducible
     ml = fixture("fig2")
     lat = ml.lattice
-    assert ml.prod(lat.index("a"), lat.index("b")) == lat.bottom
-    assert ml.prod(lat.index("a"), lat.top) == lat.index("a")
+    assert ml.product[lat.index("a")][lat.index("b")] == lat.bottom
+    assert ml.product[lat.index("a")][lat.top] == lat.index("a")
 
 
 def test_meet_multiplication_needs_distributivity():
@@ -88,7 +88,7 @@ def test_incomplete_tables_are_rejected():
 def test_non_commutative_table_is_rejected():
     lat = chain_lattice(2)
     ok = [["c0", "c0"], ["c0", "c1"]]
-    assert attach_multiplication(lat, "table", ok).prod(1, 1) == 1
+    assert attach_multiplication(lat, "table", ok).product[1][1] == 1
     with pytest.raises(AxiomViolation) as exc:
         attach_multiplication(lat, "table", [["c0", "c1"], ["c0", "c1"]])
     assert exc.value.axiom in ("M1", "M3", "M5")
@@ -104,17 +104,16 @@ def test_axiom_m5_violation():
 def test_exhaustive_axiom_scan_on_fig3():
     ml = fixture("fig3")
     lat = ml.lattice
-    n = lat.n
+    n, P, join = lat.n, ml.product, lat.join
     for a in range(n):
-        assert ml.prod(a, lat.top) == a
-        assert ml.prod(a, lat.bottom) == lat.bottom
+        assert P[a][lat.top] == a
+        assert P[a][lat.bottom] == lat.bottom
         for b in range(n):
-            assert ml.prod(a, b) == ml.prod(b, a)
-            assert lat.leq(ml.prod(a, b), lat.meet_of(a, b))
+            assert P[a][b] == P[b][a]
+            assert lat.up[P[a][b]] >> lat.meet[a][b] & 1
             for c in range(n):
-                assert ml.prod(a, ml.prod(b, c)) == ml.prod(ml.prod(a, b), c)
-                assert ml.prod(a, lat.join_of(b, c)) == \
-                    lat.join_of(ml.prod(a, b), ml.prod(a, c))
+                assert P[a][P[b][c]] == P[P[a][b]][c]
+                assert P[a][join[b][c]] == join[P[a][b]][P[a][c]]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def small_tables(draw):
             elif shaped and bot in (a, b):
                 table[a][b] = bot
             elif shaped:
-                below = [x for x in range(n) if lat.leq(x, lat.meet[a][b])]
+                below = [x for x in range(n) if lat.down[lat.meet[a][b]] >> x & 1]
                 table[a][b] = draw(st.sampled_from(below))
             else:
                 table[a][b] = draw(st.integers(0, n - 1))
@@ -250,7 +249,7 @@ def m3_phases(lat, product) -> tuple[bool, bool]:
     phase_two = True
     for c in range(n):
         covers = [d for d in range(n) if strict[c] >> d & 1
-                  and not any(strict[c] >> e & 1 and lat.leq(d, e) and e != d
+                  and not any(strict[c] >> e & 1 and lat.up[d] >> e & 1 and e != d
                               for e in range(n))]
         if len(covers) >= 2:
             d, e = covers[:2]
@@ -349,7 +348,7 @@ def test_meet_multiplication_is_reduced():
 def test_fig2_trivial_is_not_reduced():
     ml = fixture("fig2")
     a = ml.lattice.index("a")
-    assert ml.prod(a, a) == ml.lattice.bottom
+    assert ml.product[a][a] == ml.lattice.bottom
     assert not is_reduced(ml)
 
 
@@ -387,7 +386,7 @@ def test_reduced_annihilator_matches_single_power_form():
         lat = ml.lattice
         for a in range(ml.n):
             direct = lat.join_all(x for x in range(ml.n)
-                                  if ml.prod(x, a) == lat.bottom)
+                                  if ml.product[x][a] == lat.bottom)
             assert annihilator_star(ml, a) == direct
 
 
@@ -398,8 +397,8 @@ def test_reduced_zero_products_match_zero_meets():
         lat = ml.lattice
         for a in range(ml.n):
             for b in range(ml.n):
-                assert (ml.prod(a, b) == lat.bottom) == \
-                    (lat.meet_of(a, b) == lat.bottom)
+                assert (ml.product[a][b] == lat.bottom) == \
+                    (lat.meet[a][b] == lat.bottom)
 
 
 def test_reduced_implies_zero_distributive():
@@ -476,7 +475,7 @@ def test_fig3_table_round_trip():
     ml = attach_multiplication(lat, "table", table)
     for i in range(lat.n):
         for j in range(lat.n):
-            assert lat.names[ml.prod(i, j)] == table[i][j]
+            assert lat.names[ml.product[i][j]] == table[i][j]
 
 
 def test_unknown_mult_kind():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import pytest
@@ -73,7 +74,7 @@ def test_z4_is_not_reduced():
     zn = ideal_lattice_zn(4)
     ml = zn.embedded
     two = zn.lattice.index("(2)")
-    assert ml.prod(two, two) == zn.lattice.bottom
+    assert ml.product[two][two] == zn.lattice.bottom
     assert not is_reduced(ml)
 
 
@@ -89,10 +90,10 @@ def test_order_is_reverse_divisibility():
     lat = zn.lattice
     for i, d1 in enumerate(zn.divisors):
         for j, d2 in enumerate(zn.divisors):
-            assert lat.leq(i, j) == (d1 % d2 == 0)
+            assert bool(lat.up[i] >> j & 1) == (d1 % d2 == 0)
             assert zn.divisors[lat.meet[i][j]] == math.lcm(d1, d2)
             assert zn.divisors[lat.join[i][j]] == math.gcd(d1, d2)
-            assert zn.divisors[zn.embedded.prod(i, j)] == math.gcd(d1 * d2, 60)
+            assert zn.divisors[zn.embedded.product[i][j]] == math.gcd(d1 * d2, 60)
 
 
 def test_the_product_is_the_gcd_table():
@@ -126,12 +127,56 @@ def test_the_cross_check_catches_every_wrong_entry(monkeypatch, name, arithmetic
                     ideal_lattice_zn(n)
 
 
+#: The sha256 of what ``multlat ring --sweep 2..1000`` prints.
+RING_SWEEP_SHA256 = "2ca21e8cd0e505fe52756bd7925fb36b8c20a62b84dd5418a468803821a31c8c"
+
+
 def test_the_ring_sweep_bytes_are_pinned():
     """The sha256 of what ``multlat ring --sweep 2..1000`` prints."""
     lines = "".join([analyze_ring(n).to_json(indent=None) + "\n"
                      for n in range(2, 1001)])
-    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == (
-        "2ca21e8cd0e505fe52756bd7925fb36b8c20a62b84dd5418a468803821a31c8c")
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == RING_SWEEP_SHA256
+
+
+def _renamed(value, names: dict[str, str]):
+    """``value`` (decoded JSON) with every string in ``names`` replaced,
+    dict keys included."""
+    if isinstance(value, dict):
+        return {names.get(k, k): _renamed(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, names) for v in value]
+    return names.get(value, value) if isinstance(value, str) else value
+
+
+def _exponent(d: int, p: int) -> int:
+    """The exponent of the prime p in d."""
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+def test_the_ring_sweep_is_its_order_types_renamed():
+    """Id(Z_n) depends only on the sequence of exponent vectors of n's
+    divisors, ascending: the first n of each sequence is analysed, and its
+    report, with (d) renamed by divisor position, is every other such n's
+    line of the pinned sweep.  So no divisor value enters the analysis."""
+    first: dict[tuple, tuple[list[int], dict]] = {}
+    lines = []
+    for n in range(2, 1001):
+        divs, primes = divisors_of(n), prime_factors(n)
+        key = tuple(tuple(_exponent(d, p) for p in primes) for d in divs)
+        if key not in first:
+            first[key] = divs, json.loads(analyze_ring(n).to_json(indent=None))
+        seen, report = first[key]
+        names = {f"({a})": f"({b})" for a, b in zip(seen, divs)}
+        report = {**_renamed(report, names), "instance": f"ring:{n}"}
+        lines.append(json.dumps(report, sort_keys=True, indent=None,
+                                ensure_ascii=False) + "\n")
+    assert len(first) == 131
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    assert digest == RING_SWEEP_SHA256
 
 
 @given(st.integers(2, 250))

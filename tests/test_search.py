@@ -325,11 +325,11 @@ def test_semiprime_elements_by_definition():
     """is_semiprime against a.a <= i implies a <= i over every a."""
     for ml in [ideal_lattice_zn(n).embedded for n in (12, 36, 60, 72)] + [
             parse_lattice_data(fig3_under_a_new_bottom())[1]]:
-        lat = ml.lattice
+        down = ml.lattice.down
         for i in range(ml.n):
             assert is_semiprime(ml, i) == all(
-                lat.leq(a, i) for a in range(ml.n)
-                if lat.leq(ml.prod(a, a), i))
+                down[i] >> a & 1 for a in range(ml.n)
+                if down[i] >> ml.product[a][a] & 1)
 
 
 def test_analyze_assigns_instance_ids():

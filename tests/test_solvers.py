@@ -98,7 +98,7 @@ def test_clique_witness_is_a_clique_of_reported_size():
     for a in witness.vertices:
         for b in witness.vertices:
             if a != b:
-                assert g.adjacent(pos[a], pos[b])
+                assert g.adj[pos[a]] >> pos[b] & 1
 
 
 def test_coloring_witness_is_proper_and_tight():

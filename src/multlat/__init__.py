@@ -17,15 +17,15 @@ from .lattice import (ElementSubset, Lattice, build_lattice, is_modular,
                       is_zero_distributive, modularity_witness,
                       zero_distributivity_witness)
 from .multiplication import (MultLattice, annihilator_star,
-                             attach_multiplication, is_prime_element,
-                             is_reduced, maximal_annihilator_elements,
+                             attach_multiplication, is_reduced,
+                             maximal_annihilator_elements,
                              minimal_prime_elements, nilpotency_witness,
                              prime_elements)
 from .primes import (LemmaCheck, LemmaReport, PrimeStructure,
                      check_lemma_suite, minimal_prime_ideals,
                      minimal_prime_semi_ideals, prime_structure)
 from .report import BeckReport, analyze
-from .rings import ZnIdealLattice, analyze_ring, ideal_lattice_zn
+from .rings import analyze_ring, ideal_lattice_zn
 from .search import (SearchResult, boolean_lattice, chain_lattice, generate,
                      random_poset_down_set_lattice, search_counterexamples)
 from .solvers import (Coloring, CliqueWitness, brute_force_chromatic,
@@ -42,15 +42,15 @@ __all__ = [
     "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
     "NoBoundedStructure", "NotALattice", "NotAPartialOrder", "NotAnIdeal",
     "PrimeStructure", "SearchResult", "SelfCheckError", "SolverTimeout",
-    "TooLarge", "ZdGraph", "ZnIdealLattice", "analyze", "analyze_ring",
-    "annihilator_star", "attach_multiplication", "boolean_lattice",
-    "brute_force_chromatic", "brute_force_clique", "build_lattice",
-    "chain_lattice", "check_lemma_suite", "chromatic_number", "clique_number",
-    "export_dot", "fig2_lattice", "fig3_lattice", "fig3_table", "fixture",
-    "generate", "ideal_lattice_zn", "is_modular", "is_prime_element",
-    "is_reduced", "is_zero_distributive", "load_lattice_file",
-    "maximal_annihilator_elements", "minimal_prime_elements",
-    "minimal_prime_ideals", "minimal_prime_semi_ideals", "modularity_witness",
+    "TooLarge", "ZdGraph", "analyze", "analyze_ring", "annihilator_star",
+    "attach_multiplication", "boolean_lattice", "brute_force_chromatic",
+    "brute_force_clique", "build_lattice", "chain_lattice",
+    "check_lemma_suite", "chromatic_number", "clique_number", "export_dot",
+    "fig2_lattice", "fig3_lattice", "fig3_table", "fixture", "generate",
+    "ideal_lattice_zn", "is_modular", "is_reduced", "is_zero_distributive",
+    "load_lattice_file", "maximal_annihilator_elements",
+    "minimal_prime_elements", "minimal_prime_ideals",
+    "minimal_prime_semi_ideals", "modularity_witness",
     "mult_zero_divisor_graph", "nilpotency_witness",
     "order_zero_divisor_graph", "parse_lattice_data", "prime_elements",
     "prime_structure", "random_poset_down_set_lattice",

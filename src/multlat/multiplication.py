@@ -86,10 +86,6 @@ class MultLattice:
     def n(self) -> int:
         return self.lattice.n
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.lattice.names
-
     @cached_property
     def _nilpotency_witness(self) -> tuple[int, int] | None:
         return _nilpotency_scan(self)
@@ -429,14 +425,6 @@ def _decide_primes(ml: MultLattice) -> int:
         for b in irreducibles[i:]:
             ruled_out |= up[row[b]] & ~(ua | up[b])
     return ((1 << lat.n) - 1) & ~ruled_out
-
-
-def is_prime_element(ml: MultLattice, p: int) -> bool:
-    """p != 1 and a.b <= p always forces a <= p or b <= p.  Read off the
-    mask of prime elements, which is cached on ``ml``; IndexError for a p
-    outside 0..n-1."""
-    _check_index(ml, p)
-    return bool(ml._prime_mask >> p & 1)
 
 
 def prime_elements(ml: MultLattice) -> list[int]:

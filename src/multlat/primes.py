@@ -118,14 +118,6 @@ class LemmaReport:
             witness: tuple[str, ...] | None = None) -> None:
         self.checks.append(LemmaCheck(check_id, status, detail, witness))
 
-    @property
-    def failed(self) -> list[LemmaCheck]:
-        return [c for c in self.checks if c.status == "fail"]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failed
-
     def summary(self) -> dict[str, str]:
         return {c.check_id: c.status for c in self.checks}
 

@@ -25,11 +25,10 @@ Two identities keep the arithmetic cheap without dropping an entry from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidModulus, SelfCheckError
-from .lattice import MAX_INPUT_ELEMENTS, Lattice, build_lattice, is_modular
+from .lattice import MAX_INPUT_ELEMENTS, build_lattice, is_modular
 from .multiplication import MultLattice, _checked
 from .report import BeckReport, analyze
 from .solvers import DEFAULT_SOLVER_BUDGET
@@ -62,31 +61,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ZnIdealLattice:
-    """The multiplicative lattice of ideals of Z_n."""
-
-    n: int
-    divisors: tuple[int, ...]
-    embedded: MultLattice
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.embedded.lattice
-
-
 #: The largest modulus ``ideal_lattice_zn`` accepts.  Its divisors are found
 #: by trial division up to sqrt(n): at the cap 10**6 steps, about 0.15 s on
 #: a shared 2-core Xeon.
 MAX_MODULUS = 10**12
 
 
-def ideal_lattice_zn(n: int) -> ZnIdealLattice:
-    """Build Id(Z_n) with full axiom validation.
+def ideal_lattice_zn(n: int) -> MultLattice:
+    """Build Id(Z_n) as a ``MultLattice``, with full axiom validation.
 
-    Elements are named "(d)" for each divisor d of n, in ascending divisor
-    order, so the whole ring (1) is the top and the zero ideal (n) is the
-    bottom.  The order is built from its cover pairs, (d*p) below (d) for
+    Element i is named "(d)" for d = ``divisors_of(n)[i]``, the divisors in
+    ascending order, so the whole ring (1) is the top and the zero ideal (n)
+    is the bottom.  The order is built from its cover pairs, (d*p) below (d) for
     each prime p dividing n/d.  Its join is checked against gcd entry by
     entry and its meet against the join through d -> n/d.  The product
     table is composed from the prime rows along the cover pairs, row (d*p)
@@ -141,7 +127,7 @@ def ideal_lattice_zn(n: int) -> ZnIdealLattice:
     if not is_modular(lat):
         raise SelfCheckError(f"Id(Z_{n}) reports non-modular; divisor lattices "
                              "are distributive")
-    return ZnIdealLattice(n, tuple(divs), ml)
+    return ml
 
 
 def analyze_ring(n: int, solver_budget: float | None = DEFAULT_SOLVER_BUDGET
@@ -153,5 +139,5 @@ def analyze_ring(n: int, solver_budget: float | None = DEFAULT_SOLVER_BUDGET
     guaranteed; for other n the values are reported without any claim.
     ``solver_budget`` is passed to ``analyze`` as it is: None means no limit.
     """
-    return analyze(ideal_lattice_zn(n).embedded, instance_id=f"ring:{n}",
+    return analyze(ideal_lattice_zn(n), instance_id=f"ring:{n}",
                    solver_budget=solver_budget)

@@ -166,7 +166,7 @@ def _instances(spec: str, seed: int = 0) -> Iterator[tuple[str, MultLattice]]:
             raise InvalidSpec(f"{family} spec needs one {what} argument: {spec!r}")
         k = _int_arg(args[0], spec, f"{family} {what}", low, high)
         if kind == "ring":
-            return ((f"divisor:{k}+ring", ideal_lattice_zn(k).embedded)
+            return ((f"divisor:{k}+ring", ideal_lattice_zn(k))
                     for _ in range(1))
         return ((f"{family}:{k}+{kind}", attach_multiplication(make(k), kind))
                 for _ in range(1))

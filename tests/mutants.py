@@ -46,7 +46,8 @@ MUTANTS = (
     Mutant("closure-pass-down-from-direct-predecessors", "lattice.py",
            "down[j] |= down[i]", "down[j] |= 1 << i",
            ("test_lattice.py::test_seeded_cover_relations_close_like_warshall",
-            "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles"),
+            "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles",
+            "test_lattice.py::test_random_cover_relations"),
            "down[j] is the union of its predecessors' closed down-sets"),
     Mutant("cover-walk-drops-only-the-cover", "lattice.py",
            "rest &= ~down[x]", "rest &= ~(1 << x)",
@@ -147,6 +148,11 @@ MUTANTS = (
             "irreducible_columns_do",
             "test_zdgraph.py::test_both_senses_match_the_pairwise_definitions"),
            "a row leaves the ideal at every y above such a j, not at j alone"),
+    Mutant("leaves-ideal-skips-the-last-join-irreducible", "lattice.py",
+           "for j in lat.join_irreducibles:", "for j in lat.join_irreducibles[:-1]:",
+           ("test_cores.py::test_multiplicative_graphs_are_connected_with_"
+            "diameter_at_most_3",),
+           "every join-irreducible column can take a row out of the ideal"),
     Mutant("prime-annihilator-pairs-without-the-same-term", "primes.py",
            "ys = prime_stars & ~same[stars[x]] & _leaves_ideal(",
            "ys = prime_stars & _leaves_ideal(",

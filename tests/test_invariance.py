@@ -37,7 +37,7 @@ INSTANCES = {
     "fig3": lambda: fixture("fig3"),
     "chain_square": chain_square_mult,
     "chain_square_x_2": chain_square_times_two_chain,
-    **{f"ring:{n}": (lambda n=n: ideal_lattice_zn(n).embedded) for n in ZN_SAMPLE},
+    **{f"ring:{n}": lambda n=n: ideal_lattice_zn(n) for n in ZN_SAMPLE},
 }
 
 

@@ -372,24 +372,34 @@ def test_random_distributive_lattice_invariants(seed):
 
 
 @given(st.integers(2, 7), st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                                  max_size=12))
-def test_random_cover_relations(n, raw_pairs):
+                                  max_size=12), st.booleans())
+def test_random_cover_relations(n, raw_pairs, bounded):
     """Random DAG covers either build a valid lattice or raise a typed error;
     the meet and join tables, or the pair named by NotALattice, match the
-    bit-scan oracle on the closed order."""
+    bit-scan oracle on the closed order, and NoBoundedStructure comes only
+    for an order with no bottom or no top.  With ``bounded`` set, v0 goes
+    under each element with nothing below it and v(n-1) over each element
+    with nothing above it, so the order is bounded."""
     names = [f"v{i}" for i in range(n)]
     index_pairs = [(a, b) for a, b in raw_pairs if a < b < n]
+    if bounded:
+        has_lower = {b for _, b in index_pairs}
+        has_upper = {a for a, _ in index_pairs}
+        index_pairs += [(0, k) for k in range(1, n) if k not in has_lower]
+        index_pairs += [(k, n - 1) for k in range(1, n - 1) if k not in has_upper]
     pairs = [(f"v{a}", f"v{b}") for a, b in index_pairs]
+    up, down = cover_closure(n, index_pairs)
     try:
         lat = build_lattice(names, pairs, "covers")
     except NotALattice as exc:
-        up, down = cover_closure(n, index_pairs)
         with pytest.raises(NotALattice) as ref:
             bit_scan_meet_join(names, up, down)
         assert exc.pair == ref.value.pair
         assert str(exc) == str(ref.value)
         return
-    except (NotAPartialOrder, NoBoundedStructure):
+    except NoBoundedStructure:
+        full = (1 << n) - 1
+        assert full not in up or full not in down
         return
     assert_tables_match_the_oracles(lat, index_pairs)
     if is_distributive(lat):

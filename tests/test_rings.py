@@ -65,41 +65,40 @@ def test_z6_structure():
     assert set(lat.names) == {"(1)", "(2)", "(3)", "(6)"}
     assert lat.names[lat.bottom] == "(6)"
     assert lat.names[lat.top] == "(1)"
-    g = mult_zero_divisor_graph(zn.embedded)
+    g = mult_zero_divisor_graph(zn)
     assert g.vertex_names() == ("(2)", "(3)")
     assert g.n_edges == 1
 
 
 def test_z4_is_not_reduced():
-    zn = ideal_lattice_zn(4)
-    ml = zn.embedded
-    two = zn.lattice.index("(2)")
-    assert ml.product[two][two] == zn.lattice.bottom
+    ml = ideal_lattice_zn(4)
+    two = ml.lattice.index("(2)")
+    assert ml.product[two][two] == ml.lattice.bottom
     assert not is_reduced(ml)
 
 
 def test_z30_minimal_primes():
     zn = ideal_lattice_zn(30)
-    assert len(zn.divisors) == 8
-    names = [zn.lattice.names[p] for p in minimal_prime_elements(zn.embedded)]
+    assert zn.n == len(divisors_of(30)) == 8
+    names = [zn.lattice.names[p] for p in minimal_prime_elements(zn)]
     assert names == ["(2)", "(3)", "(5)"]
 
 
 def test_order_is_reverse_divisibility():
     zn = ideal_lattice_zn(60)
-    lat = zn.lattice
-    for i, d1 in enumerate(zn.divisors):
-        for j, d2 in enumerate(zn.divisors):
+    lat, divs = zn.lattice, divisors_of(60)
+    for i, d1 in enumerate(divs):
+        for j, d2 in enumerate(divs):
             assert bool(lat.up[i] >> j & 1) == (d1 % d2 == 0)
-            assert zn.divisors[lat.meet[i][j]] == math.lcm(d1, d2)
-            assert zn.divisors[lat.join[i][j]] == math.gcd(d1, d2)
-            assert zn.divisors[zn.embedded.product[i][j]] == math.gcd(d1 * d2, 60)
+            assert divs[lat.meet[i][j]] == math.lcm(d1, d2)
+            assert divs[lat.join[i][j]] == math.gcd(d1, d2)
+            assert divs[zn.product[i][j]] == math.gcd(d1 * d2, 60)
 
 
 def test_the_product_is_the_gcd_table():
     """The product table equals (d1)(d2) = (gcd(d1 d2, n)) entry by entry."""
     for n in (*range(2, 3001), 720720):
-        assert ideal_lattice_zn(n).embedded.product == gcd_product_table(n), n
+        assert ideal_lattice_zn(n).product == gcd_product_table(n), n
 
 
 def _one_entry_changed(table, i, j):
@@ -181,14 +180,13 @@ def test_the_ring_sweep_is_its_order_types_renamed():
 
 @given(st.integers(2, 250))
 def test_reduced_iff_squarefree(n):
-    zn = ideal_lattice_zn(n)
-    assert is_reduced(zn.embedded) == is_squarefree(n)
+    assert is_reduced(ideal_lattice_zn(n)) == is_squarefree(n)
 
 
 @given(st.integers(2, 250))
 def test_minimal_primes_are_prime_divisor_ideals(n):
-    zn = ideal_lattice_zn(n)
-    mpe = [zn.divisors[p] for p in minimal_prime_elements(zn.embedded)]
+    divs = divisors_of(n)
+    mpe = [divs[p] for p in minimal_prime_elements(ideal_lattice_zn(n))]
     assert mpe == prime_factors(n)
 
 

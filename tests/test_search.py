@@ -287,7 +287,7 @@ def test_chi_above_omega_at_a_semiprime_element_is_fatal(monkeypatch):
     """The same misreport at a semiprime element of a non-reduced lattice:
     (6) in Id(Z_12), where (6).(6) = 0.  The quotient above (6) is reduced,
     so the theory still forbids chi != omega there."""
-    ml = ideal_lattice_zn(12).embedded
+    ml = ideal_lattice_zn(12)
     six = ml.lattice.index("(6)")
     assert not is_reduced(ml) and is_semiprime(ml, six)
     assert analyze(ml, element=six).verdict == "holds"
@@ -323,7 +323,7 @@ def test_a_reduced_lattice_fails_at_an_element_that_is_not_semiprime():
 
 def test_semiprime_elements_by_definition():
     """is_semiprime against a.a <= i implies a <= i over every a."""
-    for ml in [ideal_lattice_zn(n).embedded for n in (12, 36, 60, 72)] + [
+    for ml in [ideal_lattice_zn(n) for n in (12, 36, 60, 72)] + [
             parse_lattice_data(fig3_under_a_new_bottom())[1]]:
         down = ml.lattice.down
         for i in range(ml.n):

@@ -292,6 +292,29 @@ def test_a_false_clique_is_caught_when_used_as_a_bound(monkeypatch):
         clique_number(g)
 
 
+def test_a_clique_larger_than_the_colouring_fails_analyze(monkeypatch):
+    """A solve that reports omega = 3 and then chi = 2 is caught by
+    ``analyze``'s omega <= chi check, not reported."""
+    def lying(graph, budget):
+        real = _solve(graph, budget)
+        (_, clique), (_, coloring) = next(real), next(real)
+        yield 3, clique
+        yield 2, coloring
+
+    monkeypatch.setattr(multlat.report, "_solve", lying)
+    with pytest.raises(SelfCheckError, match="clique number 3 exceeds chromatic 2"):
+        analyze(fixture("fig3"))
+
+
+def test_an_improper_k_colouring_is_caught(monkeypatch):
+    """On C5 omega = 2 and the root classes use 3 colours, so k = 2 is
+    searched; a k-search that colours every vertex 0 is rejected."""
+    monkeypatch.setattr(multlat.solvers, "_k_colorable",
+                        lambda adj, k, deadline: [0] * len(adj))
+    with pytest.raises(SelfCheckError, match="not proper"):
+        chromatic_number(cycle_graph(5))
+
+
 def test_chi_search_starts_at_omega(monkeypatch):
     """K_{30,30} plus a disjoint K5: omega and the greedy bound are both 5,
     so chromatic_number runs no k-colouring search.  A lower bound below
@@ -367,7 +390,7 @@ def test_beck_coloring_empty_graph():
 
 
 def test_beck_coloring_z30():
-    ml = ideal_lattice_zn(30).embedded
+    ml = ideal_lattice_zn(30)
     coloring = minimal_prime_coloring(ml)
     g = mult_zero_divisor_graph(ml)
     assert is_proper(g, coloring)
@@ -471,7 +494,7 @@ def test_mycielski_and_kneser_values():
 def test_ring_graphs_match_the_reference_solvers():
     checked = 0
     for n in range(2, 1001):
-        g = mult_zero_divisor_graph(ideal_lattice_zn(n).embedded)
+        g = mult_zero_divisor_graph(ideal_lattice_zn(n))
         if g.n_vertices:
             assert_same_as_reference(g)
             checked += 1
@@ -632,6 +655,8 @@ def test_a_deadline_expiring_mid_search_is_noticed_within_64_nodes(monkeypatch):
 
 
 def test_coloring_count_is_checked_under_python_O():
+    with pytest.raises(SelfCheckError, match="claims 2 colors but uses 1"):
+        Coloring({0: 0}, 2)
     src = os.path.dirname(os.path.dirname(multlat.solvers.__file__))
     code = ("from multlat import SelfCheckError\n"
             "from multlat.solvers import Coloring\n"

@@ -132,8 +132,7 @@ def test_rebuild_is_idempotent():
 @given(st.integers(2, 80))
 def test_edge_monotonicity(n):
     """Order-sense graph w.r.t. (i] embeds into the mult-sense graph w.r.t. i."""
-    zn = ideal_lattice_zn(n)
-    ml = zn.embedded
+    ml = ideal_lattice_zn(n)
     lat = ml.lattice
     for i in range(lat.n):
         ideal = ElementSubset(lat, lat.down[i])
@@ -149,8 +148,8 @@ def test_edge_monotonicity(n):
 
 def test_reduced_order_and_mult_graphs_coincide():
     for ml in (attach_multiplication(boolean_lattice(3), "meet"),
-               ideal_lattice_zn(30).embedded,
-               ideal_lattice_zn(105).embedded):
+               ideal_lattice_zn(30),
+               ideal_lattice_zn(105)):
         assert is_reduced(ml)
         lat = ml.lattice
         go = order_zero_divisor_graph(lat, zero_ideal(lat))
@@ -171,7 +170,7 @@ def _kernel_instances():
     under the trivial product where that is admissible."""
     instances = [(fig2_lattice(), fixture("fig2")), (fig3_lattice(), fixture("fig3"))]
     for n in range(2, 200):
-        ml = ideal_lattice_zn(n).embedded
+        ml = ideal_lattice_zn(n)
         instances.append((ml.lattice, ml))
     for k in range(6):
         lat = boolean_lattice(k)
@@ -235,7 +234,7 @@ def test_dot_empty_graph():
 
 
 def test_dot_k2():
-    g = mult_zero_divisor_graph(ideal_lattice_zn(6).embedded)
+    g = mult_zero_divisor_graph(ideal_lattice_zn(6))
     assert export_dot(g) == (
         'graph G {\n'
         '  "(2)";\n'
@@ -277,7 +276,7 @@ def test_dot_deterministic():
 
 
 def test_dot_palette_limit():
-    g = mult_zero_divisor_graph(ideal_lattice_zn(6).embedded)
+    g = mult_zero_divisor_graph(ideal_lattice_zn(6))
     big = Coloring({g.vertices[0]: 0, g.vertices[1]: 13}, 2)
     big.color_count = 13  # simulate an over-wide coloring
     with pytest.raises(ValueError):
@@ -288,7 +287,7 @@ def test_dot_rejects_labels_outside_the_palette():
     """A label past 11 or below 0 raises TooLarge with a one-line message,
     however few classes the coloring has; the edge labels 0 and 11 fill
     red and gray."""
-    g = mult_zero_divisor_graph(ideal_lattice_zn(6).embedded)
+    g = mult_zero_divisor_graph(ideal_lattice_zn(6))
     a, b = g.vertices
     for labels in ((0, 15), (-1, 0), (-1, 12)):
         coloring = Coloring(dict(zip((a, b), labels)), 2)

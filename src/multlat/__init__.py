@@ -21,9 +21,9 @@ from .multiplication import (MultLattice, annihilator_star,
                              maximal_annihilator_elements,
                              minimal_prime_elements, nilpotency_witness,
                              prime_elements)
-from .primes import (LemmaCheck, LemmaReport, PrimeStructure,
-                     check_lemma_suite, minimal_prime_ideals,
-                     minimal_prime_semi_ideals, prime_structure)
+from .primes import (LemmaCheck, PrimeStructure, check_lemma_suite,
+                     minimal_prime_ideals, minimal_prime_semi_ideals,
+                     prime_structure)
 from .report import BeckReport, analyze
 from .rings import analyze_ring, ideal_lattice_zn
 from .search import (SearchResult, boolean_lattice, chain_lattice, generate,
@@ -39,7 +39,7 @@ __all__ = [
     "AxiomViolation", "BeckReport", "CliqueWitness", "Coloring",
     "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
     "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
-    "LatticeFileError", "LemmaCheck", "LemmaReport", "MultLattice",
+    "LatticeFileError", "LemmaCheck", "MultLattice",
     "NoBoundedStructure", "NotALattice", "NotAPartialOrder", "NotAnIdeal",
     "PrimeStructure", "SearchResult", "SelfCheckError", "SolverTimeout",
     "TooLarge", "ZdGraph", "analyze", "analyze_ring", "annihilator_star",

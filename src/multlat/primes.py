@@ -12,19 +12,21 @@ m (``Lattice.minimal``).  Everything here is read off the ``up``/``down``
 bitmasks, with no enumeration of down-sets.
 
 The lemma suite re-checks, instance by instance, the statements that the
-reduced theory guarantees, declared once in ``LEMMA_IDS``.  A failing check
-on a reduced lattice is an implementation bug, never an acceptable outcome;
-the suite reports it with a concrete witness instead of raising.  A lattice
-that is not reduced gets its skip lines and nothing more is computed.
-Otherwise the suite reads 0-distributivity, the annihilators and the prime
-elements from the caches on the ``Lattice`` and ``MultLattice``, which
-``analyze`` shares.  No check scans the n^2 products: the annihilators are
-grouped by value in one pass, and the elements that an element does not
-multiply to 0 are read off its join-irreducible columns.
+reduced theory guarantees, declared once in ``LEMMA_IDS``, and returns a
+tuple of one ``LemmaCheck`` per id in that order; ``analyze`` keeps only
+each status.  A failing check on a reduced lattice is an implementation bug,
+never an acceptable outcome; the suite reports it with a concrete witness
+instead of raising.  A lattice that is not reduced gets its skip lines and
+nothing more is computed.  Otherwise the suite reads 0-distributivity, the
+annihilators and the prime elements from the caches on the ``Lattice`` and
+``MultLattice``, which ``analyze`` shares.  No check scans the n^2
+products: the annihilators are grouped by value in one pass, and the
+elements that an element does not multiply to 0 are read off its
+join-irreducible columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import (ElementSubset, Lattice, _bits, _leaves_ideal,
                       zero_distributivity_witness)
@@ -99,31 +101,6 @@ class LemmaCheck:
     detail: str = ""
     witness: tuple[str, ...] | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"id": self.check_id, "status": self.status}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        return out
-
-
-@dataclass
-class LemmaReport:
-    """Ordered collection of lemma checks for one instance."""
-
-    checks: list[LemmaCheck] = field(default_factory=list)
-
-    def add(self, check_id: str, status: str, detail: str = "",
-            witness: tuple[str, ...] | None = None) -> None:
-        self.checks.append(LemmaCheck(check_id, status, detail, witness))
-
-    def summary(self) -> dict[str, str]:
-        return {c.check_id: c.status for c in self.checks}
-
-    def to_dict(self) -> dict:
-        return {"checks": [c.to_dict() for c in self.checks]}
-
 
 #: The checks of the lemma suite, in report order.  The fifth holds in
 #: every finite lattice; the others assume the lattice reduced.
@@ -140,17 +117,18 @@ LEMMA_IDS = ("reduced_implies_zero_distributive",
 _FINITE = ("pass", "trivial (finite)", None)
 
 
-def _report(lines: list[tuple]) -> LemmaReport:
-    """One (status, detail, witness) line per id of ``LEMMA_IDS``, in order."""
-    report = LemmaReport()
-    for check_id, (status, detail, witness) in zip(LEMMA_IDS, lines, strict=True):
-        report.add(check_id, status, detail, witness)
-    return report
+def _report(lines: list[tuple]) -> tuple[LemmaCheck, ...]:
+    """One check per id of ``LEMMA_IDS``, in order, from its (status,
+    detail, witness) line."""
+    return tuple([LemmaCheck(check_id, *line)
+                  for check_id, line in zip(LEMMA_IDS, lines, strict=True)])
 
 
 def check_lemma_suite(ml: MultLattice,
-                      structure: PrimeStructure | None = None) -> LemmaReport:
-    """Run every instance-checkable statement of the reduced theory.
+                      structure: PrimeStructure | None = None
+                      ) -> tuple[LemmaCheck, ...]:
+    """Run every instance-checkable statement of the reduced theory: one
+    ``LemmaCheck`` per id of ``LEMMA_IDS``, in that order.
 
     Reducedness is tested once.  On a lattice that is not reduced every
     statement that assumes it is reported as skipped, and nothing else is

@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import SelfCheckError, SolverTimeout
 from .lattice import is_zero_distributive, modularity_witness
 from .multiplication import MultLattice, is_semiprime, nilpotency_witness
-from .primes import LemmaReport, check_lemma_suite, prime_structure
+from .primes import check_lemma_suite, prime_structure
 from .solvers import DEFAULT_SOLVER_BUDGET, _solve
 from .zdgraph import mult_zero_divisor_graph
 
@@ -47,7 +47,6 @@ class BeckReport:
     verdict: str | None
     timed_out: bool
     lemmas: dict[str, str]
-    lemma_report: LemmaReport = field(repr=False, compare=False, default=None)
     wall_time: float = field(repr=False, compare=False, default=0.0)
 
     def to_dict(self) -> dict:
@@ -88,7 +87,9 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
 
     Together |K| <= omega <= chi <= |K|; at the bottom of a reduced
     lattice this is the paper's theorem.  The report's ``reduced`` field
-    and its lemma lines are about the bottom whatever the element.
+    and its lemma lines are about the bottom whatever the element;
+    ``lemmas`` keeps each check's status, and ``check_lemma_suite(ml)``
+    gives the checks with their details and witnesses.
     """
     start = time.monotonic()
     lat = ml.lattice
@@ -122,7 +123,7 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
         n5_dict = {k: lat.names[v] for k, v in zip(keys, n5)}
 
     structure = prime_structure(ml)
-    lemma_report = check_lemma_suite(ml, structure)
+    checks = check_lemma_suite(ml, structure)
 
     counts = {
         "minimal_prime_elements": len(structure.minimal_prime_elements),
@@ -172,8 +173,7 @@ def analyze(ml: MultLattice, element: int | None = None, instance_id: str = "",
         counts=counts,
         verdict=verdict,
         timed_out=timed_out,
-        lemmas=lemma_report.summary(),
-        lemma_report=lemma_report,
+        lemmas={c.check_id: c.status for c in checks},
         wall_time=time.monotonic() - start,
     )
     return report

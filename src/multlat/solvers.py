@@ -27,12 +27,13 @@ search nor the size of a clique is bounded by Python's recursion limit:
 with its checked clique first, then chi with its checked colouring, so a
 timeout in the colouring search still leaves omega.  The clique search's
 root classes and the k-search give colour lists in the new numbering; only
-the one that wins is mapped back, by ``_coloring``.  ``clique_number`` and
-``chromatic_number`` are thin wrappers over it, and the pair shares one
-relabelling and one clique search: ``_solve`` keeps the last graph's in a
-one-graph slot, keyed on the identity of ``g.adj`` and held until another
-graph is solved, so the second call of the pair skips both and gives its
-whole budget to the k-search.
+the one that wins is mapped back, by ``_coloring``, into a ``Coloring``
+that holds the assignment alone and reads its colour count off it.
+``clique_number`` and ``chromatic_number`` are thin wrappers over
+``_solve``, and the pair shares one relabelling and one clique search:
+``_solve`` keeps the last graph's in a one-graph slot, keyed on the
+identity of ``g.adj`` and held until another graph is solved, so the second
+call of the pair skips both and gives its whole budget to the k-search.
 
 The brute-force oracles are intentionally naive (static vertex order,
 exhaustive search with only conflict pruning) so they stay independent of the
@@ -80,13 +81,11 @@ class Coloring:
     """A proper vertex coloring; keys are lattice element indices."""
 
     assignment: dict[int, int]
-    color_count: int
 
-    def __post_init__(self):
-        used = len(set(self.assignment.values()))
-        if self.color_count != used:
-            raise SelfCheckError(
-                f"coloring claims {self.color_count} colors but uses {used}")
+    @property
+    def color_count(self) -> int:
+        """The number of distinct colours the assignment uses."""
+        return len(set(self.assignment.values()))
 
 
 @dataclass
@@ -139,8 +138,7 @@ def _class_colors(classes: list[int], nv: int) -> list[int]:
 
 def _coloring(g: ZdGraph, order: list[int], colors: list[int]) -> Coloring:
     """Map colours of the relabelled numbering back to a Coloring of ``g``."""
-    return Coloring({g.vertices[old]: c for old, c in zip(order, colors)},
-                    len(set(colors)))
+    return Coloring({g.vertices[old]: c for old, c in zip(order, colors)})
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +347,7 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
     global _last
     if g.n_vertices == 0:
         yield 0, CliqueWitness(())
-        yield 0, Coloring({}, 0)
+        yield 0, Coloring({})
         return
     deadline = _Deadline(budget)
     last = _last

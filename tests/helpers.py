@@ -509,7 +509,7 @@ def minimal_prime_coloring(ml) -> Coloring:
     primes = minimal_prime_elements(ml)
     assignment = {v: next(k for k, p in enumerate(primes) if not lat.up[v] >> p & 1)
                   for v in mult_zero_divisor_graph(ml).vertices}
-    return Coloring(assignment, len(set(assignment.values())))
+    return Coloring(assignment)
 
 
 def principal_join_irreducibles(lat: Lattice) -> tuple[int, ...]:

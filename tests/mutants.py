@@ -74,6 +74,11 @@ MUTANTS = (
            "rows[c] = rows[position[p]]",
            ("test_rings.py::test_the_product_is_the_gcd_table",),
            "row (d*p) is row (p) read at the entries of row (d)"),
+    Mutant("zn-prime-row-squares-its-prime", "rings.py",
+           "position[math.gcd(p * d, n)]", "position[math.gcd(p * d * p, n)]",
+           ("test_rings.py::test_the_product_is_the_gcd_table",),
+           "(p).(d) is (gcd(pd, n)); p^2 agrees with it only where p^2 does "
+           "not divide n"),
     # The prime elements, one mask per instance.
     Mutant("primes-skip-squares", "multiplication.py",
            "for b in irreducibles[i:]:", "for b in irreducibles[i + 1:]:",
@@ -136,6 +141,13 @@ MUTANTS = (
             "test_multiplication.py::test_trivial_multiplication_needs_join_"
             "irreducible_top"),
            "the trivial product fails M3 when 1 has two lower covers"),
+    # The M3 phases of the axiom check.
+    Mutant("m3-phase-ii-certifies-without-comparing", "multiplication.py",
+           "good[c] = [join[x][y] for x, y in zip(rows[d], rows[e])] == [*rows[c]]",
+           "good[c] = True",
+           ("test_multiplication.py::test_each_m3_phase_rejects_a_table_the_"
+            "other_accepts",),
+           "a row outside J is good only if it is the join of two good rows"),
     Mutant("join-prime-test-skips-a-join-irreducible", "multiplication.py",
            "for j in lat.join_irreducibles)", "for j in lat.join_irreducibles[1:])",
            ("test_cores.py::test_built_in_products_are_admitted_exactly_when_"

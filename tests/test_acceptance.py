@@ -16,10 +16,11 @@ import pytest
 
 from multlat import (analyze, analyze_ring, attach_multiplication,
                      brute_force_chromatic, brute_force_clique,
-                     chromatic_number, clique_number, fixture, fig2_lattice,
-                     ideal_lattice_zn, is_modular, minimal_prime_elements,
-                     modularity_witness, mult_zero_divisor_graph,
-                     order_zero_divisor_graph, ElementSubset)
+                     check_lemma_suite, chromatic_number, clique_number,
+                     fixture, fig2_lattice, ideal_lattice_zn, is_modular,
+                     minimal_prime_elements, modularity_witness,
+                     mult_zero_divisor_graph, order_zero_divisor_graph,
+                     ElementSubset)
 from multlat.rings import prime_factors
 from multlat.search import boolean_lattice, random_poset_down_set_lattice
 
@@ -61,7 +62,7 @@ def _reduced_instances():
 @pytest.fixture(scope="module")
 def reduced_suite():
     start = time.monotonic()
-    reports = [(instance_id, analyze(ml, instance_id=instance_id))
+    reports = [(instance_id, ml, analyze(ml, instance_id=instance_id))
                for instance_id, ml in _reduced_instances()]
     return reports, time.monotonic() - start
 
@@ -105,7 +106,7 @@ def test_criterion_2_small_fixture_reproduction():
 def test_criterion_3_reduced_theorem_suite(reduced_suite):
     reports, elapsed = reduced_suite
     bad = []
-    for instance_id, report in reports:
+    for instance_id, _, report in reports:
         counts = report.counts
         if report.vertex_count == 0:
             agree = (report.chi == 0 and report.omega == 0
@@ -153,11 +154,10 @@ def test_criterion_5_lemma_suite_on_reduced_battery(reduced_suite):
     reports, _ = reduced_suite
     bad = []
     acc_detail_ok = True
-    for instance_id, report in reports:
-        lemma_report = report.lemma_report
-        if "fail" in lemma_report.summary().values():
-            bad.append((instance_id, lemma_report.summary()))
-        for check in lemma_report.checks:
+    for instance_id, ml, report in reports:
+        if "fail" in report.lemmas.values():
+            bad.append((instance_id, report.lemmas))
+        for check in check_lemma_suite(ml):
             if check.status not in ("pass",):
                 bad.append((instance_id, check.check_id, check.status))
             if (check.check_id == "annihilator_chains_stabilize"
@@ -204,7 +204,7 @@ def test_criterion_7_structural_flags(reduced_suite):
                         for n in range(2, 1001))
     sweep_elapsed = time.monotonic() - start
     reduced_zero_distributive = all(report.zero_distributive
-                                    for _, report in reports)
+                                    for _, _, report in reports)
     ok = fig3_ok and rings_modular and reduced_zero_distributive
     _criterion(7, "structural flags", ok,
                f"N5 witness {tuple(ml3.lattice.names[v] for v in witness)}; "

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multlat.rings
 from multlat.cli import _exit_status, main
 
 from helpers import fig3_under_a_new_bottom
@@ -631,6 +632,10 @@ def test_bad_timeouts_are_rejected_at_parse_time(args, capsys):
     (["ring", "--sweep", "5..3"],
      "argument --sweep: range A..B needs A <= B, got '5..3'"),
     (["search", "--families", ","], "search needs at least one family spec"),
+    (["ring", "--sweep", "2-5"],
+     "argument --sweep: range must look like A..B, got '2-5'"),
+    (["analyze"], "analyze needs a file or --fixture"),
+    (["graph", "--color"], "graph needs a file or --fixture"),
 ])
 def test_a_run_with_nothing_to_analyse_is_a_usage_error(args, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -639,6 +644,34 @@ def test_a_run_with_nothing_to_analyse_is_a_usage_error(args, message, capsys):
     assert exc.value.code == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+def test_mult_table_on_a_file_without_a_table_exits_2(tmp_path, capsys):
+    doc = {k: v for k, v in B2_MEET.items() if k != "multiplication"}
+    code, out, err = run_cli(["analyze", write(tmp_path, doc), "--mult", "table"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --mult table requires a table in the file\n"
+
+
+def test_a_solver_timeout_outside_analyze_exits_4(capsys):
+    """graph --color lets the solver's timeout reach main, which reports it
+    in one line and exits 4, before any DOT is printed."""
+    code, out, err = run_cli(["graph", "--fixture", "fig3", "--color",
+                              "--timeout", "0"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "timeout: solver exceeded its time budget\n"
+
+
+def test_a_failed_self_check_exits_2_with_one_fatal_line(monkeypatch, capsys):
+    monkeypatch.setattr(multlat.rings, "is_modular", lambda lat: False)
+    code, out, err = run_cli(["ring", "--modulus", "6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("FATAL SELF-TEST FAILURE: Id(Z_6) reports non-modular; "
+                   "divisor lattices are distributive\n")
 
 
 def test_unknown_element_names_are_structural_errors(capsys):

@@ -103,6 +103,13 @@ def test_unknown_multiplication_key_rejected():
         parse_lattice_data(bad)
 
 
+def test_a_multiplication_that_is_not_an_object_is_rejected():
+    bad = dict(GOOD, multiplication=["meet"])
+    with pytest.raises(LatticeFileError,
+                       match='^"multiplication" must be an object$'):
+        parse_lattice_data(bad)
+
+
 def test_missing_keys_rejected():
     with pytest.raises(LatticeFileError, match="missing key"):
         parse_lattice_data({"elements": ["0"]})

@@ -2,8 +2,8 @@
 
 ``canonical_bytes`` renders every ``ring --sweep 2..1000`` line
 (``analyze_ring(n).to_json(indent=None)``) and the fig2 and fig3 reports as
-``multlat analyze --fixture`` prints them, each followed by its full lemma
-report, joined by newlines.  ``GOLDEN_SHA256`` is the sha256 of those
+``multlat analyze --fixture`` prints them, each followed by its instance's
+lemma checks as ``_lemma_json`` writes them, joined by newlines.  ``GOLDEN_SHA256`` is the sha256 of those
 bytes, computed by this function on the scan-based code that the cached,
 join-irreducible and covering-pair deciders replaced; the deciders must
 not move a byte.  Any change to a report byte, to the order of a list or to
@@ -11,7 +11,7 @@ a lemma detail changes the digest; a change that alters canonical output on
 purpose recomputes it and says why.
 
 ``extended_bytes`` reaches what the ring sweep does not: the report and
-lemma report at every element of a few small instances, their nilpotency
+lemma checks at every element of a few small instances, their nilpotency
 witness, annihilator map, greedy colouring and, when reduced, the colouring
 by minimal primes; the (omega, clique, chi, colouring) of seeded random
 graphs, with and without a known clique bound; and one fixed search.
@@ -27,8 +27,9 @@ import json
 import random
 
 from multlat import (FIXTURE_NAMES, BeckReport, analyze, analyze_ring,
-                     chromatic_number, clique_number, fixture, generate,
-                     is_reduced, mult_zero_divisor_graph, nilpotency_witness,
+                     check_lemma_suite, chromatic_number, clique_number,
+                     fixture, generate, ideal_lattice_zn, is_reduced,
+                     mult_zero_divisor_graph, nilpotency_witness,
                      search_counterexamples)
 from multlat.multiplication import annihilator_map
 from multlat.solvers import _solve
@@ -42,19 +43,30 @@ EXTENDED_SPECS = ("fig2", "fig3", "boolean:4", "chain:5:trivial", "divisor:720",
                   "divisor:2310")
 
 
-def _lemma_json(report) -> str:
-    return json.dumps(report.lemma_report.to_dict(), sort_keys=True,
-                      ensure_ascii=False)
+def _lemma_json(ml) -> str:
+    """The lemma checks of ``ml`` as one JSON object, {"checks": [...]}: per
+    check its id and status, its detail if not empty, and its witness as a
+    list if it has one."""
+    lines = []
+    for check in check_lemma_suite(ml):
+        line = {"id": check.check_id, "status": check.status}
+        if check.detail:
+            line["detail"] = check.detail
+        if check.witness is not None:
+            line["witness"] = list(check.witness)
+        lines.append(line)
+    return json.dumps({"checks": lines}, sort_keys=True, ensure_ascii=False)
 
 
 def canonical_bytes() -> bytes:
     lines = []
     for n in range(2, 1001):
-        report = analyze_ring(n)
-        lines += [report.to_json(indent=None), _lemma_json(report)]
+        lines += [analyze_ring(n).to_json(indent=None),
+                  _lemma_json(ideal_lattice_zn(n))]
     for name in FIXTURE_NAMES:
-        report = analyze(fixture(name), instance_id=f"fixture:{name}")
-        lines += [report.to_json(), _lemma_json(report)]
+        ml = fixture(name)
+        report = analyze(ml, instance_id=f"fixture:{name}")
+        lines += [report.to_json(), _lemma_json(ml)]
     return "\n".join(lines).encode("utf-8")
 
 
@@ -71,9 +83,10 @@ def extended_bytes() -> bytes:
     instances = [pair for spec in EXTENDED_SPECS for pair in generate(spec)]
     instances += generate("random:12x24", seed=5)
     for instance_id, ml in instances:
+        lemmas = _lemma_json(ml)  # about the bottom at every element
         for e in range(ml.n):
             report = analyze(ml, element=e, instance_id=instance_id)
-            lines += [report.to_json(indent=None), _lemma_json(report)]
+            lines += [report.to_json(indent=None), lemmas]
         facts = [nilpotency_witness(ml), annihilator_map(ml),
                  _coloring(greedy_coloring(mult_zero_divisor_graph(ml)))]
         if is_reduced(ml):
@@ -102,8 +115,8 @@ def test_extended_bytes_match_their_digest():
 
 
 def test_report_keys_are_its_compared_fields():
-    """to_dict holds the 19 canonical fields and nothing else: not the lemma
-    report or the wall time, which take no part in ==."""
+    """to_dict holds the 19 canonical fields and nothing else: not the wall
+    time, which takes no part in ==."""
     report = analyze(fixture("fig3"), instance_id="fixture:fig3")
     keys = {f.name for f in dataclasses.fields(BeckReport) if f.compare}
     assert len(keys) == 19

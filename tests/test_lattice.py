@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import multlat
 from multlat import lattice as lattice_module
 from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
-                     NotAPartialOrder, build_lattice, fig2_lattice,
+                     NotAPartialOrder, SelfCheckError, build_lattice, fig2_lattice,
                      fig3_lattice, is_modular, is_zero_distributive,
                      modularity_witness, zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
@@ -103,6 +103,49 @@ def test_leq_mode_requires_transitivity():
 def test_leq_mode_requires_antisymmetry():
     with pytest.raises(NotAPartialOrder):
         build_lattice(["a", "b"], [("a", "b"), ("b", "a")], "leq")
+
+
+# build_lattice's self-checks: a fast pass that its scan contradicts raises.
+
+
+def test_a_cycle_that_the_scans_do_not_find_is_fatal(monkeypatch):
+    """A closure pass that calls the 3-chain cyclic hands over to the scans,
+    which find no cycle: SelfCheckError, not an order rejected for a fault
+    it does not have."""
+    monkeypatch.setattr(lattice_module, "_close_acyclic", lambda up: None)
+    with pytest.raises(SelfCheckError, match="^the closure pass rejected a "
+                       "relation that the pairwise scans accept$"):
+        chain_lattice(3)
+
+
+def test_a_missing_join_that_the_pair_scan_does_not_find_is_fatal(monkeypatch):
+    """The bowtie 0 < a, b < c, d < 1 has no join of a and b, so the looked-up
+    join row of a misses an entry; a pair scan that finds none contradicts
+    it."""
+    monkeypatch.setattr(lattice_module, "_meet_join_scan", lambda *args: None)
+    with pytest.raises(SelfCheckError, match="^a join-irreducible row of the "
+                       "join table misses an entry that the pair scan finds$"):
+        build_lattice(["0", "a", "b", "c", "d", "1"],
+                      [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                       ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")])
+
+
+def test_a_missing_meet_under_a_complete_join_table_is_fatal(monkeypatch):
+    """A closure that leaves c0 out of the down-set of c1 in the 3-chain
+    keeps every join row whole, as c1 and c0 have no lower cover and c2
+    composes its row from both; the looked-up meet row of c1 then has no
+    entry at c0."""
+    real = lattice_module._close_acyclic
+
+    def c0_not_below_c1(up):
+        down = real(up)
+        down[1] &= ~1
+        return down
+
+    monkeypatch.setattr(lattice_module, "_close_acyclic", c0_not_below_c1)
+    with pytest.raises(SelfCheckError, match="^the join table is complete but "
+                       "a meet-irreducible row misses a meet$"):
+        chain_lattice(3)
 
 
 def test_leq_mode_accepts_full_order():
@@ -372,17 +415,23 @@ def test_random_distributive_lattice_invariants(seed):
 
 
 @given(st.integers(2, 7), st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                                  max_size=12), st.booleans())
-def test_random_cover_relations(n, raw_pairs, bounded):
+                                  max_size=12), st.booleans(), st.booleans())
+def test_random_cover_relations(n, raw_pairs, bounded, bowtie):
     """Random DAG covers either build a valid lattice or raise a typed error;
     the meet and join tables, or the pair named by NotALattice, match the
     bit-scan oracle on the closed order, and NoBoundedStructure comes only
     for an order with no bottom or no top.  With ``bounded`` set, v0 goes
     under each element with nothing below it and v(n-1) over each element
-    with nothing above it, so the order is bounded."""
+    with nothing above it, so the order is bounded.  With ``bowtie`` set and
+    n >= 6, v1 and v2 go under both v3 and v4 in an order bounded so: a
+    bowtie, which leaves v1 v v2 undefined unless the random pairs put v3
+    and v4 in order, and so reaches NotALattice."""
     names = [f"v{i}" for i in range(n)]
     index_pairs = [(a, b) for a, b in raw_pairs if a < b < n]
-    if bounded:
+    planted = bowtie and n >= 6
+    if planted:
+        index_pairs += [(1, 3), (1, 4), (2, 3), (2, 4)]
+    if bounded or planted:
         has_lower = {b for _, b in index_pairs}
         has_upper = {a for a, _ in index_pairs}
         index_pairs += [(0, k) for k in range(1, n) if k not in has_lower]

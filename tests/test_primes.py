@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 from hypothesis import given
@@ -12,7 +13,7 @@ from multlat import (ElementSubset, analyze, attach_multiplication,
                      is_reduced, minimal_prime_elements, minimal_prime_ideals,
                      minimal_prime_semi_ideals, mult_zero_divisor_graph,
                      prime_structure)
-from multlat.primes import LEMMA_IDS
+from multlat.primes import LEMMA_IDS, LemmaCheck
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
@@ -219,27 +220,22 @@ def test_prime_structure_orders_are_deterministic():
 
 
 def test_lemma_suite_passes_on_b3():
-    report = check_lemma_suite(attach_multiplication(boolean_lattice(3), "meet"))
-    assert all(c.status == "pass" for c in report.checks)
+    checks = check_lemma_suite(attach_multiplication(boolean_lattice(3), "meet"))
+    assert all(c.status == "pass" for c in checks)
 
 
 def test_lemma_suite_on_fig3_skips_reduced_hypotheses():
-    report = check_lemma_suite(fixture("fig3"))
-    summary = report.summary()
-    assert summary["reduced_implies_zero_distributive"] == "skip"
-    assert summary["annihilator_chains_stabilize"] == "pass"
-    detail = next(c.detail for c in report.checks
-                  if c.check_id == "reduced_implies_zero_distributive")
-    assert "0-distributive: True" in detail
-    acc = next(c for c in report.checks
-               if c.check_id == "annihilator_chains_stabilize")
-    assert acc.detail == "trivial (finite)"
+    checks = {c.check_id: c for c in check_lemma_suite(fixture("fig3"))}
+    zd = checks["reduced_implies_zero_distributive"]
+    assert zd.status == "skip" and "0-distributive: True" in zd.detail
+    acc = checks["annihilator_chains_stabilize"]
+    assert acc.status == "pass" and acc.detail == "trivial (finite)"
 
 
 def test_lemma_suite_vacuous_on_two_chain():
-    report = check_lemma_suite(attach_multiplication(chain_lattice(2), "meet"))
-    assert "fail" not in report.summary().values()
-    vac = next(c for c in report.checks
+    checks = check_lemma_suite(attach_multiplication(chain_lattice(2), "meet"))
+    assert all(c.status != "fail" for c in checks)
+    vac = next(c for c in checks
                if c.check_id == "zero_is_meet_of_minimal_primes")
     assert "vacuous" in vac.detail
 
@@ -249,23 +245,26 @@ def test_lemma_suite_reports_every_declared_check_in_order():
     without (the 3-chain): one line per declared id, in declared order."""
     for ml in (fixture("fig3"), ideal_lattice_zn(30),
                attach_multiplication(chain_lattice(3), "meet")):
-        report = check_lemma_suite(ml)
-        assert tuple(c.check_id for c in report.checks) == LEMMA_IDS
+        checks = check_lemma_suite(ml)
+        assert tuple(c.check_id for c in checks) == LEMMA_IDS
     assert len(LEMMA_IDS) == len(set(LEMMA_IDS)) == 8
 
 
 def test_lemma_suite_serializes():
-    report = check_lemma_suite(attach_multiplication(boolean_lattice(2), "meet"))
-    d = report.to_dict()
-    assert {c["id"] for c in d["checks"]} == set(report.summary())
+    """The checks are plain dataclasses of strings, so each serializes to
+    JSON as it is."""
+    checks = check_lemma_suite(attach_multiplication(boolean_lattice(2), "meet"))
+    lines = json.loads(json.dumps([dataclasses.asdict(c) for c in checks]))
+    assert [line["check_id"] for line in lines] == list(LEMMA_IDS)
+    assert [LemmaCheck(**line) for line in lines] == list(checks)
 
 
 @given(st.integers(2, 150))
 def test_lemma_suite_on_rings(n):
-    report = check_lemma_suite(ideal_lattice_zn(n))
+    checks = check_lemma_suite(ideal_lattice_zn(n))
     # Where Id(Z_n) is not reduced, the checks that assume it are skipped,
     # never failed.
-    assert "fail" not in report.summary().values(), report.summary()
+    assert all(c.status != "fail" for c in checks), checks
 
 
 def test_count_coherence_on_reduced_instances():
@@ -299,10 +298,10 @@ def _divisors_of_12():
     return attach_multiplication(ideal_lattice_zn(12).lattice, "meet")
 
 
-def _fail_line(report) -> dict:
-    """The one failing line of ``report``, as it is serialized."""
-    [failed] = [c for c in report.checks if c.status == "fail"]
-    return failed.to_dict()
+def _fail_line(checks) -> LemmaCheck:
+    """The one failing check among ``checks``."""
+    [failed] = [c for c in checks if c.status == "fail"]
+    return failed
 
 
 def _with_structure(ml, **fields):
@@ -321,8 +320,8 @@ def _with_structure(ml, **fields):
 
 
 def test_the_undoctored_instance_passes_every_check():
-    report = check_lemma_suite(_divisors_of_12())
-    assert "fail" not in report.summary().values() and len(report.checks) == 8
+    checks = check_lemma_suite(_divisors_of_12())
+    assert [c.status for c in checks] == ["pass"] * 8
 
 
 def test_lemma_fail_line_when_the_lattice_is_not_zero_distributive(monkeypatch):
@@ -331,26 +330,26 @@ def test_lemma_fail_line_when_the_lattice_is_not_zero_distributive(monkeypatch):
     witness = tuple(lat.index(nm) for nm in ("(3)", "(4)", "(6)"))
     monkeypatch.setattr("multlat.primes.zero_distributivity_witness",
                         lambda _: witness)
-    assert _fail_line(check_lemma_suite(ml)) == {
-        "id": "reduced_implies_zero_distributive", "status": "fail",
-        "detail": "reduced lattice is not 0-distributive",
-        "witness": ["(3)", "(4)", "(6)"]}
+    assert _fail_line(check_lemma_suite(ml)) == LemmaCheck(
+        "reduced_implies_zero_distributive", "fail",
+        "reduced lattice is not 0-distributive",
+        ("(3)", "(4)", "(6)"))
 
 
 def test_lemma_fail_lines_when_a_minimal_prime_semi_ideal_is_not_an_ideal():
     ml = _divisors_of_12()
     # {(12), (4), (6)} is a down-set without the join (2) of (4) and (6).
-    report = _with_structure(ml, minimal_prime_semi_ideals=[
+    checks = _with_structure(ml, minimal_prime_semi_ideals=[
         ["(12)", "(4)", "(6)"], ["(12)", "(6)", "(3)"]])
-    assert _fail_line(report) == {
-        "id": "minimal_prime_semi_ideals_are_ideals", "status": "fail",
-        "detail": "a minimal prime semi-ideal is not join-closed",
-        "witness": ["(4)", "(6)", "(12)"]}
-    # The families differ: a fail line with no witness key.
-    report = _with_structure(ml, minimal_prime_ideals=[["(12)", "(4)"]])
-    assert _fail_line(report) == {
-        "id": "minimal_prime_semi_ideals_are_ideals", "status": "fail",
-        "detail": "semi-ideal and ideal families differ"}
+    assert _fail_line(checks) == LemmaCheck(
+        "minimal_prime_semi_ideals_are_ideals", "fail",
+        "a minimal prime semi-ideal is not join-closed",
+        ("(4)", "(6)", "(12)"))
+    # The families differ: a fail line with no witness.
+    checks = _with_structure(ml, minimal_prime_ideals=[["(12)", "(4)"]])
+    assert _fail_line(checks) == LemmaCheck(
+        "minimal_prime_semi_ideals_are_ideals", "fail",
+        "semi-ideal and ideal families differ")
 
 
 def test_lemma_fail_line_when_a_maximal_annihilator_is_not_prime(monkeypatch):
@@ -358,10 +357,10 @@ def test_lemma_fail_line_when_a_maximal_annihilator_is_not_prime(monkeypatch):
     lat = ml.lattice
     monkeypatch.setattr("multlat.primes.prime_elements", lambda _: [
         lat.index("(2)"), lat.index("(4)")])
-    assert _fail_line(check_lemma_suite(ml)) == {
-        "id": "maximal_annihilators_are_prime", "status": "fail",
-        "detail": "a maximal annihilator element is not prime",
-        "witness": ["(3)"]}
+    assert _fail_line(check_lemma_suite(ml)) == LemmaCheck(
+        "maximal_annihilators_are_prime", "fail",
+        "a maximal annihilator element is not prime",
+        ("(3)",))
 
 
 def test_lemma_fail_line_when_prime_annihilators_multiply_to_nonzero(monkeypatch):
@@ -370,10 +369,10 @@ def test_lemma_fail_line_when_prime_annihilators_multiply_to_nonzero(monkeypatch
     ml = _divisors_of_12()
     monkeypatch.setattr("multlat.primes.prime_elements",
                         lambda ml: list(range(ml.n)))
-    assert _fail_line(check_lemma_suite(ml)) == {
-        "id": "distinct_prime_annihilators_multiply_to_zero", "status": "fail",
-        "detail": "elements with distinct prime annihilators have a nonzero product",
-        "witness": ["(1)", "(3)"]}
+    assert _fail_line(check_lemma_suite(ml)) == LemmaCheck(
+        "distinct_prime_annihilators_multiply_to_zero", "fail",
+        "elements with distinct prime annihilators have a nonzero product",
+        ("(1)", "(3)"))
 
 
 def test_prime_annihilator_pair_matches_the_pair_scan(monkeypatch):
@@ -397,7 +396,7 @@ def test_prime_annihilator_pair_matches_the_pair_scan(monkeypatch):
         for every in (True, False):
             called[:] = [x for x in range(ml.n) if every or rng.random() < 0.5]
             expected = scan_prime_annihilator_pair(ml, set(called))
-            [check] = [c for c in check_lemma_suite(ml).checks
+            [check] = [c for c in check_lemma_suite(ml)
                        if c.check_id == "distinct_prime_annihilators_multiply_to_zero"]
             if expected is None:
                 assert check.status == "pass", ml.lattice.names
@@ -411,32 +410,33 @@ def test_prime_annihilator_pair_matches_the_pair_scan(monkeypatch):
 def test_lemma_fail_line_when_annihilator_witnesses_are_not_a_clique():
     """The first nonzero elements with annihilators (3), (4), (4) are (4),
     (3), (3), and (3).(3) = (3) is not 0."""
-    report = _with_structure(_divisors_of_12(),
+    checks = _with_structure(_divisors_of_12(),
                              maximal_annihilators=["(3)", "(4)", "(4)"])
-    assert _fail_line(report) == {
-        "id": "finitely_many_maximal_annihilators", "status": "fail",
-        "detail": "witnesses of maximal annihilators are not a clique",
-        "witness": ["(4)", "(3)", "(3)"]}
+    assert _fail_line(checks) == LemmaCheck(
+        "finitely_many_maximal_annihilators", "fail",
+        "witnesses of maximal annihilators are not a clique",
+        ("(4)", "(3)", "(3)"))
 
 
 def test_lemma_fail_line_with_no_maximal_annihilators():
     """An empty family meets to nothing: a fail line with an empty
     witness."""
-    report = _with_structure(_divisors_of_12(), maximal_annihilators=[])
-    assert _fail_line(report) == {
-        "id": "zero_is_meet_of_minimal_primes", "status": "fail",
-        "detail": "maximal annihilators do not meet to 0 as minimal primes",
-        "witness": []}
-    assert report.summary()["finitely_many_maximal_annihilators"] == "pass"
+    checks = _with_structure(_divisors_of_12(), maximal_annihilators=[])
+    assert _fail_line(checks) == LemmaCheck(
+        "zero_is_meet_of_minimal_primes", "fail",
+        "maximal annihilators do not meet to 0 as minimal primes",
+        ())
+    assert checks[LEMMA_IDS.index("finitely_many_maximal_annihilators")
+                  ].status == "pass"
 
 
 def test_lemma_fail_line_when_a_minimal_prime_is_not_an_annihilator():
-    report = _with_structure(_divisors_of_12(),
+    checks = _with_structure(_divisors_of_12(),
                              minimal_prime_elements=["(2)", "(3)", "(4)"])
-    assert _fail_line(report) == {
-        "id": "minimal_primes_are_annihilators", "status": "fail",
-        "detail": "a minimal prime element is not an annihilator",
-        "witness": ["(2)"]}
+    assert _fail_line(checks) == LemmaCheck(
+        "minimal_primes_are_annihilators", "fail",
+        "a minimal prime element is not an annihilator",
+        ("(2)",))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,6 @@ def test_reduced_chain_with_a_non_meet_square():
     assert report.reduced and report.verdict == "empty_graph"
     assert report.chi == report.omega == report.vertex_count == 0
     assert set(report.lemmas.values()) == {"pass"}
-    assert "fail" not in report.lemma_report.summary().values()
     assert report.minimal_prime_elements == ["c0"]
     assert report.counts["maximal_annihilators"] == 1
 
@@ -469,7 +468,6 @@ def test_reduced_product_with_a_non_meet_square():
     report = analyze(ml, instance_id="chain-square x 2-chain")
     assert report.reduced and report.verdict == "holds"
     assert set(report.lemmas.values()) == {"pass"}
-    assert "fail" not in report.lemma_report.summary().values()
     assert report.vertex_count == 4 and report.edge_count == 3
     assert (report.chi == report.omega == report.counts["minimal_prime_elements"]
             == report.counts["maximal_annihilators"] == 2)

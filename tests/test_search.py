@@ -1,19 +1,22 @@
 """Family generators and the counterexample search harness."""
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import pytest
 
 import multlat.report
 import multlat.search
 from multlat import (AxiomViolation, CliqueWitness, InvalidSpec,
-                     SelfCheckError, analyze, build_lattice, ideal_lattice_zn,
-                     is_reduced, mult_zero_divisor_graph, parse_lattice_data,
-                     search_counterexamples)
+                     SelfCheckError, analyze, build_lattice, fixture,
+                     ideal_lattice_zn, is_reduced, mult_zero_divisor_graph,
+                     parse_lattice_data, search_counterexamples)
 from multlat.lattice import MAX_INPUT_ELEMENTS
 from multlat.multiplication import is_semiprime
 from multlat.search import (MAX_BOOLEAN_RANK, MAX_RANDOM_SIZE, MIN_RANDOM_SIZE,
-                            _instances, boolean_lattice, generate,
-                            random_poset_down_set_lattice)
+                            _instances, boolean_lattice, chain_lattice,
+                            generate, random_poset_down_set_lattice)
 
 from helpers import fig3_under_a_new_bottom
 
@@ -152,6 +155,46 @@ def test_bad_specs_raise_invalid_spec():
         search_counterexamples(["chain:4"], budget=0)
     _instances("chain:1024")  # the longest chain spec parses; nothing is built
     _instances("boolean:10")  # and so does the largest boolean spec
+
+
+def test_family_builders_reject_sizes_out_of_range():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^chain needs at least one element$"):
+            chain_lattice(k)
+    for k in (-1, MAX_BOOLEAN_RANK + 1):
+        with pytest.raises(ValueError, match=rf"^boolean rank must be in "
+                           rf"0\.\.{MAX_BOOLEAN_RANK}$"):
+            boolean_lattice(k)
+
+
+def test_an_unknown_fixture_is_an_invalid_spec():
+    with pytest.raises(InvalidSpec, match="^unknown fixture 'fig9'; "
+                       "available: fig2, fig3$"):
+        fixture("fig9")
+
+
+class _Antichains:
+    """A seeded generator stand-in whose every poset is a 3-point
+    antichain: the smallest size, and no pair comparable."""
+
+    def __init__(self, seed):
+        pass
+
+    def randint(self, low, high):
+        return low
+
+    def random(self):
+        return 1.0
+
+
+def test_random_sampling_that_never_fits_raises(monkeypatch):
+    """A 3-point antichain has 8 down-sets, more than 4: every one of the
+    sampler's 1000 posets is too large, and it says so."""
+    monkeypatch.setattr(multlat.search, "random",
+                        types.SimpleNamespace(Random=_Antichains))
+    with pytest.raises(RuntimeError, match="^random poset sampling failed "
+                       "to meet the size bound$"):
+        random_poset_down_set_lattice(0, MIN_RANDOM_SIZE)
 
 
 def test_random_lattice_bounds():
@@ -305,6 +348,26 @@ def test_solvers_that_agree_below_the_minimal_vertices_are_fatal(monkeypatch):
     with pytest.raises(SelfCheckError, match="reduced instance with chi=2, "
                        "omega=2 and 3 minimal vertices"):
         analyze(ml, instance_id=instance_id)
+
+
+def test_a_reduced_finding_that_escapes_analyze_is_fatal(monkeypatch):
+    """analyze raises before it reports a reduced instance as failing; a
+    stand-in that does not is caught by the search itself."""
+    real = multlat.search.analyze
+    monkeypatch.setattr(multlat.search, "analyze", lambda ml, **kw: (
+        dataclasses.replace(real(ml, **kw), reduced=True, verdict="fails")))
+    with pytest.raises(SelfCheckError, match="^chain:2\\+meet: reduced finding "
+                       "escaped$"):
+        search_counterexamples(["chain:2"])
+
+
+def test_a_finding_the_oracle_disagrees_with_is_fatal(monkeypatch):
+    """fig3's graph has 12 vertices, so its finding is re-checked by the
+    brute-force oracles; a wrong chromatic oracle stops the search."""
+    monkeypatch.setattr(multlat.search, "brute_force_chromatic", lambda g: 0)
+    with pytest.raises(SelfCheckError, match="^fig3\\+table: solvers disagree "
+                       "with the brute-force oracle$"):
+        search_counterexamples(["fig3"])
 
 
 def test_a_reduced_lattice_fails_at_an_element_that_is_not_semiprime():

@@ -4,10 +4,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
-import os
 import random
-import subprocess
-import sys
 import weakref
 from collections import Counter
 
@@ -315,6 +312,15 @@ def test_an_improper_k_colouring_is_caught(monkeypatch):
         chromatic_number(cycle_graph(5))
 
 
+def test_a_k_colouring_with_more_than_k_colours_is_caught(monkeypatch):
+    """On C5 the k-search runs for k = 2; one that gives every vertex its own
+    colour is proper, but uses 5 colours for a claimed chi of 2."""
+    monkeypatch.setattr(multlat.solvers, "_k_colorable",
+                        lambda adj, k, deadline: list(range(len(adj))))
+    with pytest.raises(SelfCheckError, match="wastes colors"):
+        chromatic_number(cycle_graph(5))
+
+
 def test_chi_search_starts_at_omega(monkeypatch):
     """K_{30,30} plus a disjoint K5: omega and the greedy bound are both 5,
     so chromatic_number runs no k-colouring search.  A lower bound below
@@ -572,9 +578,9 @@ def test_chromatic_number_maps_its_colouring_back_once(monkeypatch):
 
 def test_is_proper_rejects_a_conflict_and_a_missing_vertex():
     g = make_graph(3, [(0, 1), (1, 2)])
-    assert is_proper(g, Coloring({0: 0, 1: 1, 2: 0}, 2))
-    assert not is_proper(g, Coloring({0: 0, 1: 0, 2: 1}, 2))
-    assert not is_proper(g, Coloring({0: 0, 1: 1}, 2))
+    assert is_proper(g, Coloring({0: 0, 1: 1, 2: 0}))
+    assert not is_proper(g, Coloring({0: 0, 1: 0, 2: 1}))
+    assert not is_proper(g, Coloring({0: 0, 1: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -652,22 +658,6 @@ def test_a_deadline_expiring_mid_search_is_noticed_within_64_nodes(monkeypatch):
     deadline = _Deadline(None)
     assert _k_colorable(adj, 6, deadline) is None
     assert deadline.nodes == 1368
-
-
-def test_coloring_count_is_checked_under_python_O():
-    with pytest.raises(SelfCheckError, match="claims 2 colors but uses 1"):
-        Coloring({0: 0}, 2)
-    src = os.path.dirname(os.path.dirname(multlat.solvers.__file__))
-    code = ("from multlat import SelfCheckError\n"
-            "from multlat.solvers import Coloring\n"
-            "try:\n"
-            "    Coloring({0: 0}, 2)\n"
-            "except SelfCheckError:\n"
-            "    print('raised')\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "raised\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multlat.zdgraph
 from multlat import (AxiomViolation, Coloring, ElementSubset, ImproperIdeal,
-                     NotAnIdeal, TooLarge, attach_multiplication,
+                     NotAnIdeal, SelfCheckError, TooLarge, attach_multiplication,
                      build_lattice, chromatic_number, export_dot,
                      fig2_lattice, fig3_lattice, fixture, is_reduced,
                      mult_zero_divisor_graph, order_zero_divisor_graph)
@@ -81,6 +82,8 @@ def test_order_graph_rejects_non_ideals():
         order_zero_divisor_graph(lat, ElementSubset(lat, [lat.index("a")]))
     with pytest.raises(ImproperIdeal):
         order_zero_divisor_graph(lat, ElementSubset(lat, (1 << lat.n) - 1))
+    with pytest.raises(ValueError, match="^ideal belongs to a different lattice$"):
+        order_zero_divisor_graph(lat, ElementSubset(fig3_lattice(), [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,13 @@ def test_element_outside_the_lattice_is_rejected():
             mult_zero_divisor_graph(ml, i)
 
 
+def test_a_transpose_that_puts_a_vertex_beside_itself_is_fatal(monkeypatch):
+    monkeypatch.setattr(multlat.zdgraph, "_transposed",
+                        lambda rows, n: [(1 << len(rows)) - 1] * n)
+    with pytest.raises(SelfCheckError, match="^self-loop$"):
+        mult_zero_divisor_graph(fixture("fig3"))
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 
@@ -275,14 +285,6 @@ def test_dot_deterministic():
     assert export_dot(g) == export_dot(g)
 
 
-def test_dot_palette_limit():
-    g = mult_zero_divisor_graph(ideal_lattice_zn(6))
-    big = Coloring({g.vertices[0]: 0, g.vertices[1]: 13}, 2)
-    big.color_count = 13  # simulate an over-wide coloring
-    with pytest.raises(ValueError):
-        export_dot(g, coloring=big)
-
-
 def test_dot_rejects_labels_outside_the_palette():
     """A label past 11 or below 0 raises TooLarge with a one-line message,
     however few classes the coloring has; the edge labels 0 and 11 fill
@@ -290,12 +292,12 @@ def test_dot_rejects_labels_outside_the_palette():
     g = mult_zero_divisor_graph(ideal_lattice_zn(6))
     a, b = g.vertices
     for labels in ((0, 15), (-1, 0), (-1, 12)):
-        coloring = Coloring(dict(zip((a, b), labels)), 2)
+        coloring = Coloring(dict(zip((a, b), labels)))
         with pytest.raises(TooLarge) as exc:
             export_dot(g, coloring=coloring)
         assert str(exc.value) == (f"coloring uses labels {labels[0]}..{labels[1]}; "
                                   "palette has 12, labelled 0..11")
-    text = export_dot(g, coloring=Coloring({a: 0, b: 11}, 2))
+    text = export_dot(g, coloring=Coloring({a: 0, b: 11}))
     assert '"(2)" [style=filled,fillcolor=red];' in text
     assert '"(3)" [style=filled,fillcolor=gray];' in text
 

@@ -13,9 +13,8 @@ from .errors import (AxiomViolation, ImproperIdeal, IncompleteTable,
                      SolverTimeout, TooLarge)
 from .fileio import load_lattice_file, parse_lattice_data
 from .fixtures import FIXTURE_NAMES, fig2_lattice, fig3_lattice, fig3_table, fixture
-from .lattice import (ElementSubset, Lattice, build_lattice, is_modular,
-                      is_zero_distributive, modularity_witness,
-                      zero_distributivity_witness)
+from .lattice import (Lattice, build_lattice, is_modular, is_zero_distributive,
+                      modularity_witness, zero_distributivity_witness)
 from .multiplication import (MultLattice, annihilator_star,
                              attach_multiplication, is_reduced,
                              maximal_annihilator_elements,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolation", "BeckReport", "CliqueWitness", "Coloring",
-    "ElementSubset", "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
+    "FIXTURE_NAMES", "ImproperIdeal", "IncompleteTable",
     "InvalidModulus", "InvalidSpec", "Lattice", "LatticeError",
     "LatticeFileError", "LemmaCheck", "MultLattice",
     "NoBoundedStructure", "NotALattice", "NotAPartialOrder", "NotAnIdeal",

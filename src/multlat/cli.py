@@ -31,7 +31,6 @@ from .errors import (LatticeError, LatticeFileError, SelfCheckError,
                      SolverTimeout)
 from .fileio import load_lattice_file
 from .fixtures import FIXTURE_NAMES, fixture
-from .lattice import ElementSubset
 from .multiplication import MULT_KINDS, attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import analyze_ring
@@ -78,8 +77,8 @@ def _load_instance(args) -> tuple[str, object, object]:
 
 def _element_index(lat, name: str) -> int:
     try:
-        return lat.index(name)
-    except KeyError:
+        return lat.names.index(name)
+    except ValueError:
         raise LatticeError(f"unknown element name {name!r}; elements are "
                            f"{', '.join(lat.names)}") from None
 
@@ -137,11 +136,12 @@ def cmd_graph(args) -> int:
         element = _element_index(lat, args.element) if args.element else None
         graph = mult_zero_divisor_graph(ml, element)
     else:
-        if args.ideal:
-            members = [_element_index(lat, nm) for nm in args.ideal.split(",")]
+        if args.ideal:  # a set, so a name given twice adds its bit once
+            names = args.ideal.split(",")
+            ideal = sum({1 << _element_index(lat, nm) for nm in names})
         else:
-            members = [lat.bottom]
-        graph = order_zero_divisor_graph(lat, ElementSubset(lat, members))
+            ideal = 1 << lat.bottom
+        graph = order_zero_divisor_graph(lat, ideal)
     coloring = None
     if args.color:
         _, coloring = chromatic_number(graph, args.timeout)

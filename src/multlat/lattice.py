@@ -2,9 +2,11 @@
 
 Elements are identified by their index into a fixed name tuple; names only
 matter at the I/O boundary.  The order relation is kept as per-element
-bitmasks (``up[i]`` is the set of elements above ``i``), and meet/join are
-precomputed n-by-n index tables so that everything downstream is a table
-lookup.  All objects here are immutable after construction and safe to share.
+bitmasks (``up[i]`` is the set of elements above ``i``), any other set of
+elements, such as an ideal, is a bitmask with bit i for element i, and
+meet/join are precomputed n-by-n index tables so that everything downstream
+is a table lookup.  All objects here are immutable after construction and
+safe to share.
 
 Both kinds of order relation are closed in one pass over the elements in
 reverse topological order, each element's up-mask the union of its direct
@@ -164,12 +166,6 @@ class Lattice:
     def n(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown element name {name!r}") from None
-
     def meet_all(self, xs: Iterable[int]) -> int:
         acc = self.top
         for x in xs:
@@ -191,6 +187,20 @@ class Lattice:
         """The <=-maximal members of ``xs``, ascending and deduplicated: the
         x in S with ``up[x] & S == 1 << x``."""
         return _extremal(xs, self.up)
+
+    def is_ideal(self, mask: int) -> bool:
+        """Whether the set D of elements in ``mask``, which must lie in
+        ``0 <= mask < 1 << n``, is an ideal: a non-empty down-set closed
+        under binary join.
+
+        Decided as ``down[V D] == D`` for the join V D of the members: a
+        finite non-empty down-set D closed under joins holds V D, so
+        D <= down(V D) <= D; conversely down(m) is a non-empty down-set
+        closed under joins, and V down(m) = m.  So D is an ideal exactly
+        when it is principal, with V D as its generator.  The empty set
+        fails the test, as V {} = 0 and down(0) = {0}.
+        """
+        return self.down[self.join_all(_bits(mask))] == mask
 
     def atoms(self) -> tuple[int, ...]:
         """Elements covering bottom, ascending."""
@@ -567,75 +577,6 @@ def _zero_distributivity_scan(lat: Lattice) -> tuple[int, int, int] | None:
                 if ma[jb[c]] != bot:
                     return (a, b, c)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Element subsets (semi-ideals and ideals)
-
-
-class ElementSubset:
-    """A subset of lattice elements with lazily computed structure flags.
-
-    The membership is a bitmask over element indices.  Tuples are built
-    from lists so they are allocated at their exact size.
-    """
-
-    def __init__(self, lattice: Lattice, members: int | Iterable[int]):
-        self.lattice = lattice
-        if isinstance(members, int):
-            self.mask = members
-        else:
-            mask = 0
-            for m in members:
-                # A negative member makes the mask negative, which the
-                # check below rejects with the members above n - 1.
-                mask |= 1 << m if m >= 0 else -1
-            self.mask = mask
-        if self.mask >> lattice.n:
-            raise ValueError("subset mask has bits outside the lattice")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple([*_bits(self.mask)])
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        names = self.lattice.names
-        return tuple([names[i] for i in _bits(self.mask)])
-
-    def __contains__(self, x: int) -> bool:
-        return x >= 0 and bool(self.mask >> x & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ElementSubset) and self.mask == other.mask
-                and self.lattice == other.lattice)
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.lattice.names))
-
-    def __repr__(self) -> str:
-        return f"ElementSubset({{{', '.join(self.names)}}})"
-
-    @cached_property
-    def is_proper(self) -> bool:
-        return self.mask != (1 << self.lattice.n) - 1
-
-    @cached_property
-    def is_ideal(self) -> bool:
-        """Non-empty down-set closed under binary join.
-
-        Decided as ``down[V D] == D`` for the join V D of the members: a
-        finite non-empty down-set D closed under joins holds V D, so
-        D <= down(V D) <= D; conversely down(m) is a non-empty down-set
-        closed under joins, and V down(m) = m.  So D is an ideal exactly
-        when it is principal, with V D as its generator.  The empty set
-        fails the test, as V {} = 0 and down(0) = {0}.
-        """
-        lat = self.lattice
-        return lat.down[lat.join_all(_bits(self.mask))] == self.mask
 
 
 def _leaves_ideal(lat: Lattice, row: Sequence[int], inside: int) -> int:

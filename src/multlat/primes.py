@@ -5,11 +5,12 @@ of a prime semi-ideal is a filter, and every filter is principal, so the
 prime semi-ideals are exactly the complements of the principal filters up(f)
 for f != 0; the minimal ones are the complements of up(a) for the atoms a.
 A finite down-set is an ideal exactly when it holds its own join, that is
-when it is a principal down-set (``ElementSubset.is_ideal``), so the prime
+when it is a principal down-set (``Lattice.is_ideal``), so the prime
 ideals are the down(m) whose complement is some up(f), one set lookup per
 element, and the inclusion-minimal ones are down(m) for the <=-minimal such
 m (``Lattice.minimal``).  Everything here is read off the ``up``/``down``
-bitmasks, with no enumeration of down-sets.
+bitmasks, with no enumeration of down-sets, and each family is a sorted
+list of the bitmasks of its members.
 
 The lemma suite re-checks, instance by instance, the statements that the
 reduced theory guarantees, declared once in ``LEMMA_IDS``, and returns a
@@ -28,23 +29,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import (ElementSubset, Lattice, _bits, _leaves_ideal,
-                      zero_distributivity_witness)
+from .lattice import Lattice, _bits, _leaves_ideal, zero_distributivity_witness
 from .multiplication import (MultLattice, annihilator_map, is_reduced,
                              maximal_annihilator_elements,
                              minimal_prime_elements, prime_elements)
 
 
-def minimal_prime_semi_ideals(lat: Lattice) -> list[ElementSubset]:
-    """Inclusion-minimal prime semi-ideals, sorted by member bitmask: the
-    complements of up(a) for the atoms a."""
+def minimal_prime_semi_ideals(lat: Lattice) -> list[int]:
+    """The member bitmasks of the inclusion-minimal prime semi-ideals,
+    sorted: the complements of up(a) for the atoms a."""
     full = (1 << lat.n) - 1
-    return [ElementSubset(lat, m)
-            for m in sorted(full & ~lat.up[a] for a in lat.atoms())]
+    return sorted(full & ~lat.up[a] for a in lat.atoms())
 
 
-def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
-    """Inclusion-minimal prime ideals, sorted by member bitmask.
+def minimal_prime_ideals(lat: Lattice) -> list[int]:
+    """The member bitmasks of the inclusion-minimal prime ideals, sorted.
 
     The prime ideals are the join-closed prime semi-ideals.  A finite
     down-set is join-closed exactly when it holds its own join, that is when
@@ -57,21 +56,20 @@ def minimal_prime_ideals(lat: Lattice) -> list[ElementSubset]:
     full = (1 << lat.n) - 1
     filters = set(lat.up)
     tops = [m for m, d in enumerate(lat.down) if full & ~d in filters]
-    return [ElementSubset(lat, m)
-            for m in sorted(lat.down[t] for t in lat.minimal(tops))]
+    return sorted(lat.down[t] for t in lat.minimal(tops))
 
 
 @dataclass
 class PrimeStructure:
     """Everything the counting theorems talk about, for one instance.
 
-    The semi-ideal and ideal lists hold the inclusion-minimal prime
-    semi-ideals and prime ideals, sorted by member bitmask; the element lists
-    hold indices in ascending order.
+    The semi-ideal and ideal lists hold the member bitmasks of the
+    inclusion-minimal prime semi-ideals and prime ideals, sorted; the element
+    lists hold indices in ascending order.
     """
 
-    minimal_prime_semi_ideals: list[ElementSubset]
-    minimal_prime_ideals: list[ElementSubset]
+    minimal_prime_semi_ideals: list[int]
+    minimal_prime_ideals: list[int]
     minimal_prime_elements: list[int]
     maximal_annihilators: list[int]
 
@@ -170,13 +168,12 @@ def check_lemma_suite(ml: MultLattice,
     # Every minimal prime semi-ideal is an ideal, and the minimal prime
     # semi-ideal and minimal prime ideal families coincide.
     semi = structure.minimal_prime_semi_ideals
-    bad = [d for d in semi if not d.is_ideal]
+    bad = [d for d in semi if not lat.is_ideal(d)]
     if bad:
         verdict(False, "a minimal prime semi-ideal is not join-closed",
-                bad[0].members)
+                _bits(bad[0]))
     else:
-        verdict({d.mask for d in semi}
-                == {d.mask for d in structure.minimal_prime_ideals},
+        verdict(set(semi) == set(structure.minimal_prime_ideals),
                 "semi-ideal and ideal families differ")
 
     # Maximal annihilator elements are prime.

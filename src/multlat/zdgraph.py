@@ -1,8 +1,9 @@
 """Zero-divisor graphs of a lattice, in both senses.
 
-The order-sense graph is taken with respect to a proper ideal I: vertices are
-the elements outside I whose meet with some other element outside I lands in
-I, and two distinct vertices are adjacent when their meet is in I.
+The order-sense graph is taken with respect to a proper ideal I, given as
+the bitmask of its members: vertices are the elements outside I whose meet
+with some other element outside I lands in I, and two distinct vertices are
+adjacent when their meet is in I.
 
 The multiplicative-sense graph is taken with respect to an element i:
 vertices are the elements not below i whose product with some element not
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ImproperIdeal, NotAnIdeal, SelfCheckError, TooLarge
-from .lattice import ElementSubset, Lattice, _bits, _leaves_ideal, _transposed
+from .lattice import Lattice, _bits, _leaves_ideal, _transposed
 from .multiplication import MultLattice
 
 #: Fixed fill palette for DOT export, indexed by color class.
@@ -97,15 +98,18 @@ def _assemble(lat: Lattice, table, inside: int, provenance) -> ZdGraph:
     return ZdGraph(lat, tuple(verts), tuple(adj), provenance)
 
 
-def order_zero_divisor_graph(lat: Lattice, ideal: ElementSubset) -> ZdGraph:
-    """The zero-divisor graph of the lattice order with respect to an ideal."""
-    if ideal.lattice != lat:
-        raise ValueError("ideal belongs to a different lattice")
-    if not ideal.is_ideal:
-        raise NotAnIdeal(f"subset {{{', '.join(ideal.names)}}} is not an ideal")
-    if not ideal.is_proper:
+def order_zero_divisor_graph(lat: Lattice, ideal: int) -> ZdGraph:
+    """The zero-divisor graph of the lattice order with respect to the ideal
+    whose members are the set bits of ``ideal``."""
+    full = (1 << lat.n) - 1
+    if not 0 <= ideal <= full:
+        raise ValueError(f"ideal mask {ideal} is outside 0 .. 2**{lat.n} - 1")
+    if not lat.is_ideal(ideal):
+        members = ", ".join([lat.names[i] for i in _bits(ideal)])
+        raise NotAnIdeal(f"subset {{{members}}} is not an ideal")
+    if ideal == full:
         raise ImproperIdeal("the whole lattice is not a proper ideal")
-    return _assemble(lat, lat.meet, ideal.mask, ("order", ideal.mask))
+    return _assemble(lat, lat.meet, ideal, ("order", ideal))
 
 
 def mult_zero_divisor_graph(ml: MultLattice, element: int | None = None) -> ZdGraph:

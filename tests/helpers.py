@@ -4,10 +4,9 @@ from __future__ import annotations
 import math
 import random
 
-from multlat import (ElementSubset, Lattice, NotALattice, ZdGraph,
-                     attach_multiplication, build_lattice, fig3_lattice,
-                     fig3_table, minimal_prime_elements,
-                     mult_zero_divisor_graph)
+from multlat import (Lattice, NotALattice, ZdGraph, attach_multiplication,
+                     build_lattice, fig3_lattice, fig3_table,
+                     minimal_prime_elements, mult_zero_divisor_graph)
 from multlat.search import chain_lattice
 from multlat.solvers import (Coloring, _class_colors, _coloring, _Deadline,
                              _max_clique, _relabel)
@@ -54,8 +53,8 @@ def assert_is_n5(lat, witness: tuple[int, int, int, int, int]) -> None:
 # Down-set oracle for the closed-form prime structure
 
 
-def enumerate_down_sets(lat: Lattice) -> list[ElementSubset]:
-    """All down-sets of the lattice order, sorted by member bitmask.
+def enumerate_down_sets(lat: Lattice) -> list[int]:
+    """The member bitmasks of all down-sets of the lattice order, sorted.
 
     Includes the empty set and the whole lattice.  Exponential in general:
     this is the brute-force reference the closed forms in multlat.primes are
@@ -74,7 +73,12 @@ def enumerate_down_sets(lat: Lattice) -> list[ElementSubset]:
             if nd not in found:
                 found.add(nd)
                 frontier.append(nd)
-    return [ElementSubset(lat, m) for m in sorted(found)]
+    return sorted(found)
+
+
+def mask_names(lat: Lattice, mask: int) -> tuple[str, ...]:
+    """The names of the elements in ``mask``, in index order."""
+    return tuple([lat.names[i] for i in _mask_bits(mask)])
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -82,33 +86,31 @@ def _minimal(masks: list[int]) -> list[int]:
             if not any(o != m and o & ~m == 0 for o in masks)]
 
 
-def pair_is_ideal(d: ElementSubset) -> bool:
-    """Whether d is a non-empty down-set closed under binary join, checked
-    on every pair of members: the definition that the principal-down-set
-    test ``ElementSubset.is_ideal`` is compared against."""
-    down, join, ms = d.lattice.down, d.lattice.join, d.members
-    if d.mask == 0 or any(down[x] & ~d.mask for x in ms):
+def pair_is_ideal(lat: Lattice, d: int) -> bool:
+    """Whether the mask d is a non-empty down-set closed under binary join,
+    checked on every pair of members: the definition that the
+    principal-down-set test ``Lattice.is_ideal`` is compared against."""
+    down, join, ms = lat.down, lat.join, _mask_bits(d)
+    if d == 0 or any(down[x] & ~d for x in ms):
         return False
-    return all(d.mask >> join[a][b] & 1 for a in ms for b in ms)
+    return all(d >> join[a][b] & 1 for a in ms for b in ms)
 
 
-def is_prime_semi_ideal(d: ElementSubset) -> bool:
-    """Whether d is a non-empty proper down-set such that a ^ b inside
-    forces a or b inside, checked over every pair outside."""
-    lat = d.lattice
-    if (d.mask == 0 or not d.is_proper
-            or any(lat.down[x] & ~d.mask for x in d.members)):
+def is_prime_semi_ideal(lat: Lattice, d: int) -> bool:
+    """Whether the mask d is a non-empty proper down-set such that a ^ b
+    inside forces a or b inside, checked over every pair outside."""
+    if (d == 0 or d == (1 << lat.n) - 1
+            or any(lat.down[x] & ~d for x in _mask_bits(d))):
         return False
-    outside = [x for x in range(lat.n) if not d.mask >> x & 1]
-    return not any(d.mask >> lat.meet[a][b] & 1 for a in outside for b in outside)
+    outside = [x for x in range(lat.n) if not d >> x & 1]
+    return not any(d >> lat.meet[a][b] & 1 for a in outside for b in outside)
 
 
 def oracle_prime_masks(lat: Lattice) -> tuple[list[int], list[int], list[int]]:
     """(prime semi-ideals, minimal prime semi-ideals, minimal prime ideals)
     as ascending mask lists, from the definitions over every down-set."""
-    primes = [d for d in enumerate_down_sets(lat) if is_prime_semi_ideal(d)]
-    semi = [d.mask for d in primes]
-    ideals = [d.mask for d in primes if pair_is_ideal(d)]
+    semi = [d for d in enumerate_down_sets(lat) if is_prime_semi_ideal(lat, d)]
+    ideals = [d for d in semi if pair_is_ideal(lat, d)]
     return semi, _minimal(semi), _minimal(ideals)
 
 

@@ -95,8 +95,8 @@ MUTANTS = (
             "test_cores.py::test_prime_elements_match_the_pair_scan"),
            "a prime element is not 1 by definition"),
     Mutant("ideal-only-below-its-join", "lattice.py",
-           "return lat.down[lat.join_all(_bits(self.mask))] == self.mask",
-           "return not self.mask & ~lat.down[lat.join_all(_bits(self.mask))]",
+           "return self.down[self.join_all(_bits(mask))] == mask",
+           "return not mask & ~self.down[self.join_all(_bits(mask))]",
            ("test_cores.py::test_ideal_test_matches_the_pair_definition",),
            "every set lies below its join; an ideal is all of down(V D)"),
     Mutant("prime-ideals-without-the-filter-test", "primes.py",
@@ -148,6 +148,12 @@ MUTANTS = (
            ("test_multiplication.py::test_each_m3_phase_rejects_a_table_the_"
             "other_accepts",),
            "a row outside J is good only if it is the join of two good rows"),
+    Mutant("m3-phase-i-checks-one-join-irreducible", "multiplication.py",
+           "for j in irreducibles)", "for j in irreducibles[:1])",
+           ("test_multiplication.py::test_axiom_check_matches_oracle_on_fixed_"
+            "instances",),
+           "a join-irreducible row is good only if it distributes over b v j "
+           "for every j in J"),
     Mutant("join-prime-test-skips-a-join-irreducible", "multiplication.py",
            "for j in lat.join_irreducibles)", "for j in lat.join_irreducibles[1:])",
            ("test_cores.py::test_built_in_products_are_admitted_exactly_when_"
@@ -172,6 +178,12 @@ MUTANTS = (
             "scan",),
            "the lemma is about distinct annihilators; equal ones may not "
            "multiply to 0"),
+    # The order graph's ideal is a mask of the lattice's elements.
+    Mutant("order-graph-mask-without-lower-bound", "zdgraph.py",
+           "if not 0 <= ideal <= full:", "if not ideal <= full:",
+           ("test_lattice.py::test_subset_members_outside_the_lattice",),
+           "a negative mask has bits past every element and would be read "
+           "as a set"),
     # One greedy colouring: the clique search's root classes.
     Mutant("root-class-colours-shifted", "solvers.py",
            "for v in _bits(cls):\n            colors[v] = c\n",

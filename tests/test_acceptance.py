@@ -19,8 +19,7 @@ from multlat import (analyze, analyze_ring, attach_multiplication,
                      check_lemma_suite, chromatic_number, clique_number,
                      fixture, fig2_lattice, ideal_lattice_zn, is_modular,
                      minimal_prime_elements, modularity_witness,
-                     mult_zero_divisor_graph, order_zero_divisor_graph,
-                     ElementSubset)
+                     mult_zero_divisor_graph, order_zero_divisor_graph)
 from multlat.rings import prime_factors
 from multlat.search import boolean_lattice, random_poset_down_set_lattice
 
@@ -86,7 +85,7 @@ def test_criterion_1_counterexample_reproduction():
 def test_criterion_2_small_fixture_reproduction():
     start = time.monotonic()
     lat = fig2_lattice()
-    go = order_zero_divisor_graph(lat, ElementSubset(lat, [lat.bottom]))
+    go = order_zero_divisor_graph(lat, 1 << lat.bottom)
     ml = fixture("fig2", "trivial")
     gm = mult_zero_divisor_graph(ml)
     chi, _ = chromatic_number(gm)

@@ -11,7 +11,7 @@ import pytest
 
 import multlat.lattice
 import multlat.multiplication
-from multlat import (AxiomViolation, ElementSubset, Lattice, SelfCheckError,
+from multlat import (AxiomViolation, Lattice, SelfCheckError,
                      analyze, build_lattice, analyze_ring, annihilator_star,
                      check_lemma_suite, fig2_lattice, fig3_lattice, is_reduced,
                      attach_multiplication, brute_force_chromatic,
@@ -200,7 +200,7 @@ def test_rows_leave_an_ideal_where_their_join_irreducible_columns_do():
 
 
 def test_ideal_test_matches_the_pair_definition():
-    """ElementSubset.is_ideal, the principal-down-set test, equals the
+    """Lattice.is_ideal, the principal-down-set test, equals the
     definition checked on every pair of members, on every down-set and on
     seeded other subsets of the fixtures, the plane flats both ways and
     seeded intersection-closed lattices, most of them not distributive."""
@@ -210,11 +210,11 @@ def test_ideal_test_matches_the_pair_definition():
     outcomes = Counter()
     for lat in lattices:
         subsets = enumerate_down_sets(lat)
-        subsets += [ElementSubset(lat, rng.getrandbits(lat.n)) for _ in range(20)]
+        subsets += [rng.getrandbits(lat.n) for _ in range(20)]
         for d in subsets:
-            ideal = pair_is_ideal(d)
-            assert d.is_ideal == ideal, (lat.names, d.names)
-            outcomes[ideal, all(lat.down[x] & ~d.mask == 0 for x in d.members)] += 1
+            ideal = pair_is_ideal(lat, d)
+            assert lat.is_ideal(d) == ideal, (lat.names, d)
+            outcomes[ideal, all(lat.down[x] & ~d == 0 for x in _bits(d))] += 1
     assert sum(not is_distributive(lat) for lat in lattices) > 200
     # Ideals, down-sets that are not join-closed, and other subsets.
     assert outcomes[True, True] > 4000 and outcomes[False, True] > 25000
@@ -383,7 +383,7 @@ def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
     assert counts == Counter(range(30))
     counts.clear()
     ml = fixture("fig3")
-    assert nilpotency_witness(ml) == (ml.lattice.index("f"), 2)
+    assert nilpotency_witness(ml) == (ml.lattice.names.index("f"), 2)
     assert not counts
     analyze(ml, instance_id="fixture:fig3")
     analyze(ml, instance_id="fixture:fig3")
@@ -498,7 +498,7 @@ def test_a_distributive_instance_whose_kernel_is_not_a_clique():
                      if y != x and lat.down[x] >> y & 1)]
     assert [lat.names[x] for x in kernel] == ["w", "z", "x", "y"]
     position = {v: k for k, v in enumerate(g.vertices)}
-    x, y = lat.index("x"), lat.index("y")
+    x, y = lat.names.index("x"), lat.names.index("y")
     assert not g.adj[position[x]] >> position[y] & 1
     report = analyze(ml)
     assert (report.chi, report.omega, report.verdict) == (3, 3, "holds")

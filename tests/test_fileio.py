@@ -34,7 +34,7 @@ def test_load_lattice_with_meet_multiplication(tmp_path):
     data = dict(GOOD, multiplication={"kind": "meet"})
     lat, ml = load_lattice_file(write(tmp_path, data))
     assert ml is not None
-    assert ml.product[lat.index("a")][lat.index("b")] == lat.bottom
+    assert ml.product[lat.names.index("a")][lat.names.index("b")] == lat.bottom
 
 
 def test_load_lattice_with_table(tmp_path):

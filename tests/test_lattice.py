@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import os
 import random
+import signal
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
@@ -14,15 +15,15 @@ from hypothesis import strategies as st
 
 import multlat
 from multlat import lattice as lattice_module
-from multlat import (ElementSubset, NoBoundedStructure, NotALattice,
-                     NotAPartialOrder, SelfCheckError, build_lattice, fig2_lattice,
-                     fig3_lattice, is_modular, is_zero_distributive,
-                     modularity_witness, zero_distributivity_witness)
+from multlat import (NoBoundedStructure, NotALattice, NotAPartialOrder,
+                     SelfCheckError, build_lattice, fig2_lattice, fig3_lattice,
+                     is_modular, is_zero_distributive, modularity_witness,
+                     order_zero_divisor_graph, zero_distributivity_witness)
 from multlat.search import boolean_lattice, chain_lattice, random_poset_down_set_lattice
 
 from helpers import (assert_is_n5, bit_scan_meet_join, cover_closure,
                      enumerate_down_sets, is_distributive, is_prime_semi_ideal,
-                     random_closure_lattice)
+                     mask_names, random_closure_lattice)
 
 DIAMOND = (["0", "x", "y", "z", "1"],
            [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
@@ -62,15 +63,15 @@ def inclusion_pairs(lat):
 
 def test_two_chain():
     lat = build_lattice(["0", "1"], [("0", "1")], "covers")
-    assert lat.bottom == lat.index("0")
-    assert lat.top == lat.index("1")
-    assert lat.meet[0][1] == lat.index("0")
-    assert lat.join[0][1] == lat.index("1")
+    assert lat.bottom == lat.names.index("0")
+    assert lat.top == lat.names.index("1")
+    assert lat.meet[0][1] == lat.names.index("0")
+    assert lat.join[0][1] == lat.names.index("1")
 
 
 def test_fig2_structure():
     lat = fig2_lattice()
-    a, b, c, d = (lat.index(x) for x in "abcd")
+    a, b, c, d = (lat.names.index(x) for x in "abcd")
     assert lat.meet[a][c] == lat.bottom
     assert lat.meet[b][c] == lat.bottom
     assert lat.join[a][c] == d
@@ -246,7 +247,8 @@ def test_boolean_meets_are_intersections():
         for j in range(lat.n):
             assert members(lat.meet[i][j]) == members(i) & members(j)
             assert members(lat.join[i][j]) == members(i) | members(j)
-    assert lat.meet[lat.index("{1,2}")][lat.index("{2,3}")] == lat.index("{2}")
+    at = lat.names.index
+    assert lat.meet[at("{1,2}")][at("{2,3}")] == at("{2}")
 
 
 def test_boolean_7_from_covers_matches_the_bit_scan_oracle():
@@ -316,68 +318,65 @@ def test_fig2_is_zero_distributive_by_scan():
 def test_principal_sets():
     lat = fig2_lattice()
     def down(name):
-        return ElementSubset(lat, lat.down[lat.index(name)])
-    assert down("1").names == lat.names
-    assert down("0").names == ("0",)
-    assert down("d").names == ("0", "a", "b", "c", "d")
-    assert ElementSubset(lat, lat.up[lat.index("d")]).names == ("d", "1")
+        return mask_names(lat, lat.down[lat.names.index(name)])
+    assert down("1") == lat.names
+    assert down("0") == ("0",)
+    assert down("d") == ("0", "a", "b", "c", "d")
+    assert mask_names(lat, lat.up[lat.names.index("d")]) == ("d", "1")
 
 
 def test_subset_flags():
     lat = fig2_lattice()
+    whole = (1 << lat.n) - 1
 
     def down_closed(d):
-        return all(lat.down[x] & ~d.mask == 0 for x in d.members)
+        return all(lat.down[x] & ~d == 0 for x in range(lat.n) if d >> x & 1)
 
-    down_d = ElementSubset(lat, lat.down[lat.index("d")])
-    assert down_closed(down_d) and down_d.is_ideal and down_d.is_proper
-    up_d = ElementSubset(lat, lat.up[lat.index("d")])
+    down_d = lat.down[lat.names.index("d")]
+    assert down_closed(down_d) and lat.is_ideal(down_d) and down_d != whole
+    up_d = lat.up[lat.names.index("d")]
     assert not down_closed(up_d)
-    ab = ElementSubset(lat, [lat.index("a"), lat.index("b")])
-    assert not down_closed(ab) and not ab.is_ideal
-    whole = ElementSubset(lat, (1 << lat.n) - 1)
-    assert whole.is_ideal and not whole.is_proper and not is_prime_semi_ideal(whole)
+    ab = 1 << lat.names.index("a") | 1 << lat.names.index("b")
+    assert not down_closed(ab) and not lat.is_ideal(ab)
+    assert lat.is_ideal(whole) and not is_prime_semi_ideal(lat, whole)
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("the mask was not rejected within 5 s")
 
 
 @pytest.mark.parametrize("outside", [-1, 6])
 def test_subset_members_outside_the_lattice(outside):
-    """fig2 has 6 elements: -1 is rejected like 6, with the subset's own
-    message, not a bare shift-count fault, and neither is a member."""
+    """fig2 has 6 elements, so a mask with a bit at 6 and the negative mask
+    -1 (every bit set, for ever) reach outside the lattice, and the order
+    graph rejects each with its range message, not as a non-ideal.  A
+    negative mask that got past the range check could loop for ever on its
+    bits, which the alarm turns into a failure."""
     lat = fig2_lattice()
     assert lat.n == 6
-    with pytest.raises(ValueError,
-                       match="^subset mask has bits outside the lattice$"):
-        ElementSubset(lat, [0, outside])
-    whole = ElementSubset(lat, range(lat.n))
-    assert outside not in whole and lat.n - 1 in whole
-
-
-def test_subset_equality_hash_len_and_repr():
-    """Equal masks on one lattice are equal and hash alike, the same mask on
-    another lattice is not equal, len counts the members, and repr names
-    them."""
-    lat = fig2_lattice()
-    a, c = lat.index("a"), lat.index("c")
-    ac = ElementSubset(lat, [c, a])
-    same = ElementSubset(lat, 1 << a | 1 << c)
-    assert ac == same and hash(ac) == hash(same)
-    assert ac != ElementSubset(chain_lattice(lat.n), ac.mask)
-    assert ac != ElementSubset(lat, 1 << a)
-    assert len(ac) == 2 and len(ElementSubset(lat, 0)) == 0
-    assert repr(ac) == "ElementSubset({a, c})"
+    masks = (outside,) if outside < 0 else (1 << outside, 1 | 1 << outside)
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(5)
+    try:
+        for mask in masks:
+            with pytest.raises(ValueError, match=(
+                    rf"^ideal mask {mask} is outside 0 \.\. 2\*\*6 - 1$")):
+                order_zero_divisor_graph(lat, mask)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_down_sets_two_chain():
     lat = chain_lattice(2)
-    fams = enumerate_down_sets(lat)
-    assert [d.members for d in fams] == [(), (0,), (0, 1)]
+    assert enumerate_down_sets(lat) == [0b00, 0b01, 0b11]
 
 
 def test_down_sets_b2():
     lat = boolean_lattice(2)
     fams = enumerate_down_sets(lat)
     assert len(fams) == 6
-    names = [d.names for d in fams]
+    names = [mask_names(lat, d) for d in fams]
     assert ("{}", "{1}") in names and ("{}", "{1}", "{2}") in names
 
 
@@ -391,14 +390,14 @@ def test_down_sets_chain_count():
 def test_down_sets_are_down_closed_and_lattice():
     lat = fig2_lattice()
     fams = enumerate_down_sets(lat)
-    masks = {d.mask for d in fams}
+    masks = set(fams)
     for d in fams:
-        assert all(lat.down[x] & ~d.mask == 0 for x in d.members)
+        assert all(lat.down[x] & ~d == 0 for x in range(lat.n) if d >> x & 1)
     for m1 in masks:
         for m2 in masks:
             assert m1 | m2 in masks
             assert m1 & m2 in masks
-    assert [d.mask for d in fams] == sorted(d.mask for d in fams)
+    assert fams == sorted(fams)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ def test_fig2_trivial_is_valid():
     # the top covers a single element, so it is join-irreducible
     ml = fixture("fig2")
     lat = ml.lattice
-    assert ml.product[lat.index("a")][lat.index("b")] == lat.bottom
-    assert ml.product[lat.index("a")][lat.top] == lat.index("a")
+    assert ml.product[lat.names.index("a")][lat.names.index("b")] == lat.bottom
+    assert ml.product[lat.names.index("a")][lat.top] == lat.names.index("a")
 
 
 def test_meet_multiplication_needs_distributivity():
@@ -130,7 +130,7 @@ def assert_matches_oracle(lat, product) -> str | None:
     try:
         _verify_axioms(lat, product)
     except AxiomViolation as exc:
-        witness = tuple(lat.index(w) for w in exc.witness)
+        witness = tuple(lat.names.index(w) for w in exc.witness)
         assert (exc.axiom, witness) == scanned
         assert reference is not None, f"{exc} but every triple satisfies M1-M5"
         assert not axiom_holds_at(lat, product, exc.axiom, witness)
@@ -265,9 +265,9 @@ def test_each_m3_phase_rejects_a_table_the_other_accepts():
     both: the rows of two of its atoms join to 0 at the third.)"""
     pentagon, diamond = pentagon_lattice(), diamond_lattice()
     b3 = boolean_lattice(3)
-    x = b3.index("{1,2}")
+    x = b3.names.index("{1,2}")
     squashed = [list(row) for row in b3.meet]
-    squashed[x][x] = b3.index("{1}")
+    squashed[x][x] = b3.names.index("{1}")
     cases = [(pentagon, pentagon.meet, (False, True)),
              (b3, squashed, (True, False)),
              (diamond, diamond.meet, (False, False))]
@@ -284,7 +284,7 @@ def test_a_row_above_an_uncertified_row_is_scanned():
     lat = ideal_lattice_zn(12).lattice
     table = [list(row) for row in lat.meet]
     for x, y in (("(2)", "(3)"), ("(3)", "(6)")):
-        i, j = lat.index(x), lat.index(y)
+        i, j = lat.names.index(x), lat.names.index(y)
         table[i][j] = table[j][i] = lat.bottom
     with pytest.raises(AxiomViolation) as exc:
         _verify_axioms(lat, table)
@@ -329,12 +329,12 @@ def test_self_check_survives_python_optimize():
 def test_fig3_nilpotents():
     ml = fixture("fig3")
     lat = ml.lattice
-    f = lat.index("f")
+    f = lat.names.index("f")
     assert power(ml, f, 2) == lat.bottom
     assert not is_reduced(ml)
     witness = nilpotency_witness(ml)
     assert (lat.names[witness[0]], witness[1]) == ("f", 2)
-    a = lat.index("a")
+    a = lat.names.index("a")
     assert power(ml, a, 2) == f
     assert power(ml, a, 3) == lat.bottom
 
@@ -346,7 +346,7 @@ def test_meet_multiplication_is_reduced():
 
 def test_fig2_trivial_is_not_reduced():
     ml = fixture("fig2")
-    a = ml.lattice.index("a")
+    a = ml.lattice.names.index("a")
     assert ml.product[a][a] == ml.lattice.bottom
     assert not is_reduced(ml)
 
@@ -372,12 +372,12 @@ def test_annihilator_of_bottom_is_top():
 def test_b3_atom_annihilator():
     ml = b3_meet()
     lat = ml.lattice
-    assert lat.names[annihilator_star(ml, lat.index("{1}"))] == "{2,3}"
+    assert lat.names[annihilator_star(ml, lat.names.index("{1}"))] == "{2,3}"
 
 
 def test_fig3_annihilator_of_square_zero_element_is_top():
     ml = fixture("fig3")
-    assert annihilator_star(ml, ml.lattice.index("f")) == ml.lattice.top
+    assert annihilator_star(ml, ml.lattice.names.index("f")) == ml.lattice.top
 
 
 def test_reduced_annihilator_matches_single_power_form():

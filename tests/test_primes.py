@@ -8,7 +8,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (ElementSubset, analyze, attach_multiplication,
+from multlat import (analyze, attach_multiplication,
                      check_lemma_suite, fig2_lattice, fig3_lattice, fixture,
                      is_reduced, minimal_prime_elements, minimal_prime_ideals,
                      minimal_prime_semi_ideals, mult_zero_divisor_graph,
@@ -20,7 +20,7 @@ from multlat.search import (boolean_lattice, chain_lattice, generate,
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
                      enumerate_down_sets, is_distributive, is_prime_semi_ideal,
-                     is_squarefree, oracle_prime_masks, pair_is_ideal,
+                     is_squarefree, mask_names, oracle_prime_masks, pair_is_ideal,
                      principal_join_irreducibles, random_closure_lattice,
                      scan_prime_annihilator_pair)
 
@@ -35,31 +35,31 @@ RANDOM_SUITE_BASE_SEED = 20_240_817
 def test_b2_minimal_prime_semi_ideals():
     lat = boolean_lattice(2)
     mpsi = minimal_prime_semi_ideals(lat)
-    assert [d.names for d in mpsi] == [("{}", "{1}"), ("{}", "{2}")]
-    assert all(is_prime_semi_ideal(d) for d in mpsi)
+    assert [mask_names(lat, d) for d in mpsi] == [("{}", "{1}"), ("{}", "{2}")]
+    assert all(is_prime_semi_ideal(lat, d) for d in mpsi)
 
 
 def test_chain_minimal_prime_semi_ideal_is_bottom():
     lat = chain_lattice(4)
     mpsi = minimal_prime_semi_ideals(lat)
-    assert len(mpsi) == 1
-    assert mpsi[0].members == (lat.bottom,)
+    assert mpsi == [1 << lat.bottom]
 
 
 def test_fig2_minimal_prime_semi_ideals():
     lat = fig2_lattice()
     mpsi = minimal_prime_semi_ideals(lat)
-    assert [set(d.names) for d in mpsi] == [{"0", "a", "b"}, {"0", "c"}]
+    assert [set(mask_names(lat, d)) for d in mpsi] == [{"0", "a", "b"}, {"0", "c"}]
 
 
 def test_empty_and_whole_are_not_prime():
     lat = boolean_lattice(2)
     down_sets = enumerate_down_sets(lat)
-    assert down_sets[0].mask == 0 and not down_sets[-1].is_proper
-    assert not is_prime_semi_ideal(down_sets[0])
-    assert not is_prime_semi_ideal(down_sets[-1])
+    whole = (1 << lat.n) - 1
+    assert down_sets[0] == 0 and down_sets[-1] == whole
+    assert not is_prime_semi_ideal(lat, down_sets[0])
+    assert not is_prime_semi_ideal(lat, down_sets[-1])
     for d in minimal_prime_semi_ideals(lat) + minimal_prime_ideals(lat):
-        assert d.mask != 0 and d.is_proper
+        assert d != 0 and d != whole
 
 
 def test_minimal_prime_ideals_b3():
@@ -67,18 +67,19 @@ def test_minimal_prime_ideals_b3():
     mpi = minimal_prime_ideals(lat)
     assert len(mpi) == 3
     for d in mpi:
-        assert d.is_ideal and pair_is_ideal(d) and is_prime_semi_ideal(d)
+        assert (lat.is_ideal(d) and pair_is_ideal(lat, d)
+                and is_prime_semi_ideal(lat, d))
     # each is the principal down-set of a coatom
     coatoms = lat.maximal(x for x in range(lat.n) if x != lat.top)
     expected = {lat.down[c] for c in coatoms}
-    assert {d.mask for d in mpi} == expected
-    assert ("{}", "{1}", "{2}", "{1,2}") in {d.names for d in mpi}
+    assert set(mpi) == expected
+    assert ("{}", "{1}", "{2}", "{1,2}") in {mask_names(lat, d) for d in mpi}
 
 
 def test_minimal_prime_ideals_two_chain():
     lat = chain_lattice(2)
     mpi = minimal_prime_ideals(lat)
-    assert len(mpi) == 1 and mpi[0].members == (lat.bottom,)
+    assert mpi == [1 << lat.bottom]
 
 
 def test_z30_minimal_prime_ideal_count():
@@ -100,7 +101,7 @@ def test_prime_semi_ideals_are_filter_complements():
         assert set(semi) == expected
         minimal = minimal_prime_semi_ideals(lat)
         atom_complements = {((1 << lat.n) - 1) & ~lat.up[a] for a in lat.atoms()}
-        assert {d.mask for d in minimal} == atom_complements
+        assert set(minimal) == atom_complements
 
 
 def test_minimal_prime_semi_ideal_count_equals_atom_count():
@@ -134,12 +135,12 @@ def test_closed_form_matches_down_set_oracle():
     checked = distinct_counts = 0
     for lat in _oracle_lattices():
         _, minimal_semi, minimal_ideals = oracle_prime_masks(lat)
-        assert [d.mask for d in minimal_prime_semi_ideals(lat)] == minimal_semi
-        assert [d.mask for d in minimal_prime_ideals(lat)] == minimal_ideals
+        assert minimal_prime_semi_ideals(lat) == minimal_semi
+        assert minimal_prime_ideals(lat) == minimal_ideals
         if is_distributive(lat):
             structure = prime_structure(attach_multiplication(lat, "meet"))
-            assert [d.mask for d in structure.minimal_prime_semi_ideals] == minimal_semi
-            assert [d.mask for d in structure.minimal_prime_ideals] == minimal_ideals
+            assert structure.minimal_prime_semi_ideals == minimal_semi
+            assert structure.minimal_prime_ideals == minimal_ideals
         checked += 1
         distinct_counts += len(minimal_semi) != len(minimal_ideals)
     assert checked > 900
@@ -199,19 +200,16 @@ def test_reduced_semi_ideals_coincide_with_ideals():
                ideal_lattice_zn(42)):
         assert is_reduced(ml)
         lat = ml.lattice
-        semi = {d.mask for d in minimal_prime_semi_ideals(lat)}
-        ideals = {d.mask for d in minimal_prime_ideals(lat)}
-        assert semi == ideals
+        assert minimal_prime_semi_ideals(lat) == minimal_prime_ideals(lat)
 
 
 def test_prime_structure_orders_are_deterministic():
     ml = ideal_lattice_zn(210)
     s1 = prime_structure(ml)
     s2 = prime_structure(ml)
-    assert [d.mask for d in s1.minimal_prime_semi_ideals] == \
-        [d.mask for d in s2.minimal_prime_semi_ideals]
+    assert s1.minimal_prime_semi_ideals == s2.minimal_prime_semi_ideals
     assert s1.minimal_prime_elements == sorted(s1.minimal_prime_elements)
-    masks = [d.mask for d in s1.minimal_prime_semi_ideals]
+    masks = s1.minimal_prime_semi_ideals
     assert masks == sorted(masks)
 
 
@@ -306,15 +304,14 @@ def _fail_line(checks) -> LemmaCheck:
 
 def _with_structure(ml, **fields):
     """The suite on ``ml`` given its prime structure with ``fields`` (element
-    names, or lists of them for the subsets) put in."""
+    names, or lists of them for the subsets, which become masks) put in."""
     lat = ml.lattice
     edited = {}
     for key, value in fields.items():
         if key.endswith("ideals"):
-            edited[key] = [ElementSubset(lat, [lat.index(nm) for nm in d])
-                           for d in value]
+            edited[key] = [sum(1 << lat.names.index(nm) for nm in d) for d in value]
         else:
-            edited[key] = [lat.index(nm) for nm in value]
+            edited[key] = [lat.names.index(nm) for nm in value]
     return check_lemma_suite(
         ml, dataclasses.replace(prime_structure(ml), **edited))
 
@@ -327,7 +324,7 @@ def test_the_undoctored_instance_passes_every_check():
 def test_lemma_fail_line_when_the_lattice_is_not_zero_distributive(monkeypatch):
     ml = _divisors_of_12()
     lat = ml.lattice
-    witness = tuple(lat.index(nm) for nm in ("(3)", "(4)", "(6)"))
+    witness = tuple(lat.names.index(nm) for nm in ("(3)", "(4)", "(6)"))
     monkeypatch.setattr("multlat.primes.zero_distributivity_witness",
                         lambda _: witness)
     assert _fail_line(check_lemma_suite(ml)) == LemmaCheck(
@@ -356,7 +353,7 @@ def test_lemma_fail_line_when_a_maximal_annihilator_is_not_prime(monkeypatch):
     ml = _divisors_of_12()
     lat = ml.lattice
     monkeypatch.setattr("multlat.primes.prime_elements", lambda _: [
-        lat.index("(2)"), lat.index("(4)")])
+        lat.names.index("(2)"), lat.names.index("(4)")])
     assert _fail_line(check_lemma_suite(ml)) == LemmaCheck(
         "maximal_annihilators_are_prime", "fail",
         "a maximal annihilator element is not prime",
@@ -448,7 +445,7 @@ def test_reduced_chain_with_a_non_meet_square():
     multiplies to 0, so the graph is empty."""
     ml = chain_square_mult()
     lat = ml.lattice
-    c1, c2 = lat.index("c1"), lat.index("c2")
+    c1, c2 = lat.names.index("c1"), lat.names.index("c2")
     assert ml.product[c2][c2] == c1 != lat.meet[c2][c2]
     report = analyze(ml, instance_id="chain-square")
     assert report.reduced and report.verdict == "empty_graph"

@@ -72,7 +72,7 @@ def test_z6_structure():
 
 def test_z4_is_not_reduced():
     ml = ideal_lattice_zn(4)
-    two = ml.lattice.index("(2)")
+    two = ml.lattice.names.index("(2)")
     assert ml.product[two][two] == ml.lattice.bottom
     assert not is_reduced(ml)
 

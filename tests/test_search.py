@@ -331,7 +331,7 @@ def test_chi_above_omega_at_a_semiprime_element_is_fatal(monkeypatch):
     (6) in Id(Z_12), where (6).(6) = 0.  The quotient above (6) is reduced,
     so the theory still forbids chi != omega there."""
     ml = ideal_lattice_zn(12)
-    six = ml.lattice.index("(6)")
+    six = ml.lattice.names.index("(6)")
     assert not is_reduced(ml) and is_semiprime(ml, six)
     assert analyze(ml, element=six).verdict == "holds"
     misreport_chi(monkeypatch)
@@ -376,7 +376,7 @@ def test_a_reduced_lattice_fails_at_an_element_that_is_not_semiprime():
     not a self-check alarm.  The report's ``reduced`` stays about the
     bottom."""
     ml = parse_lattice_data(fig3_under_a_new_bottom())[1]
-    zero = ml.lattice.index("0")
+    zero = ml.lattice.names.index("0")
     assert ml.n == 15 and is_reduced(ml) and not is_semiprime(ml, zero)
     report = analyze(ml, element=zero)
     assert (report.verdict, report.chi, report.omega) == ("fails", 4, 3)

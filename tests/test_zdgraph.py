@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multlat.zdgraph
-from multlat import (AxiomViolation, Coloring, ElementSubset, ImproperIdeal,
+from multlat import (AxiomViolation, Coloring, ImproperIdeal,
                      NotAnIdeal, SelfCheckError, TooLarge, attach_multiplication,
                      build_lattice, chromatic_number, export_dot,
                      fig2_lattice, fig3_lattice, fixture, is_reduced,
@@ -38,7 +38,7 @@ FIG3_EDGES = [
 
 
 def zero_ideal(lat):
-    return ElementSubset(lat, [lat.bottom])
+    return 1 << lat.bottom
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +68,25 @@ def test_b3_order_graph_is_disjointness():
 
 def test_order_graph_wrt_bigger_ideal():
     lat = fig2_lattice()
-    ideal = ElementSubset(lat, lat.down[lat.index("a")])  # {0, a}
+    ideal = lat.down[lat.names.index("a")]  # {0, a}
     g = order_zero_divisor_graph(lat, ideal)
     # b ^ c = 0 in the ideal; both outside it
     assert "b" in g.vertex_names() and "c" in g.vertex_names()
     for i, j in g.edges():
-        assert lat.meet[g.vertices[i]][g.vertices[j]] in ideal
+        assert ideal >> lat.meet[g.vertices[i]][g.vertices[j]] & 1
 
 
 def test_order_graph_rejects_non_ideals():
+    """A set that is not an ideal and the whole lattice each raise their own
+    error; test_lattice.py::test_subset_members_outside_the_lattice covers
+    the masks with bits outside the lattice."""
     lat = fig2_lattice()
-    with pytest.raises(NotAnIdeal):
-        order_zero_divisor_graph(lat, ElementSubset(lat, [lat.index("a")]))
-    with pytest.raises(ImproperIdeal):
-        order_zero_divisor_graph(lat, ElementSubset(lat, (1 << lat.n) - 1))
-    with pytest.raises(ValueError, match="^ideal belongs to a different lattice$"):
-        order_zero_divisor_graph(lat, ElementSubset(fig3_lattice(), [0]))
+    a, c = lat.names.index("a"), lat.names.index("c")
+    with pytest.raises(NotAnIdeal, match=r"^subset \{a, c\} is not an ideal$"):
+        order_zero_divisor_graph(lat, 1 << c | 1 << a)
+    with pytest.raises(ImproperIdeal,
+                       match="^the whole lattice is not a proper ideal$"):
+        order_zero_divisor_graph(lat, (1 << lat.n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +141,9 @@ def test_edge_monotonicity(n):
     ml = ideal_lattice_zn(n)
     lat = ml.lattice
     for i in range(lat.n):
-        ideal = ElementSubset(lat, lat.down[i])
-        if not ideal.is_proper:
+        if i == lat.top:
             continue
-        go = order_zero_divisor_graph(lat, ideal)
+        go = order_zero_divisor_graph(lat, lat.down[i])
         gm = mult_zero_divisor_graph(ml, i)
         assert set(go.vertices) <= set(gm.vertices)
         mult_edges = {(gm.vertices[a], gm.vertices[b]) for a, b in gm.edges()}
@@ -205,8 +207,7 @@ def test_both_senses_match_the_pairwise_definitions():
             graphs = [(kind, mult_zero_divisor_graph(ml, i), reference_mult_graph(ml, i))
                       for kind, ml in mls.items()]
             if i != lat.top:
-                ideal = ElementSubset(lat, lat.down[i])
-                graphs.append(("order", order_zero_divisor_graph(lat, ideal),
+                graphs.append(("order", order_zero_divisor_graph(lat, lat.down[i]),
                                reference_order_graph(lat, lat.down[i])))
             for kind, g, (verts, edges) in graphs:
                 assert g.vertices == tuple(verts)

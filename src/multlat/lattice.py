@@ -57,6 +57,7 @@ Id(Z_n) with 768 elements builds, with its multiplication checked, in
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
@@ -84,6 +85,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 #: The largest stride whose masks ``_transpose_rounds`` keeps.
 _KEPT_STRIDE = 1 << (MAX_INPUT_ELEMENTS - 1).bit_length()
+
+
+#: The ``struct`` code of the unsigned word of each stride up to 64 bits, in
+#: standard sizes: with "<" the packing is little-endian on every platform.
+_WORD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @cache
@@ -114,16 +120,28 @@ def _transposed(rows: Sequence[int], n: int) -> list[int]:
     block: each (r, c) with bit b clear in r and set in c trades places with
     (r + b, c - b), b(s - 1) bits up.  After the rounds for b = s/2, ..., 1
     every entry has traded each bit of its row for that of its column.
+
+    At strides 8 to 64 the rows are packed, and the columns unpacked, by one
+    ``struct`` call each on words of the stride (``_WORD_CODES``); above 64
+    each row is converted to bytes and joined, and each column sliced and
+    converted back.  Both are little-endian with standard sizes, so the
+    result does not depend on the platform.
     """
     s = 1 << (max(n, len(rows), 8) - 1).bit_length()
     width = s // 8
-    x = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]),
-                       "little")
+    code = _WORD_CODES.get(s)
+    if code is not None:
+        packed = struct.pack(f"<{len(rows)}{code}", *rows)
+    else:
+        packed = b"".join([row.to_bytes(width, "little") for row in rows])
+    x = int.from_bytes(packed, "little")
     rounds = _transpose_rounds if s <= _KEPT_STRIDE else _transpose_rounds.__wrapped__
     for shift, mask in rounds(s):
         t = (x ^ x >> shift) & mask
         x ^= t ^ t << shift
     packed = x.to_bytes(n * width, "little")  # the columns past n are 0
+    if code is not None:
+        return list(struct.unpack(f"<{n}{code}", packed))
     return [int.from_bytes(packed[i:i + width], "little")
             for i in range(0, n * width, width)]
 

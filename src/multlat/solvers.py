@@ -16,19 +16,27 @@ run on those masks, each on an explicit stack, so neither the depth of the
 search nor the size of a clique is bounded by Python's recursion limit:
 
 * ``_max_clique``, a branch and bound whose candidates are greedily
-  coloured at each node, the class count bounding the clique;
+  coloured at each node, the class count bounding the clique.  The mask
+  of the vertices outside each closed neighbourhood is built once per
+  search, so a greedy step is one ``&``;
 * ``_k_colorable``, a DSATUR backtracking search.  It keeps, per colour c,
   the mask of vertices that see c on a neighbour, and bit-sliced saturation
-  layers: layer t holds the vertices with at least t + 1 distinct neighbour
-  colours.  The DSATUR choice is then the lowest set bit of the top
+  layers: among the uncoloured vertices, layer t holds those with at least
+  t + 1 distinct neighbour colours, and only uncoloured vertices are
+  lifted.  The DSATUR choice is then the lowest set bit of the top
   non-empty layer among the uncoloured vertices.
+
+Neither saving changes a search tree: each node chooses the vertex and
+tries the colours that the tests' plain reference solvers do, with the same
+``nodes`` counts and witnesses.
 
 ``_solve`` relabels the graph once and makes one deadline.  It yields omega
 with its checked clique first, then chi with its checked colouring, so a
-timeout in the colouring search still leaves omega.  The clique search's
-root classes and the k-search give colour lists in the new numbering; only
-the one that wins is mapped back, by ``_coloring``, into a ``Coloring``
-that holds the assignment alone and reads its colour count off it.
+timeout in the colouring search still leaves omega.  The k-search, or the
+clique search's root classes when every k below their count is refuted,
+give a colour list in the new numbering; only that one is built and mapped
+back, by ``_coloring``, into a ``Coloring`` that holds the assignment alone
+and reads its colour count off it.
 ``clique_number`` and ``chromatic_number`` are thin wrappers over
 ``_solve``, and the pair shares one relabelling and one clique search:
 ``_solve`` keeps the last graph's in a one-graph slot, keyed on the
@@ -155,12 +163,15 @@ def _max_clique(adj: list[int], deadline: _Deadline
     candidates are greedily coloured; a vertex in class c (from 1) can only
     extend the clique to its size + c, which prunes the rest of the node.
     The classes are scanned from the last down, each from its highest
-    vertex, and the first clique of a size wins.  The search runs on an
-    explicit stack of [clique mask, clique size, candidates left, classes,
-    class number, class bits left] frames, so its depth is not bounded by
-    Python's recursion limit.  Nodes are counted and the clock polled as
-    the module docstring says.
+    vertex, and the first clique of a size wins.  ``outside[v]``, the
+    vertices that are neither v nor adjacent to it, is built once per
+    search, so a greedy step drops v's closed neighbourhood with one ``&``.
+    The search runs on an explicit stack of [clique mask, clique size,
+    candidates left, classes, class number, class bits left] frames, so its
+    depth is not bounded by Python's recursion limit.  Nodes are counted
+    and the clock polled as the module docstring says.
     """
+    outside = [~(row | 1 << v) for v, row in enumerate(adj)]
     best_size = best_mask = 0
     root: list[int] = []
     stack = []
@@ -180,7 +191,7 @@ def _max_clique(adj: list[int], deadline: _Deadline
                 while avail:
                     low = avail & -avail
                     cls |= low
-                    avail &= ~(adj[low.bit_length() - 1] | low)
+                    avail &= outside[low.bit_length() - 1]
                 classes.append(cls)
                 rest &= ~cls
             bound = len(classes)
@@ -224,15 +235,21 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
     by degree then position) and new-color symmetry breaking, on adjacency
     masks relabelled by ``_relabel``.  ``seen[c]`` is the mask of vertices
     with a neighbour coloured c; ``sat[t]`` holds the vertices with at least
-    t + 1 distinct neighbour colours.  Colouring v with c lifts the vertices
-    of ``adj[v] & ~seen[c]`` one layer by a carry chain, so the next vertex
-    is the lowest set bit of the top layer met by the uncoloured mask.  The
-    search runs on an explicit stack of (vertex, colour, colours used, old
-    ``seen[c]``, old layers) frames, so its depth is not bounded by Python's
-    recursion limit.  A frame keeps the layer list itself, not a copy: the
-    list is never changed in place, and a colouring that lifts some vertex
-    works on a fresh copy.  Nodes are counted and the clock polled as the
-    module docstring says.
+    t + 1 distinct neighbour colours.  Colouring v with c lifts the
+    uncoloured vertices of ``adj[v] & ~seen[c]`` one layer by a carry
+    chain, so the next vertex is the lowest set bit of the top layer met by
+    the uncoloured mask.  Only uncoloured vertices are lifted: the layers
+    are read only through ``sat[t] & uncolored``, and a vertex is coloured
+    until the frame that coloured it is popped, which restores the layers
+    it saw, so a coloured vertex's layer bits are never read and the tree
+    is that of lifting every neighbour.  A colour c is tested on v as
+    ``seen[c] & low``, low being v's bit.  The search runs on an explicit
+    stack of (vertex, colour, colours used, old ``seen[c]``, old layers)
+    frames, so its depth is not bounded by Python's recursion limit.  A
+    frame keeps the layer list itself, not a copy: the list is never
+    changed in place, and a colouring that lifts some vertex works on a
+    fresh copy.  Nodes are counted and the clock polled as the module
+    docstring says.
     """
     nv = len(adj)
     colors = [0] * nv
@@ -242,6 +259,7 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
     max_used = -1
     top = k - 1
     stack = []
+    push, pop = stack.append, stack.pop
     nodes = 0
     try:
         while True:
@@ -259,11 +277,12 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
                     cand = sat[t] & uncolored
                     break
                 t -= 1
-            v = (cand & -cand).bit_length() - 1
+            low = cand & -cand
+            v = low.bit_length() - 1
             c = 0
             limit = max_used + 1 if max_used < top else top
             while True:
-                while c <= limit and seen[c] >> v & 1:
+                while c <= limit and seen[c] & low:
                     c += 1
                 if c <= limit:
                     break
@@ -271,26 +290,27 @@ def _k_colorable(adj: list[int], k: int, deadline: _Deadline) -> list[int] | Non
                 # next.
                 if not stack:
                     return None
-                v, c, max_used, old, sat = stack.pop()
+                v, c, max_used, old, sat = pop()
                 seen[c] = old
-                uncolored |= 1 << v
+                low = 1 << v
+                uncolored |= low
                 limit = max_used + 1 if max_used < top else top
                 c += 1
             old = seen[c]
             row = adj[v]
-            stack.append((v, c, max_used, old, sat))
+            push((v, c, max_used, old, sat))
             seen[c] = old | row
-            carry = row & ~old
+            uncolored ^= low
+            carry = row & uncolored & ~old
             if carry:
                 sat = sat[:]
                 t = 0
                 while carry:
-                    nxt = carry & sat[t]
-                    sat[t] |= carry
-                    carry = nxt
+                    s = sat[t]
+                    sat[t] = s | carry
+                    carry &= s
                     t += 1
             colors[v] = c
-            uncolored ^= 1 << v
             if c > max_used:
                 max_used = c
     finally:
@@ -326,10 +346,13 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
     chi is proved by sandwiching: omega is a lower bound, the colouring by
     ``_max_clique``'s root classes an upper bound, and each k in between is
     settled by ``_k_colorable``.  One deadline counts the nodes of both
-    kernels.  The root classes are first fit along the relabelled order:
-    class c takes, in ascending order, each vertex outside classes 0..c-1
-    with no smaller neighbour already in class c, so by induction on v it
-    is the least class holding no smaller neighbour of v.
+    kernels.  The root classes are turned into colours by ``_class_colors``
+    only when every k below their count is refuted; when a k succeeds,
+    which is most dense random graphs, they are never built.  The root
+    classes are first fit along the relabelled order: class c takes, in
+    ascending order, each vertex outside classes 0..c-1 with no smaller
+    neighbour already in class c, so by induction on v it is the least
+    class holding no smaller neighbour of v.
 
     The relabelling and the clique search depend on ``g.adj`` alone, so the
     module keeps those of the last graph whose clique search finished, in
@@ -359,12 +382,13 @@ def _solve(g: ZdGraph, budget: float | None = DEFAULT_SOLVER_BUDGET
         _last = g.adj, order, adj, omega, mask, classes
     yield omega, _clique_witness(g, order, omega, mask)
     chi = len(classes)
-    colors = _class_colors(classes, len(adj))
     for k in range(omega, chi):
-        found = _k_colorable(adj, k, deadline)
-        if found is not None:
-            chi, colors = k, found
+        colors = _k_colorable(adj, k, deadline)
+        if colors is not None:
+            chi = k
             break
+    else:
+        colors = _class_colors(classes, len(adj))
     witness = _coloring(g, order, colors)
     if not is_proper(g, witness):
         raise SelfCheckError("chromatic witness is not proper")

@@ -232,6 +232,17 @@ MUTANTS = (
            ("test_lattice.py::test_transpose_keeps_only_the_masks_of_lattice_"
             "strides",),
            "a hand-built graph of 1200 vertices would hold 5.3 MB for good"),
+    # Struct packing at the word strides.
+    Mutant("transpose-word-code-too-narrow", "lattice.py",
+           '16: "H"', '16: "B"',
+           ("test_lattice.py::test_transposed_matches_the_naive_transpose",),
+           "a 16-bit row does not fit an 8-bit word"),
+    # DSATUR lifts the uncoloured vertices, and only those.
+    Mutant("dsatur-lifts-the-coloured-vertices-only", "solvers.py",
+           "carry = row & uncolored & ~old", "carry = row & ~uncolored & ~old",
+           ("test_solvers.py::test_random_graphs_match_the_reference_solvers",
+            "test_solvers.py::test_fig3_node_counts"),
+           "the DSATUR choice reads the saturation of uncoloured vertices"),
     # One clique search per graph for clique_number and chromatic_number.
     Mutant("solve-slot-hits-any-graph", "solvers.py",
            "if last is not None and last[0] is g.adj:", "if last is not None:",

@@ -5,6 +5,7 @@ import ast
 import os
 import random
 import signal
+import struct
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
@@ -698,6 +699,11 @@ def test_transposed_matches_the_naive_transpose():
         for height, n in ((m, m), (m, m // 3), (m // 3, m)):
             rows = [rng.getrandbits(n) for _ in range(height)]
             assert lattice_module._transposed(rows, n) == _naive_transpose(rows, n), (height, n)
+
+
+def test_word_codes_are_as_wide_as_their_strides():
+    for stride, code in lattice_module._WORD_CODES.items():
+        assert struct.calcsize("<" + code) * 8 == stride
 
 
 def test_transpose_keeps_only_the_masks_of_lattice_strides():

@@ -157,6 +157,20 @@ def test_analyze_solves_the_clique_once(monkeypatch):
     assert calls == ["_relabel", "_max_clique"]
 
 
+def test_root_class_colours_are_built_only_when_they_are_the_answer(monkeypatch):
+    """fig3 refutes k = 3, so its 4 root classes are the colouring; G(30, 0.5)
+    seed 0 has 8 root classes and is 7-coloured by the k-search."""
+    calls = _count_calls(monkeypatch, "_class_colors")
+    assert analyze(fixture("fig3")).chi == 4
+    assert calls == ["_class_colors"]
+    calls.clear()
+    g = random_graph(random.Random(0), 30, 0.5)
+    _, adj = _relabel(g)
+    assert len(_max_clique(adj, _Deadline(None))[2]) == 8
+    assert chromatic_number(g)[0] == 7
+    assert calls == []
+
+
 @pytest.mark.parametrize("first, second", [(clique_number, chromatic_number),
                                            (chromatic_number, clique_number)],
                          ids=["omega_first", "chi_first"])
@@ -511,6 +525,11 @@ def test_random_graphs_match_the_reference_solvers():
     rng = random.Random(23)
     for n, p in [(n, p) for n in (10, 20, 30, 40) for p in (0.2, 0.5, 0.8)]:
         for _ in range(5):
+            assert_same_as_reference(random_graph(rng, n, p))
+    # The sparse classes of the solver benchmark; 60 vertices relabel at
+    # stride 64.
+    for n, p in ((50, 0.2), (60, 0.15)):
+        for _ in range(3):
             assert_same_as_reference(random_graph(rng, n, p))
 
 

@@ -281,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("ring needs exactly one of --modulus or --sweep")
     if args.command in ("analyze", "graph") and not (args.file or args.fixture):
         parser.error(f"{args.command} needs a file or --fixture")
+    if args.command == "graph" and args.sense == "mult" and args.ideal is not None:
+        parser.error("graph --ideal needs --sense order")
+    if args.command == "graph" and args.sense == "order" and args.element is not None:
+        parser.error("graph --element needs --sense mult")
     if args.command == "search" and not any(args.families.split(",")):
         parser.error("search needs at least one family spec")
     try:

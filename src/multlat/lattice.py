@@ -52,8 +52,8 @@ before any cubic scan runs:
 Python's unbounded ints make the bitmask representation work for lattices
 of a few hundred elements.  Measured on a shared 2-core Xeon (best of 7),
 a 256-element boolean lattice builds from its covers in 5-8 ms, and
-Id(Z_n) with 768 elements builds, with its multiplication checked, in
-0.33-0.53 s.
+Id(Z_73513440), 768 elements, builds with its multiplication checked in
+0.19 s (best of 5).
 """
 from __future__ import annotations
 

@@ -126,6 +126,16 @@ MUTANTS = (
            "not below >> ml.product[x][y] & 1 for x, y",
            ("test_rings.py::test_analyze_ring_spot_values",),
            "the minimal vertices are pairwise adjacent"),
+    # The instance facts computed once per walk, in containers of each report's own.
+    Mutant("lemma-suite-per-element", "report.py",
+           "lemmas=dict(lemmas)",
+           "lemmas={c.check_id: c.status for c in check_lemma_suite(ml, structure)}",
+           ("test_cores.py::test_a_walk_computes_the_instance_facts_once",),
+           "the lemma suite is about the bottom, so a walk runs it once"),
+    Mutant("walk-shares-one-lemmas-dict", "report.py",
+           "lemmas=dict(lemmas)", "lemmas=lemmas",
+           ("test_cores.py::test_the_reports_of_a_walk_share_no_container",),
+           "a caller that edits one report's lemmas must not edit another's"),
     # The built-in products admitted by theorem.
     Mutant("meet-admitted-always", "multiplication.py",
            "admissible = _irreducibles_join_prime(lat)", "admissible = True",

@@ -403,6 +403,22 @@ def test_graph_bad_ideal(tmp_path, capsys):
     assert "ideal" in err.lower()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--ideal", "a"], "graph --ideal needs --sense order"),
+    (["--sense", "mult", "--ideal", "0"], "graph --ideal needs --sense order"),
+    (["--sense", "order", "--element", "a"], "graph --element needs --sense mult"),
+])
+def test_graph_flags_of_the_other_sense_are_usage_errors(args, message, capsys):
+    """--ideal belongs to the order sense and --element to the multiplicative
+    one (the default); given to the other sense, neither is ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--fixture", "fig2", *args])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_graph_empty_chain(tmp_path, capsys):
     data = {"elements": ["0", "m", "1"],
             "order": {"kind": "covers", "pairs": [["0", "m"], ["m", "1"]]}}

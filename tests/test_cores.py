@@ -11,6 +11,7 @@ import pytest
 
 import multlat.lattice
 import multlat.multiplication
+import multlat.report
 from multlat import (AxiomViolation, Lattice, SelfCheckError,
                      analyze, build_lattice, analyze_ring, annihilator_star,
                      check_lemma_suite, fig2_lattice, fig3_lattice, is_reduced,
@@ -24,10 +25,11 @@ from multlat.lattice import (_bits, _covers_semimodular, _leaves_ideal,
                              _modularity_scan, _zero_distributive,
                              _zero_distributivity_scan)
 from multlat.multiplication import _verify_axioms, annihilator_map, is_semiprime
+from multlat.report import _analyses
 from multlat.rings import ideal_lattice_zn
 from multlat.search import (boolean_lattice, chain_lattice, generate,
                             random_poset_down_set_lattice)
-from multlat.solvers import ORACLE_CAP, _solve
+from multlat.solvers import DEFAULT_SOLVER_BUDGET, ORACLE_CAP, _solve
 
 from helpers import (chain_square_mult, chain_square_times_two_chain,
                      distributive_kernel_not_a_clique, enumerate_down_sets,
@@ -37,6 +39,7 @@ from helpers import (chain_square_mult, chain_square_times_two_chain,
                      scan_is_prime_element, scan_is_semiprime,
                      scan_join_irreducibles, trivial_product,
                      two_walk_nilpotency_scan)
+from test_golden import EXTENDED_SPECS
 from test_lattice import diamond_lattice, pentagon_lattice
 from test_primes import _oracle_lattices
 
@@ -388,6 +391,52 @@ def test_ring_and_fig3_analyses_walk_each_elements_powers_once(monkeypatch):
     analyze(ml, instance_id="fixture:fig3")
     analyze(ml, instance_id="fixture:fig3")
     assert counts == Counter(range(14))
+
+
+def _walk(ml, instance_id: str) -> list:
+    """The reports at every element of ``ml``, from one walk."""
+    return list(_analyses(ml, range(ml.n), instance_id, DEFAULT_SOLVER_BUDGET))
+
+
+def test_a_walk_computes_the_instance_facts_once(monkeypatch):
+    """A walk over the 14 elements of fig3 computes the prime structure and
+    the lemma suite once each, as one ``analyze`` does; both are counted
+    through the names that ``multlat.report`` calls."""
+    counts: Counter = Counter()
+    for name in ("prime_structure", "check_lemma_suite"):
+        def counted(*args, _name=name, _original=getattr(multlat.report, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(multlat.report, name, counted)
+    ml = fixture("fig3")
+    assert len(_walk(ml, "fixture:fig3")) == 14
+    assert counts == {"prime_structure": 1, "check_lemma_suite": 1}
+    counts.clear()
+    analyze(ml, element=3, instance_id="fixture:fig3")
+    assert counts == {"prime_structure": 1, "check_lemma_suite": 1}
+
+
+def test_a_walk_reports_what_analyze_reports_at_each_element():
+    """At every element of the extended golden instances and of 24 seeded
+    random lattices, the walk's report is ``analyze``'s, field for field."""
+    instances = [pair for spec in EXTENDED_SPECS for pair in generate(spec)]
+    instances += generate("random:12x24", seed=5)
+    for instance_id, ml in instances:
+        walked = [r.to_dict() for r in _walk(ml, instance_id)]
+        assert walked == [analyze(ml, element=e, instance_id=instance_id).to_dict()
+                          for e in range(ml.n)], instance_id
+
+
+def test_the_reports_of_a_walk_share_no_container():
+    """No two reports of one fig3 walk hold the same dict or list, so a
+    caller that edits one report cannot change another."""
+    reports = _walk(fixture("fig3"), "fixture:fig3")
+    for key in ("counts", "lemmas", "minimal_prime_elements",
+                "nilpotent_witness", "n5_witness"):
+        held = [getattr(r, key) for r in reports]
+        assert all(value is not None for value in held), key
+        assert len({id(value) for value in held}) == len(reports), key
 
 
 def _walk_instances():

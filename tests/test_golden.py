@@ -10,11 +10,12 @@ not move a byte.  Any change to a report byte, to the order of a list or to
 a lemma detail changes the digest; a change that alters canonical output on
 purpose recomputes it and says why.
 
-``extended_bytes`` reaches what the ring sweep does not: the report and
-lemma checks at every element of a few small instances, their nilpotency
-witness, annihilator map, greedy colouring and, when reduced, the colouring
-by minimal primes; the (omega, clique, chi, colouring) of seeded random
-graphs, with and without a known clique bound; and one fixed search.
+``extended_bytes`` reaches what the ring sweep does not: the report (from
+one walk over the instance's elements) and lemma checks at every element
+of a few small instances, their nilpotency witness, annihilator map,
+greedy colouring and, when reduced, the colouring by minimal primes; the
+(omega, clique, chi, colouring) of seeded random graphs, with and without
+a known clique bound; and one fixed search.
 ``EXTENDED_SHA256`` was computed by that function on the code that walked
 each element's powers up to three times, rebuilt each colouring twice and
 closed every sampled poset a second time.
@@ -32,7 +33,8 @@ from multlat import (FIXTURE_NAMES, BeckReport, analyze, analyze_ring,
                      mult_zero_divisor_graph, nilpotency_witness,
                      search_counterexamples)
 from multlat.multiplication import annihilator_map
-from multlat.solvers import _solve
+from multlat.report import _analyses
+from multlat.solvers import DEFAULT_SOLVER_BUDGET, _solve
 
 from helpers import greedy_coloring, make_graph, minimal_prime_coloring
 
@@ -84,8 +86,8 @@ def extended_bytes() -> bytes:
     instances += generate("random:12x24", seed=5)
     for instance_id, ml in instances:
         lemmas = _lemma_json(ml)  # about the bottom at every element
-        for e in range(ml.n):
-            report = analyze(ml, element=e, instance_id=instance_id)
+        for report in _analyses(ml, range(ml.n), instance_id,
+                                DEFAULT_SOLVER_BUDGET):
             lines += [report.to_json(indent=None), lemmas]
         facts = [nilpotency_witness(ml), annihilator_map(ml),
                  _coloring(greedy_coloring(mult_zero_divisor_graph(ml)))]

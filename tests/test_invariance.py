@@ -12,7 +12,8 @@ can change every witness, is checked field by field: each instance is
 rebuilt with its elements in seeded shuffled index orders, names kept, and
 at every element the fields that name no element must stay the same, the
 minimal prime elements the same set, and each witness must meet its
-definition in the permuted lattice.
+definition in the permuted lattice.  Each instance's reports come from one
+walk over its elements, which computes the facts about its bottom once.
 """
 from __future__ import annotations
 
@@ -27,10 +28,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multlat import (analyze, attach_multiplication, build_lattice, fixture,
+from multlat import (attach_multiplication, build_lattice, fixture,
                      load_lattice_file, mult_zero_divisor_graph)
 from multlat.lattice import _bits
+from multlat.report import _analyses
 from multlat.rings import ideal_lattice_zn
+from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
 from helpers import (assert_is_n5, chain_square_mult,
                      chain_square_times_two_chain, power)
@@ -56,8 +59,9 @@ UNNAMED_FIELDS = ("element", "element_count", "vertex_count", "edge_count",
 
 
 def _reports(ml, instance_id: str) -> list[str]:
-    return [analyze(ml, element=e, instance_id=instance_id).to_json()
-            for e in range(ml.n)]
+    """The report at every element of ``ml`` as JSON, from one walk."""
+    return [report.to_json() for report in
+            _analyses(ml, range(ml.n), instance_id, DEFAULT_SOLVER_BUDGET)]
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +153,8 @@ def test_reports_do_not_depend_on_the_element_order(instance_id):
     rng = random.Random(instance_id)
     for _ in range(20):
         ml = _permuted(instance_id, rng)
-        for e in range(ml.n):
-            report = analyze(ml, element=e, instance_id=instance_id)
+        for report in _analyses(ml, range(ml.n), instance_id,
+                                DEFAULT_SOLVER_BUDGET):
             original = expected[report.element]
             for key in UNNAMED_FIELDS:
                 assert getattr(report, key) == original[key], (instance_id, key)

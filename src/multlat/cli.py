@@ -118,7 +118,8 @@ def cmd_analyze(args) -> int:
     if ml is None:
         raise LatticeError(
             "analysis needs a multiplication; add one to the file or pass --mult")
-    element = _element_index(lat, args.element) if args.element else None
+    element = (None if args.element is None
+               else _element_index(lat, args.element))
     report = analyze(ml, element=element, instance_id=instance_id,
                      solver_budget=args.timeout)
     print(report.to_json())
@@ -133,10 +134,11 @@ def cmd_graph(args) -> int:
             raise LatticeError(
                 "the multiplicative sense needs a multiplication; add one to "
                 "the file or pass --mult")
-        element = _element_index(lat, args.element) if args.element else None
+        element = (None if args.element is None
+                   else _element_index(lat, args.element))
         graph = mult_zero_divisor_graph(ml, element)
     else:
-        if args.ideal:  # a set, so a name given twice adds its bit once
+        if args.ideal is not None:  # a set: a name given twice adds one bit
             names = args.ideal.split(",")
             ideal = sum({1 << _element_index(lat, nm) for nm in names})
         else:

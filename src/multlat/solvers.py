@@ -43,13 +43,14 @@ and reads its colour count off it.
 identity of ``g.adj`` and held until another graph is solved, so the second
 call of the pair skips both and gives its whole budget to the k-search.
 
-The brute-force oracles are intentionally naive (static vertex order,
-exhaustive search with only conflict pruning) so they stay independent of the
-branch-and-bound solvers they cross-check.
+The brute-force oracles are naive on purpose, independent of the solvers
+they cross-check: each fills one table over every vertex subset, with no
+search, vertex order or bound (inclusion-exclusion for chi, a flag for omega).
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -60,7 +61,9 @@ from .zdgraph import ZdGraph
 #: Default per-graph time budget for the exact solvers, in seconds.
 DEFAULT_SOLVER_BUDGET = 30.0
 
-#: Size cap for the brute-force oracles.
+#: Size cap for the brute-force oracles.  Each of their tables holds 2^n
+#: entries, and ``search`` re-verifies every finding of at most this many
+#: vertices, so raising the cap changes its output bytes.
 ORACLE_CAP = 12
 
 
@@ -422,65 +425,46 @@ def chromatic_number(g: ZdGraph,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
+# Brute-force oracles: one table over every vertex subset each
+
+
+def _oracle_size(g: ZdGraph) -> int:
+    """The vertex count of ``g``; TooLarge above ``ORACLE_CAP``."""
+    nv = g.n_vertices
+    if nv > ORACLE_CAP:
+        raise TooLarge(f"graph has {nv} vertices; oracle cap is {ORACLE_CAP}")
+    return nv
 
 
 def brute_force_chromatic(g: ZdGraph) -> int:
-    """Smallest k admitting a proper k-labeling, by exhaustive search.
+    """Smallest k admitting a proper k-labeling, by inclusion-exclusion.
 
-    Static vertex order, colors tried in canonical form (a vertex may only
-    open one fresh color); no heuristics or bounds beyond edge conflicts.
+    ``count[S]`` is the number of independent sets inside S, the empty one
+    included; a set inside S + v leaves v out or holds v and no neighbour.
+    G is k-colourable exactly when the sum over S of (-1)^(n - |S|)
+    count[S]^k, taken over the distinct (count, parity) pairs, is positive
+    (Bjorklund, Husfeldt and Koivisto, "Set partitioning via
+    inclusion-exclusion", SIAM J. Comput. 39, 2009); chi <= n bounds k.
     Raises TooLarge above ``ORACLE_CAP`` vertices.
     """
-    nv = g.n_vertices
-    if nv > ORACLE_CAP:
-        raise TooLarge(f"graph has {nv} vertices; oracle cap is {ORACLE_CAP}")
-    if nv == 0:
-        return 0
-    adj = g.adj
-
-    def colorable(k: int) -> bool:
-        colors = [-1] * nv
-
-        def rec(v: int, used: int) -> bool:
-            if v == nv:
-                return True
-            for c in range(min(used + 1, k)):
-                if all(colors[w] != c for w in _bits(adj[v])):
-                    colors[v] = c
-                    if rec(v + 1, max(used, c + 1)):
-                        return True
-                    colors[v] = -1
-            return False
-
-        return rec(0, 0)
-
-    k = 1
-    while not colorable(k):
-        k += 1
-    return k
+    nv = _oracle_size(g)
+    count, odd = [1], [nv & 1]
+    for row in g.adj:
+        outside = ~row
+        count += [c + count[s & outside] for s, c in enumerate(count)]
+        odd += [p ^ 1 for p in odd]
+    terms = Counter(zip(count, odd)).items()
+    return next(k for k in range(nv + 1)
+                if sum(-m * c ** k if p else m * c ** k
+                       for (c, p), m in terms) > 0)
 
 
 def brute_force_clique(g: ZdGraph) -> int:
-    """Maximum clique size by exhaustive subset enumeration; TooLarge above
-    ``ORACLE_CAP`` vertices."""
-    nv = g.n_vertices
-    if nv > ORACLE_CAP:
-        raise TooLarge(f"graph has {nv} vertices; oracle cap is {ORACLE_CAP}")
-    adj = g.adj
-    best = 0
-    for mask in range(1 << nv):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        ok = True
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rest & ~adj[v]:
-                ok = False
-                break
-        if ok:
-            best = size
-    return best
+    """Maximum clique size, from a flag per vertex subset built one vertex v
+    at a time: S + v is a clique when S is one and lies inside the
+    neighbourhood of v.  TooLarge above ``ORACLE_CAP`` vertices."""
+    _oracle_size(g)
+    clique = [True]
+    for row in g.adj:
+        clique += [f and not s & ~row for s, f in enumerate(clique)]
+    return max(s.bit_count() for s, f in enumerate(clique) if f)

@@ -11,10 +11,11 @@ repository root:
 For each mutant the runner copies ``src`` and ``tests`` to a temporary
 directory, applies the one replacement there, runs the mutant's tests in a
 subprocess with ``PYTHONPATH`` pointing at the copy, and prints ``killed``
-(a test failed), ``survived`` (all passed) or ``not tested``.  Before any
-mutant it runs every named test on an unchanged copy, which must pass and
-must import the copy's package.  It exits 1 if a mutant is not killed or
-that check fails.  A surviving mutant is mended by a new test, not by
+(a test failed), ``survived`` (all passed), ``not tested`` or ``timed out``
+(the run took longer than ``TIMEOUT`` and was stopped).  Before any mutant
+it runs every named test on an unchanged copy, which must pass within
+``TIMEOUT`` and must import the copy's package.  It exits 1 if a mutant is
+not killed or that check fails.  A surviving mutant is mended by a new test, not by
 deleting the mutant.  ``tests/test_mutants.py`` checks that each snippet
 occurs exactly once.
 """
@@ -29,6 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Seconds one pytest run may take.  On a 2-core host a mutant's run takes
+#: 1-3 s and the unchanged copy's about 8 s; the limit stops a mutant that
+#: makes a loop run forever, so it fails this run instead of hanging it.
+TIMEOUT = 300
 
 
 @dataclass(frozen=True)
@@ -265,6 +271,26 @@ MUTANTS = (
            ("test_solvers.py::test_the_pair_solves_the_clique_once",
             "test_solvers.py::test_a_hit_gives_the_k_search_the_whole_budget"),
            "the pair would relabel and search the clique twice"),
+    # The oracles' subset tables.
+    Mutant("oracle-count-without-adjacency", "solvers.py",
+           "count[s & outside]", "count[s]",
+           ("test_solvers.py::test_k4",
+            "test_solvers.py::test_oracles_match_the_solvers_on_every_graph_"
+            "of_at_most_5_vertices"),
+           "a set holding v holds none of v's neighbours"),
+    Mutant("oracle-parity-from-zero", "solvers.py",
+           "odd = [1], [nv & 1]", "odd = [1], [0]",
+           ("test_solvers.py::test_odd_cycle",
+            "test_solvers.py::test_oracles_match_the_solvers_on_every_graph_"
+            "of_at_most_5_vertices"),
+           "the sign of count[S]^k is (-1)^(n - |S|), odd at S empty when n "
+           "is odd"),
+    Mutant("oracle-clique-flag-without-adjacency", "solvers.py",
+           "f and not s & ~row for s, f", "f for s, f",
+           ("test_solvers.py::test_fig3_exact_values",
+            "test_solvers.py::test_oracles_match_the_solvers_on_every_graph_"
+            "of_at_most_5_vertices"),
+           "S + v is a clique only when S lies inside v's neighbourhood"),
     # Closed forms read off the stable power and J.
     Mutant("annihilator-of-a-not-its-stable-power", "multiplication.py",
            "row = ml.product[_power_walk(ml.product, a)]",
@@ -297,13 +323,20 @@ def _copy(into: Path) -> None:
         shutil.copytree(ROOT / part, into / part, ignore=ignore)
 
 
-def _pytest(where: Path, tests: list[str]) -> subprocess.CompletedProcess:
+def _pytest(where: Path, tests: list[str]
+            ) -> subprocess.CompletedProcess | None:
+    """The finished pytest run of ``tests`` in the copy at ``where``, or
+    None if it ran past ``TIMEOUT`` and was killed."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *[f"tests/{t}" for t in tests]],
-        cwd=where, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *[f"tests/{t}" for t in tests]],
+            cwd=where, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _imports_the_copy(where: Path) -> bool:
@@ -323,12 +356,14 @@ def main() -> int:
             return 1
         every_test = sorted({t for m in MUTANTS for t in m.tests})
         baseline = _pytest(clean, every_test)
-        if baseline.returncode != 0:
-            print(baseline.stdout[-3000:], file=sys.stderr)
+        if baseline is None or baseline.returncode != 0:
+            print(f"timed out after {TIMEOUT} s" if baseline is None
+                  else baseline.stdout[-3000:], file=sys.stderr)
             print("the mutants' tests fail on the unchanged code", file=sys.stderr)
             return 1
         # pytest exits 1 when a test fails; any other code (collection
-        # error, no test found) means the mutant was not tested.
+        # error, no test found) means the mutant was not tested, and a run
+        # stopped at TIMEOUT is a failure too, never a kill.
         outcomes = {0: "survived", 1: "killed"}
         failures = []
         for k, m in enumerate(MUTANTS):
@@ -337,9 +372,11 @@ def main() -> int:
             target = where / "src" / "multlat" / m.path
             target.write_text(source(m).replace(m.snippet, m.replacement),
                               encoding="utf-8")
-            code = _pytest(where, list(m.tests)).returncode
+            run = _pytest(where, list(m.tests))
             shutil.rmtree(where)
-            outcome = outcomes.get(code, f"not tested (pytest exit {code})")
+            code = None if run is None else run.returncode
+            outcome = (f"timed out (after {TIMEOUT} s)" if run is None else
+                       outcomes.get(code, f"not tested (pytest exit {code})"))
             print(f"{outcome}  {m.name}: {m.why}", flush=True)
             if code != 1:
                 failures.append(m.name)

@@ -699,3 +699,27 @@ def test_unknown_element_names_are_structural_errors(capsys):
                             "--ideal", "0,nope"], capsys)
     assert code == 2
     assert "unknown element" in err
+    # An empty name is a name like any other, not the flag left out.
+    for args in (["analyze", "--fixture", "fig3", "--element", ""],
+                 ["graph", "--fixture", "fig3", "--element", ""],
+                 ["graph", "--fixture", "fig2", "--sense", "order",
+                  "--ideal", ""]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
+        assert "unknown element name ''" in err
+
+
+def test_an_element_named_by_the_empty_string(tmp_path, capsys):
+    """B2 with the atom a named "": --element "" analyses that atom, and
+    --ideal "" names {a}, which is not a down-set."""
+    path = write(tmp_path, {**B2_MEET, "elements": ["0", "", "b", "1"],
+                            "order": {"kind": "covers",
+                                      "pairs": [["0", ""], ["0", "b"],
+                                                ["", "1"], ["b", "1"]]}})
+    code, out, _ = run_cli(["analyze", path, "--element", ""], capsys)
+    report = json.loads(out)
+    assert (code, report["element"], report["verdict"]) == (0, "", "empty_graph")
+    code, out, err = run_cli(["graph", path, "--sense", "order",
+                              "--ideal", ""], capsys)
+    assert (code, out) == (2, "")
+    assert "is not an ideal" in err

@@ -368,6 +368,18 @@ def test_solver_matches_oracle(seed):
     assert is_proper(g, coloring)
 
 
+def test_oracles_match_the_solvers_on_every_graph_of_at_most_5_vertices():
+    checked = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = make_graph(n, list(itertools.compress(pairs, chosen)))
+            assert brute_force_chromatic(g) == chromatic_number(g)[0], g.adj
+            assert brute_force_clique(g) == clique_number(g)[0], g.adj
+            checked += 1
+    assert checked == 1100
+
+
 def test_oracle_caps():
     g = make_graph(13, [])
     with pytest.raises(TooLarge):
@@ -509,6 +521,12 @@ def test_mycielski_and_kneser_values():
         assert (chromatic_number(g)[0], clique_number(g)[0]) == (k, 2)
     g = kneser_graph(8, 3)
     assert (chromatic_number(g)[0], clique_number(g)[0]) == (4, 2)
+    # The oracles on known values, with no solver involved: M3, M4, the
+    # Petersen graph and K12, at the oracles' size cap.
+    for g, values in ((mycielski_graph(3), (3, 2)), (mycielski_graph(4), (4, 2)),
+                      (kneser_graph(5, 2), (3, 2)),
+                      (complete_graph(12), (12, 12))):
+        assert (brute_force_chromatic(g), brute_force_clique(g)) == values
 
 
 def test_ring_graphs_match_the_reference_solvers():

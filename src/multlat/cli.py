@@ -31,7 +31,7 @@ from .errors import (LatticeError, LatticeFileError, SelfCheckError,
                      SolverTimeout)
 from .fileio import load_lattice_file
 from .fixtures import FIXTURE_NAMES, fixture
-from .multiplication import MULT_KINDS, attach_multiplication
+from .multiplication import attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import analyze_ring
 from .search import search_counterexamples
@@ -67,11 +67,9 @@ def _load_instance(args) -> tuple[str, object, object]:
         return f"fixture:{args.fixture}", ml.lattice, ml
     # A --mult meet or trivial replaces the file's own multiplication, so
     # that one is checked against the schema only.
-    lat, ml = load_lattice_file(args.file, attach=args.mult in (None, "table"))
-    if args.mult and args.mult != "table":
+    lat, ml = load_lattice_file(args.file, attach=args.mult is None)
+    if args.mult is not None:
         ml = attach_multiplication(lat, args.mult)
-    elif args.mult == "table" and ml is None:
-        raise LatticeError("--mult table requires a table in the file")
     return f"file:{args.file}", lat, ml
 
 
@@ -80,14 +78,14 @@ def _element_index(lat, name: str) -> int:
         return lat.names.index(name)
     except ValueError:
         raise LatticeError(f"unknown element name {name!r}; elements are "
-                           f"{', '.join(lat.names)}") from None
+                           f"{', '.join(map(repr, lat.names))}") from None
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", help="lattice file (JSON)")
     p.add_argument("--fixture", choices=FIXTURE_NAMES,
                    help="use a bundled fixture instead of a file")
-    p.add_argument("--mult", choices=MULT_KINDS,
+    p.add_argument("--mult", choices=("meet", "trivial"),
                    help="override the multiplication")
 
 

@@ -35,10 +35,12 @@ the lower covers, the upper covers and the join-irreducibles (the x with
 one lower cover) off the walk its tables use, and stores them as fields
 that take no part in ``==``, hashing or ``repr``.  The modularity test, the
 atoms and the multiplication's axiom check, primality and annihilators all
-read them there.  The N5 witness and the 0-distributivity witness are
-computed on first use and cached on the lattice with
-``functools.cached_property``.  Each is decided on its smallest exact core
-before any cubic scan runs:
+read them there.  The N5 witness is computed on first use and cached on
+the lattice with ``functools.cached_property``: Id(Z_n) asks for it twice,
+in its self-check and in the report, and the covering-pair test costs
+more than a cache miss.  The 0-distributivity witness, whose atom test
+costs less than a miss, is computed on each call.  Each is decided on its
+smallest exact core before any cubic scan runs:
 
 * modularity is decided as upper plus lower semimodularity on covering
   pairs (Birkhoff's condition: two covers of one element have a join that
@@ -164,7 +166,7 @@ class Lattice:
     and ``upper_covers[x]`` are the elements x covers and is covered by,
     and ``join_irreducibles`` the x with one lower cover, all ascending;
     every element is the join of the join-irreducibles below it.  These,
-    and the underscored cached properties, take no part in ``==`` or
+    and the underscored cached property, take no part in ``==`` or
     hashing.  They are derived from ``up`` and ``down`` and trusted by
     every check on the lattice, so a Lattice is made by ``build_lattice``.
     """
@@ -231,15 +233,6 @@ class Lattice:
         if (witness := _modularity_scan(self)) is None:
             raise SelfCheckError("the covering-pair test rejects a lattice "
                                  "in which the modular-law scan finds no pentagon")
-        return witness
-
-    @cached_property
-    def _zero_distributivity_witness(self) -> tuple[int, int, int] | None:
-        if _zero_distributive(self):
-            return None
-        if (witness := _zero_distributivity_scan(self)) is None:
-            raise SelfCheckError("the atom test rejects a lattice in which "
-                                 "the 0-distributivity scan finds no witness")
         return witness
 
 
@@ -557,14 +550,18 @@ def _modularity_scan(lat: Lattice) -> tuple[int, int, int, int, int] | None:
 def zero_distributivity_witness(lat: Lattice) -> tuple[int, int, int] | None:
     """First (a, b, c) with a^b = a^c = 0 but a^(b v c) != 0, or None.
 
-    Decided on the atoms first and cached on the lattice; see the module
-    docstring.
+    Decided on the atoms first; see the module docstring.
     """
-    return lat._zero_distributivity_witness
+    if _zero_distributive(lat):
+        return None
+    if (witness := _zero_distributivity_scan(lat)) is None:
+        raise SelfCheckError("the atom test rejects a lattice in which "
+                             "the 0-distributivity scan finds no witness")
+    return witness
 
 
 def is_zero_distributive(lat: Lattice) -> bool:
-    return lat._zero_distributivity_witness is None
+    return zero_distributivity_witness(lat) is None
 
 
 def _zero_distributive(lat: Lattice) -> bool:

@@ -31,12 +31,13 @@ SelfCheckError if it finds none; tables from files and Id(Z_n) always go
 through it.  On top of the verified table this module computes
 reducedness, annihilators and prime elements.
 
-The facts the analysis asks for more than once are computed once per
-``MultLattice`` and cached on it with ``functools.cached_property``: the
-nilpotency witness, the annihilator of every element (each from one walk
-of that element's powers) and the prime elements.  The public functions
-return a fresh list each call.  Reducedness is read off the diagonal of
-the table, with no power walk (see ``nilpotency_witness``).
+The annihilator of every element, each from one walk of that element's
+powers, is cached on the ``MultLattice`` with ``functools.cached_property``,
+as computing them again costs more than a cache miss.  The nilpotency
+witness and the prime elements, read at most twice per analysis, are
+computed on each call, as a cache miss costs more than either.  The public
+functions return a fresh list each call.  Reducedness is read off the
+diagonal of the table, with no power walk (see ``nilpotency_witness``).
 
 Primality, semiprimeness and the annihilators are decided on J.  An element
 p != 1 is prime exactly when a.b is not below p for all join-irreducibles
@@ -75,8 +76,8 @@ def check_mult_kind(kind: object) -> None:
 class MultLattice:
     """A lattice together with a verified multiplication table.
 
-    The underscored cached properties hold facts computed on first use; they
-    are not fields, so they take no part in ``==`` or hashing.
+    The underscored cached property holds the annihilators, computed on
+    first use; it is not a field, so it takes no part in ``==`` or hashing.
     """
 
     lattice: Lattice
@@ -87,16 +88,8 @@ class MultLattice:
         return self.lattice.n
 
     @cached_property
-    def _nilpotency_witness(self) -> tuple[int, int] | None:
-        return _nilpotency_scan(self)
-
-    @cached_property
     def _annihilators(self) -> tuple[int, ...]:
         return tuple([annihilator_star(self, a) for a in range(self.n)])
-
-    @cached_property
-    def _prime_mask(self) -> int:
-        return _decide_primes(self)
 
 
 def _verify_axioms(lat: Lattice, product: Sequence[Sequence[int]]) -> None:
@@ -359,9 +352,9 @@ def nilpotency_witness(ml: MultLattice) -> tuple[int, int] | None:
     That is the nonzero nilpotent with the least exponent, ties by index:
     if a != 0 and k >= 2 is least with a^k = 0, then b = a^(k-1) != 0 and
     b.b = a^k . a^(k-2) = 0, so the lattice is reduced exactly when no
-    nonzero element squares to 0.  Cached on ``ml``.
+    nonzero element squares to 0.  One scan of the diagonal.
     """
-    return ml._nilpotency_witness
+    return _nilpotency_scan(ml)
 
 
 def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
@@ -372,7 +365,7 @@ def _nilpotency_scan(ml: MultLattice) -> tuple[int, int] | None:
 
 def is_reduced(ml: MultLattice) -> bool:
     """Whether the only nilpotent element is 0."""
-    return ml._nilpotency_witness is None
+    return _nilpotency_scan(ml) is None
 
 
 def _check_index(ml: MultLattice, x: int) -> None:
@@ -428,8 +421,8 @@ def _decide_primes(ml: MultLattice) -> int:
 
 
 def prime_elements(ml: MultLattice) -> list[int]:
-    """All prime elements, ascending by element index.  Cached on ``ml``."""
-    primes = ml._prime_mask
+    """All prime elements, ascending by element index (``_decide_primes``)."""
+    primes = _decide_primes(ml)
     return [p for p in range(ml.n) if primes >> p & 1]
 
 

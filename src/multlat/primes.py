@@ -18,12 +18,12 @@ tuple of one ``LemmaCheck`` per id in that order; ``analyze`` keeps only
 each status.  A failing check on a reduced lattice is an implementation bug,
 never an acceptable outcome; the suite reports it with a concrete witness
 instead of raising.  A lattice that is not reduced gets its skip lines and
-nothing more is computed.  Otherwise the suite reads 0-distributivity, the
-annihilators and the prime elements from the caches on the ``Lattice`` and
-``MultLattice``, which ``analyze`` shares.  No check scans the n^2
-products: the annihilators are grouped by value in one pass, and the
-elements that an element does not multiply to 0 are read off its
-join-irreducible columns.
+nothing more is computed.  Otherwise the suite decides 0-distributivity
+and the prime elements again, for less than a cache miss costs, and reads
+the annihilators from the cache on the ``MultLattice``, which ``analyze``
+shares.  No check scans the n^2 products: the annihilators are grouped by
+value in one pass, and the elements that an element does not multiply to
+0 are read off its join-irreducible columns.
 """
 from __future__ import annotations
 

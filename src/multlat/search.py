@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 from .errors import InvalidSpec, SelfCheckError
 from .fixtures import FIXTURE_MULTS, FIXTURE_NAMES, fixture
-from .lattice import MAX_INPUT_ELEMENTS, Lattice, build_lattice
+from .lattice import MAX_INPUT_ELEMENTS, Lattice, _bits, build_lattice
 from .multiplication import MULT_KINDS, MultLattice, attach_multiplication
 from .report import VERDICT_FAILS, analyze
 from .rings import MAX_MODULUS, ideal_lattice_zn
@@ -92,19 +92,11 @@ def random_poset_down_set_lattice(seed: int, max_size: int) -> Lattice:
             for j in range(i + 1, m):
                 if rng.random() < 0.4:
                     below[j] |= below[i]  # impose i < j transitively
-        down_sets = {0}
-        frontier = [0]
-        while frontier:
-            d = frontier.pop()
-            for x in range(m):
-                if not d >> x & 1 and (below[x] & ~d) == (1 << x):
-                    nd = d | 1 << x
-                    if nd not in down_sets:
-                        down_sets.add(nd)
-                        frontier.append(nd)
-        if len(down_sets) > max_size:
+        # A down-set holds everything below each of its points.
+        masks = [s for s in range(1 << m) if all(below[x] & ~s == 0 for x in _bits(s))]
+        if len(masks) > max_size:
             continue
-        masks = sorted(down_sets, key=lambda s: (bin(s).count("1"), s))
+        masks.sort(key=lambda s: (s.bit_count(), s))
         names = ["{" + ",".join(str(i) for i in range(m) if s >> i & 1) + "}"
                  for s in masks]
         pairs = [(names[i], names[j]) for i, s1 in enumerate(masks)
@@ -174,7 +166,7 @@ def _instances(spec: str, seed: int = 0) -> Iterator[tuple[str, MultLattice]]:
     if len(args) != 1 or "x" not in args[0]:
         raise InvalidSpec(f"random spec must look like random:CxS: {spec!r}")
     count_s, size_s = args[0].split("x", 1)
-    count = _int_arg(count_s, spec, "random count", 0)
+    count = _int_arg(count_s, spec, "random count", 1)
     size = _int_arg(size_s, spec, "random size", MIN_RANDOM_SIZE,
                     MAX_RANDOM_SIZE)
     first = seed * 1_000_003

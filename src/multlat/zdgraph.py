@@ -105,7 +105,7 @@ def order_zero_divisor_graph(lat: Lattice, ideal: int) -> ZdGraph:
     if not 0 <= ideal <= full:
         raise ValueError(f"ideal mask {ideal} is outside 0 .. 2**{lat.n} - 1")
     if not lat.is_ideal(ideal):
-        members = ", ".join([lat.names[i] for i in _bits(ideal)])
+        members = ", ".join([repr(lat.names[i]) for i in _bits(ideal)])
         raise NotAnIdeal(f"subset {{{members}}} is not an ideal")
     if ideal == full:
         raise ImproperIdeal("the whole lattice is not a proper ideal")

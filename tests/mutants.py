@@ -220,8 +220,8 @@ MUTANTS = (
            ("test_cores.py::test_a_rejection_that_its_scan_contradicts_raises",),
            "a lattice would read modular against the covering-pair test"),
     Mutant("zero-distributivity-scan-contradiction-ignored", "lattice.py",
-           "if (witness := _zero_distributivity_scan(self)) is None:",
-           "if (witness := _zero_distributivity_scan(self)) is None and False:",
+           "if (witness := _zero_distributivity_scan(lat)) is None:",
+           "if (witness := _zero_distributivity_scan(lat)) is None and False:",
            ("test_cores.py::test_a_rejection_that_its_scan_contradicts_raises",),
            "a lattice would read 0-distributive against the atom test"),
     Mutant("rejected-product-attached", "multiplication.py",
@@ -308,6 +308,16 @@ MUTANTS = (
             "definitions",
             "test_search.py::test_semiprime_elements_by_definition"),
            "a join-irreducible above an atom may square below i"),
+    # The random family's down-sets and its spec check.
+    Mutant("down-set-filter-without-complement", "search.py",
+           "below[x] & ~s == 0", "below[x] & s == 0",
+           ("test_search.py::test_random_lattice_bounds",),
+           "a down-set holds everything below each of its points"),
+    Mutant("random-count-floor-zero", "search.py",
+           '"random count", 1)', '"random count", 0)',
+           ("test_search.py::test_bad_specs_raise_invalid_spec",
+            "test_cli.py::test_input_errors_exit_2_with_one_line"),
+           "a random spec that builds no instance analyses nothing"),
 )
 
 

@@ -320,8 +320,6 @@ def test_mult_override_does_not_check_the_files_own_table(tmp_path, capsys, comm
     code, _, err = run_cli([*command, path], capsys)
     assert code == 2
     assert "M5 fails at ('1',)" in err
-    code, _, err = run_cli([*command, path, "--mult", "table"], capsys)
-    assert code == 2
 
 
 @pytest.mark.parametrize("multiplication", [
@@ -603,8 +601,8 @@ def test_cmd_search_byte_identical_across_runs():
 
 
 @pytest.mark.parametrize("args, message", [
-    (["analyze", "--fixture", "fig2", "--mult", "table"],
-     "fig2 has no bundled multiplication table"),
+    (["search", "--families", "random:0x16"],
+     "random count must be >= 1, got 0 in spec 'random:0x16'"),
     (["search", "--families", "bogus:3"], "unknown family 'bogus'"),
     (["search", "--families", "boolean:x"], "boolean rank must be an integer"),
     (["search", "--families", "boolean:11"], "boolean rank must be 0..10"),
@@ -663,12 +661,18 @@ def test_a_run_with_nothing_to_analyse_is_a_usage_error(args, message, capsys):
 
 
 def test_mult_table_on_a_file_without_a_table_exits_2(tmp_path, capsys):
-    doc = {k: v for k, v in B2_MEET.items() if k != "multiplication"}
-    code, out, err = run_cli(["analyze", write(tmp_path, doc), "--mult", "table"],
-                             capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: --mult table requires a table in the file\n"
+    """The file's own table is already the default, so --mult offers only
+    the products that override it: table is a usage error, not a run of
+    the file's meet."""
+    path = write(tmp_path, B2_MEET)
+    for command in (["analyze"], ["graph"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, path, "--mult", "table"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "argument --mult: invalid choice: 'table'" in err
 
 
 def test_a_solver_timeout_outside_analyze_exits_4(capsys):
@@ -722,4 +726,8 @@ def test_an_element_named_by_the_empty_string(tmp_path, capsys):
     code, out, err = run_cli(["graph", path, "--sense", "order",
                               "--ideal", ""], capsys)
     assert (code, out) == (2, "")
-    assert "is not an ideal" in err
+    assert err == "error: subset {''} is not an ideal\n"
+    code, out, err = run_cli(["analyze", path, "--element", "c"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown element name 'c'; elements are "
+                   "'0', '', 'b', '1'\n")

@@ -330,31 +330,41 @@ def _count_calls(monkeypatch) -> Counter:
     return counts
 
 
-def test_ring_analysis_computes_each_fact_once(monkeypatch):
-    """Building Id(Z_720) and analysing it decides modularity,
-    0-distributivity and nilpotency once, and each element's annihilator
-    once, and the prime elements once for all of them; the distributive
-    lattice never needs a scan."""
+def test_ring_analysis_computes_each_cached_fact_once(monkeypatch):
+    """Building Id(Z_720) and analysing it decides modularity once, for the
+    self-check and the report, and each element's annihilator once.  The
+    uncached facts are decided once by the report and once by the lemma
+    suite, except the prime elements: Id(Z_720) is not reduced, so the
+    suite skips them, while on the reduced Id(Z_30) it decides them again.
+    The distributive lattices never need a scan."""
     counts = _count_calls(monkeypatch)
     report = analyze_ring(720)
     assert report.element_count == 30
-    assert counts == {"_covers_semimodular": 1, "_zero_distributive": 1,
-                      "_nilpotency_scan": 1, "annihilator_star": 30,
+    assert counts == {"_covers_semimodular": 1, "_zero_distributive": 2,
+                      "_nilpotency_scan": 2, "annihilator_star": 30,
                       "_decide_primes": 1}
+    counts.clear()
+    report = analyze_ring(30)
+    assert report.reduced and report.element_count == 8
+    assert counts == {"_covers_semimodular": 1, "_zero_distributive": 2,
+                      "_nilpotency_scan": 2, "annihilator_star": 8,
+                      "_decide_primes": 2}
 
 
-def test_fig3_analysis_computes_each_fact_once(monkeypatch):
+def test_fig3_analysis_computes_each_cached_fact_once(monkeypatch):
     """fig3 is not modular, so its first pentagon is found by one scan; a
-    second analysis of the same instance reads every fact from the cache."""
+    second analysis of the same instance reads the pentagon and the
+    annihilators from the cache and decides the uncached facts again."""
     ml = fixture("fig3")
     counts = _count_calls(monkeypatch)
     first = analyze(ml, instance_id="fixture:fig3")
     expected = {"_covers_semimodular": 1, "_modularity_scan": 1,
-                "_zero_distributive": 1, "_nilpotency_scan": 1,
+                "_zero_distributive": 2, "_nilpotency_scan": 2,
                 "annihilator_star": 14, "_decide_primes": 1}
     assert counts == expected
     second = analyze(ml, instance_id="fixture:fig3")
-    assert counts == expected
+    assert counts == {**expected, "_zero_distributive": 4,
+                      "_nilpotency_scan": 4, "_decide_primes": 2}
     assert first.to_json() == second.to_json()
 
 

@@ -148,7 +148,7 @@ def test_generate_bad_specs():
 def test_bad_specs_raise_invalid_spec():
     for bad in ("bogus:3", "boolean:x", "boolean:11", "chain:-1", "chain:1025",
                 "chain:4:ring", "random:5x", "random:3x0", "random:-1x5",
-                "divisor:x", "fig2:table"):
+                "divisor:x", "fig2:table", "random:0x16"):
         with pytest.raises(InvalidSpec):
             generate(bad)
     with pytest.raises(InvalidSpec):
@@ -171,6 +171,12 @@ def test_an_unknown_fixture_is_an_invalid_spec():
     with pytest.raises(InvalidSpec, match="^unknown fixture 'fig9'; "
                        "available: fig2, fig3$"):
         fixture("fig9")
+
+
+def test_fig2_has_no_bundled_table():
+    with pytest.raises(InvalidSpec,
+                       match="^fig2 has no bundled multiplication table$"):
+        fixture("fig2", "table")
 
 
 class _Antichains:

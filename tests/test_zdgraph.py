@@ -82,7 +82,7 @@ def test_order_graph_rejects_non_ideals():
     the masks with bits outside the lattice."""
     lat = fig2_lattice()
     a, c = lat.names.index("a"), lat.names.index("c")
-    with pytest.raises(NotAnIdeal, match=r"^subset \{a, c\} is not an ideal$"):
+    with pytest.raises(NotAnIdeal, match=r"^subset \{'a', 'c'\} is not an ideal$"):
         order_zero_divisor_graph(lat, 1 << c | 1 << a)
     with pytest.raises(ImproperIdeal,
                        match="^the whole lattice is not a proper ideal$"):

@@ -56,8 +56,8 @@ def _exit_status(failed: bool, timed_out: bool) -> int:
     return EXIT_TIMEOUT if timed_out else EXIT_OK
 
 
-def _emit(obj: dict, indent: int | None = 2) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=indent, ensure_ascii=False))
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False))
 
 
 def _load_instance(args) -> tuple[str, object, object]:

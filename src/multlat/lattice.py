@@ -69,11 +69,11 @@ from .errors import NoBoundedStructure, NotALattice, NotAPartialOrder, SelfCheck
 
 #: The most elements a lattice from outside input may have: a lattice file,
 #: or Id(Z_n) for ``ring --modulus`` and ``divisor:N``.  A 1024-element
-#: Id(Z_n) builds in about 0.5 s and analyses in about 0.02 s; twice that
+#: Id(Z_n) builds in about 0.33 s and analyses in about 0.011 s; twice that
 #: size once took 3.7 s and 2.8 s (shared 2-core Xeon).  It caps ``chain:K``
-#: as well: chain:1024 builds in 0.8-1.0 s, takes the meet in 0.12-0.17 s
-#: and the trivial product in 0.06-0.07 s, and analyses in 0.2-0.4 s and
-#: about 0.55 s.
+#: as well: chain:1024 builds in 0.62-0.65 s, takes the meet in 0.09 s and
+#: the trivial product in 0.04 s, and analyses in 0.19-0.21 s and
+#: 0.45-0.47 s (fresh instances, Python 3.11).
 MAX_INPUT_ELEMENTS = 1024
 
 

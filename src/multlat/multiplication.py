@@ -47,10 +47,10 @@ monotone in each argument (x = x v a gives x.y = x.y v a.y), so x, y not
 below p with x.y <= p give a <= x and b <= y in J, not below p, with
 a.b <= x.y <= p.  Read as masks: the elements that a pair a, b in J rules
 out are up(a.b) less up(a) and up(b), so the non-primes are 1 and the union
-of those masks over the unordered pairs (M1), |J|^2/2 mask operations per
-instance for every element at once (``_decide_primes``).  Semiprimeness is
-O(|J|) by the same argument, and so is each annihilator
-(``annihilator_star``).
+of those masks over the unordered pairs (M1) with a.b not a or b (others
+rule out nothing): at most |J|^2/2 mask operations per instance for every
+element at once (``_decide_primes``).  Semiprimeness is O(|J|) by the same
+argument, and so is each annihilator (``annihilator_star``).
 """
 from __future__ import annotations
 
@@ -416,7 +416,8 @@ def _decide_primes(ml: MultLattice) -> int:
     for i, a in enumerate(irreducibles):
         row, ua = ml.product[a], up[a]
         for b in irreducibles[i:]:
-            ruled_out |= up[row[b]] & ~(ua | up[b])
+            if (ab := row[b]) != a and ab != b:
+                ruled_out |= up[ab] & ~(ua | up[b])
     return ((1 << lat.n) - 1) & ~ruled_out
 
 

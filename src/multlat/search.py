@@ -113,7 +113,7 @@ _ONE_ARG = {"chain": ("size", 1, MAX_INPUT_ELEMENTS, chain_lattice),
                         lambda n: ideal_lattice_zn(n).lattice)}
 
 
-def _int_arg(text: str, spec: str, what: str, low: int | None = None,
+def _int_arg(text: str, spec: str, what: str, low: int,
              high: int | None = None) -> int:
     """Parse one integer field of a family spec, within [low, high]."""
     try:
@@ -121,7 +121,7 @@ def _int_arg(text: str, spec: str, what: str, low: int | None = None,
     except ValueError:
         raise InvalidSpec(f"{what} must be an integer, got {text!r} in spec "
                           f"{spec!r}") from None
-    if (low is not None and value < low) or (high is not None and value > high):
+    if value < low or (high is not None and value > high):
         bounds = f"{low}..{high}" if high is not None else f">= {low}"
         raise InvalidSpec(f"{what} must be {bounds}, got {value} in spec {spec!r}")
     return value

@@ -126,10 +126,15 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def naive_divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, found by trial of every d <= n."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def gcd_product_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The ideal product of Z_n by its definition, (d1)(d2) = (gcd(d1 d2, n)),
-    as indices into the divisors of n found by trial of every d <= n."""
-    divs = [d for d in range(1, n + 1) if n % d == 0]
+    as indices into ``naive_divisors(n)``."""
+    divs = naive_divisors(n)
     position = {d: i for i, d in enumerate(divs)}
     return tuple([tuple([position[math.gcd(d1 * d2, n)] for d2 in divs])
                   for d1 in divs])

@@ -85,16 +85,35 @@ MUTANTS = (
            ("test_rings.py::test_the_product_is_the_gcd_table",),
            "(p).(d) is (gcd(pd, n)); p^2 agrees with it only where p^2 does "
            "not divide n"),
+    # Id(Z_n)'s closed forms of its factorization.
+    Mutant("zn-element-count-without-the-one", "rings.py",
+           "math.prod([e + 1 for _, e in factorization])",
+           "math.prod([e for _, e in factorization])",
+           ("test_rings.py::test_too_many_divisors_are_counted_not_listed",
+            "test_rings.py::test_moduli_past_the_caps_are_rejected_before_building"),
+           "p^e contributes the e + 1 divisors p^0, ..., p^e to the count"),
+    Mutant("zn-divisors-without-the-top-power", "rings.py",
+           "range(1, e + 1)", "range(1, e)",
+           ("test_rings.py::test_the_divisor_listing_matches_the_naive_oracle",
+            "test_rings.py::test_the_product_is_the_gcd_table"),
+           "the divisors take each p^i with 0 <= i <= e, p^e included"),
     # The prime elements, one mask per instance.
     Mutant("primes-skip-squares", "multiplication.py",
            "for b in irreducibles[i:]:", "for b in irreducibles[i + 1:]:",
            ("test_cores.py::test_prime_elements_match_the_pair_scan",),
            "a.a <= p with a not below p rules p out; the pairs a = b count"),
     Mutant("primes-drop-up-b", "multiplication.py",
-           "ruled_out |= up[row[b]] & ~(ua | up[b])",
-           "ruled_out |= up[row[b]] & ~ua",
+           "ruled_out |= up[ab] & ~(ua | up[b])",
+           "ruled_out |= up[ab] & ~ua",
            ("test_cores.py::test_prime_elements_match_the_pair_scan",),
            "an element above b is not ruled out by the pair a, b"),
+    # Dropping the skip's second test is an equivalent mutant: a pair with
+    # a.b = b rules out up(b) less up(a) and up(b), which is empty.  This
+    # one skips every pair whose product is not b.
+    Mutant("primes-skip-too-broad", "multiplication.py",
+           "ab != b", "ab == b",
+           ("test_cores.py::test_prime_elements_match_the_pair_scan",),
+           "only a pair with a.b = a or a.b = b rules out nothing"),
     Mutant("primes-count-the-top", "multiplication.py",
            "ruled_out = 1 << lat.top", "ruled_out = 0",
            ("test_multiplication.py::test_top_is_never_prime",

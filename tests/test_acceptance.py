@@ -20,7 +20,7 @@ from multlat import (analyze, analyze_ring, attach_multiplication,
                      fixture, fig2_lattice, ideal_lattice_zn, is_modular,
                      minimal_prime_elements, modularity_witness,
                      mult_zero_divisor_graph, order_zero_divisor_graph)
-from multlat.rings import prime_factors
+from multlat.rings import prime_factorization
 from multlat.search import boolean_lattice, random_poset_down_set_lattice
 
 from helpers import (assert_is_n5, chain_square_mult,
@@ -130,7 +130,7 @@ def test_criterion_4_ring_corollary_at_desk_scale():
         if not is_squarefree(n):
             continue
         report = analyze_ring(n)
-        k = len(prime_factors(n))
+        k = len(prime_factorization(n))
         if k == 1:
             good = (report.verdict == "empty_graph"
                     and report.chi == 0 and report.omega == 0)

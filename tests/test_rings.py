@@ -15,17 +15,43 @@ from multlat import (InvalidModulus, SelfCheckError, analyze_ring, ideal_lattice
                      is_modular, is_reduced, minimal_prime_elements,
                      mult_zero_divisor_graph)
 from multlat.lattice import MAX_INPUT_ELEMENTS
-from multlat.rings import MAX_MODULUS, divisors_of, prime_factors
+from multlat.rings import MAX_MODULUS, _divisors, prime_factorization
 from multlat.solvers import DEFAULT_SOLVER_BUDGET
 
-from helpers import gcd_product_table, is_distributive, is_squarefree
+from helpers import (gcd_product_table, is_distributive, is_squarefree,
+                     naive_divisors)
 
 
 def test_divisor_helpers():
-    assert divisors_of(30) == [1, 2, 3, 5, 6, 10, 15, 30]
-    assert divisors_of(7) == [1, 7]
+    assert _divisors(prime_factorization(30)) == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert _divisors(prime_factorization(7)) == [1, 7]
     assert is_squarefree(30) and not is_squarefree(12)
-    assert prime_factors(60) == [2, 3, 5]
+    assert prime_factorization(60) == [(2, 2), (3, 1), (5, 1)]
+    assert prime_factorization(999999999989) == [(999999999989, 1)]
+    assert prime_factorization(2 * 499999999979) == [(2, 1), (499999999979, 1)]
+    assert prime_factorization(10**12) == [(2, 12), (5, 12)]
+    assert prime_factorization(349188840) == [
+        (2, 3), (3, 3), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1)]
+
+
+def test_the_factorization_multiplies_back():
+    """Ascending primes with positive exponents whose product is n.  Each
+    prime below 10**6 is checked by trial division; the two larger ones are
+    pinned in ``test_divisor_helpers``."""
+    for n in (*range(2, 5001), 999999999989, 2 * 499999999979, 10**12,
+              349188840):
+        pairs = prime_factorization(n)
+        primes = [p for p, _ in pairs]
+        assert math.prod([p**e for p, e in pairs]) == n, n
+        assert primes == sorted(set(primes)), n
+        assert all(e >= 1 for _, e in pairs), n
+        assert all(p % q for p in primes if p < 10**6
+                   for q in range(2, math.isqrt(p) + 1)), n
+
+
+def test_the_divisor_listing_matches_the_naive_oracle():
+    for n in range(2, 5001):
+        assert _divisors(prime_factorization(n)) == naive_divisors(n), n
 
 
 def test_invalid_modulus():
@@ -38,25 +64,39 @@ class _Reached(Exception):
     """Raised by a stand-in for a step of ideal_lattice_zn."""
 
 
-def test_moduli_past_the_caps_are_rejected_before_building(monkeypatch):
-    """A modulus above MAX_MODULUS is rejected before its divisors are
-    sought, and one with more than MAX_INPUT_ELEMENTS divisors before its
-    lattice is built; at either cap the build is reached."""
-    def reached(*args):
-        raise _Reached
+def _reached(*args):
+    raise _Reached
 
-    monkeypatch.setattr(multlat.rings, "build_lattice", reached)
+
+def test_moduli_past_the_caps_are_rejected_before_building(monkeypatch):
+    """A modulus above MAX_MODULUS is rejected before it is factorised, and
+    one with more than MAX_INPUT_ELEMENTS divisors before its lattice is
+    built; at either cap the build is reached."""
+    monkeypatch.setattr(multlat.rings, "build_lattice", _reached)
     with pytest.raises(_Reached):
         ideal_lattice_zn(MAX_MODULUS)
-    assert len(divisors_of(349188840)) == MAX_INPUT_ELEMENTS
+    assert len(_divisors(prime_factorization(349188840))) == MAX_INPUT_ELEMENTS
     with pytest.raises(_Reached):
         ideal_lattice_zn(349188840)
     with pytest.raises(InvalidModulus, match="has 1344 elements; at most 1024"):
         ideal_lattice_zn(735134400)
-    monkeypatch.setattr(multlat.rings, "divisors_of", reached)
+    monkeypatch.setattr(multlat.rings, "prime_factorization", _reached)
     for n in (MAX_MODULUS + 1, 10**30):
         with pytest.raises(InvalidModulus, match=f"at most {MAX_MODULUS}, got {n}"):
             ideal_lattice_zn(n)
+
+
+def test_too_many_divisors_are_counted_not_listed(monkeypatch):
+    """A modulus past the element cap is rejected from the exponents of its
+    factorization, before any divisor is listed; at the cap the divisors
+    are listed."""
+    monkeypatch.setattr(multlat.rings, "_divisors", _reached)
+    for n, count in ((735134400, 1344), (735134400 * 19, 2688)):
+        with pytest.raises(InvalidModulus, match=(
+                rf"^Id\(Z_{n}\) has {count} elements; at most 1024 are accepted$")):
+            ideal_lattice_zn(n)
+    with pytest.raises(_Reached):
+        ideal_lattice_zn(349188840)
 
 
 def test_z6_structure():
@@ -79,14 +119,14 @@ def test_z4_is_not_reduced():
 
 def test_z30_minimal_primes():
     zn = ideal_lattice_zn(30)
-    assert zn.n == len(divisors_of(30)) == 8
+    assert zn.n == len(naive_divisors(30)) == 8
     names = [zn.lattice.names[p] for p in minimal_prime_elements(zn)]
     assert names == ["(2)", "(3)", "(5)"]
 
 
 def test_order_is_reverse_divisibility():
     zn = ideal_lattice_zn(60)
-    lat, divs = zn.lattice, divisors_of(60)
+    lat, divs = zn.lattice, naive_divisors(60)
     for i, d1 in enumerate(divs):
         for j, d2 in enumerate(divs):
             assert bool(lat.up[i] >> j & 1) == (d1 % d2 == 0)
@@ -164,7 +204,7 @@ def test_the_ring_sweep_is_its_order_types_renamed():
     first: dict[tuple, tuple[list[int], dict]] = {}
     lines = []
     for n in range(2, 1001):
-        divs, primes = divisors_of(n), prime_factors(n)
+        divs, primes = naive_divisors(n), [p for p, _ in prime_factorization(n)]
         key = tuple(tuple(_exponent(d, p) for p in primes) for d in divs)
         if key not in first:
             first[key] = divs, json.loads(analyze_ring(n).to_json(indent=None))
@@ -185,9 +225,9 @@ def test_reduced_iff_squarefree(n):
 
 @given(st.integers(2, 250))
 def test_minimal_primes_are_prime_divisor_ideals(n):
-    divs = divisors_of(n)
+    divs = naive_divisors(n)
     mpe = [divs[p] for p in minimal_prime_elements(ideal_lattice_zn(n))]
-    assert mpe == prime_factors(n)
+    assert mpe == [p for p, _ in prime_factorization(n)]
 
 
 @given(st.integers(2, 250))

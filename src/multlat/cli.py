@@ -310,7 +310,3 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         _diag("error: standard output was closed")
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -293,13 +293,11 @@ def attach_multiplication(lat: Lattice, kind: str = "meet",
         product = lat.meet
         admissible = _irreducibles_join_prime(lat)
     elif kind == "trivial":
-        rows = []
+        row, rows = [lat.bottom] * n, []
         for i in range(n):
-            if i == lat.top:
-                rows.append(tuple(range(n)))
-            else:
-                rows.append(tuple([i if j == lat.top else lat.bottom
-                                   for j in range(n)]))
+            row[lat.top] = i  # x.1 = x, and x.y = 0 for y != 1
+            rows.append(tuple(row))
+        rows[lat.top] = tuple(range(n))
         product = tuple(rows)
         admissible = _top_has_one_lower_cover(lat)
     else:

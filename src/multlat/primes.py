@@ -220,7 +220,12 @@ def check_lemma_suite(ml: MultLattice,
     if not nonzero & ~same.get(lat.bottom, 0):
         vacuous = ("pass", "vacuous (no nonzero zero divisors)", None)
         return _report(lines + [vacuous, vacuous])
-    verdict(bool(maxann) and lat.meet_all(maxann) == lat.bottom
+    # down(^S) is the AND of the down(s), and down is one-to-one, so a
+    # non-empty S meets to 0 exactly when that AND is down(0).
+    common = -1
+    for m in maxann:
+        common &= lat.down[m]
+    verdict(bool(maxann) and common == zero
             and set(maxann) <= set(structure.minimal_prime_elements),
             "maximal annihilators do not meet to 0 as minimal primes", maxann)
     missing = [p for p in structure.minimal_prime_elements if p not in same]

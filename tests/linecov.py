@@ -33,8 +33,6 @@ ALLOWED = (
     ("cli.py", "except BrokenPipeError:", 9,
      "a reader that closes standard output; only the subprocess test "
      "test_cli.py::test_a_closed_stdout_exits_3_with_one_line has one"),
-    ("cli.py", "raise SystemExit(main())", 1,
-     "runs only when cli.py is the main module, never on import"),
 )
 
 

@@ -60,16 +60,20 @@ MUTANTS = (
            ("test_lattice.py::test_join_irreducibles_have_one_lower_cover",
             "test_primes.py::test_cover_fields_match_their_definitions"),
            "an element below a cover is not a cover; its whole down-set goes"),
-    Mutant("composed-join-row-from-one-cover", "lattice.py",
-           "itemgetter(*join_rows[covers[1]])", "itemgetter(*join_rows[covers[0]])",
+    Mutant("composed-row-from-one-cover", "lattice.py",
+           "itemgetter(*rows[below[1]])", "itemgetter(*rows[below[0]])",
            ("test_lattice.py::test_join_irreducibles_have_one_lower_cover",
-            "test_lattice.py::test_meet_join_bounds_law"),
-           "c is the join of two lower covers d and e, not of d alone"),
-    Mutant("composed-meet-row-from-one-cover", "lattice.py",
-           "itemgetter(*meet_rows[covers[1]])", "itemgetter(*meet_rows[covers[0]])",
+            "test_lattice.py::test_meet_join_bounds_law",
+            "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles"),
+           "c is the join of two lower covers d and e, not of d alone, and "
+           "dually the meet of two upper covers"),
+    Mutant("meet-table-walked-in-the-join-order", "lattice.py",
+           "_join_table(down, by_down, upper, reversed(order))",
+           "_join_table(down, by_down, upper, order)",
            ("test_lattice.py::test_meet_join_bounds_law",
             "test_lattice.py::test_boolean_3_and_fig3_tables_match_the_oracles"),
-           "c is the meet of two upper covers d and e, not of d alone"),
+           "a meet row is composed from the rows of its upper covers, which "
+           "come before it only going down"),
     Mutant("transpose-skips-rounds", "lattice.py",
            "b //= 2", "b //= 4",
            ("test_lattice.py::test_transposed_matches_the_naive_transpose",),
@@ -128,6 +132,12 @@ MUTANTS = (
            "if full & ~d in filters]", "]",
            ("test_primes.py::test_closed_form_matches_down_set_oracle",),
            "down(m) is prime only when its complement is a principal filter"),
+    Mutant("meet-to-zero-on-the-up-masks", "primes.py",
+           "common &= lat.down[m]", "common &= lat.up[m]",
+           ("test_primes.py::test_lemma_fail_line_when_a_minimal_prime_is_not_"
+            "an_annihilator",),
+           "the meet of S is read off the common lower bounds, not the "
+           "common upper bounds"),
     # The reduced theorem checked at every semiprime element.
     Mutant("kernel-by-maximal", "report.py",
            "kernel = lat.minimal(graph.vertices)",
@@ -232,6 +242,15 @@ MUTANTS = (
            "root = classes\n",
            ("test_solvers.py::test_greedy_matches_first_fit_in_degree_order",),
            "only the root's classes colour every vertex"),
+    # Modularity as semimodularity on both sides, the lower half on the dual.
+    Mutant("semimodularity-without-the-lower-half", "lattice.py",
+           "\n            and _upper_semimodular(lat.lower_covers, lat.meet, "
+           "lat.down, lat.up))",
+           ")",
+           ("test_cores.py::test_covering_pair_test_matches_the_modular_law_"
+            "scan",),
+           "an upper semimodular lattice need not be modular, as the lines "
+           "and points of a plane"),
     # A fast exact test that a scan contradicts raises.
     Mutant("pentagon-scan-contradiction-ignored", "lattice.py",
            "if (witness := _modularity_scan(self)) is None:",

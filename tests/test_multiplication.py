@@ -68,6 +68,15 @@ def test_trivial_multiplication_on_one_element():
         assert attach_multiplication(lat, "trivial").product == ((0,),)
 
 
+def test_trivial_product_is_its_definition():
+    """x.1 = 1.x = x, and every other product is 0: the table, entry by
+    entry, on the chains of 1 to 20 elements, fig2 and fig3."""
+    lattices = [chain_lattice(k) for k in range(1, 21)]
+    for lat in lattices + [fig2_lattice(), fig3_lattice()]:
+        assert attach_multiplication(lat, "trivial").product == \
+            trivial_product(lat), lat.names
+
+
 def test_incomplete_tables_are_rejected():
     lat = chain_lattice(2)
     with pytest.raises(IncompleteTable):
